@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke bench bench-quick bench-smoke bench-scale bench-all examples clean
+.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke bench bench-quick bench-smoke bench-scale bench-all perfbench-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -121,6 +121,22 @@ bench-smoke:
 # the shape on tiny instances in seconds.
 bench-scale:
 	PYTHONPATH=src python -m repro.bench.scale
+
+# The end-to-end benchmark (perfbench/, declared in BENCHMARK.json): its
+# own tests, which the tier-1 suite does not collect, then one untraced
+# pass of each workload.  Fails unless every pass exits 0 and reports
+# correct answers and no failed unit.
+perfbench-smoke:
+	python -m pytest perfbench/test_perfbench.py -q
+	for workload in unroutable flow batch; do \
+		out=$$(python3 perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 0 --trace 0) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | python3 -c "import json, sys; \
+	r = json.loads(sys.stdin.readlines()[-1]); \
+	sys.exit(0 if r['correct'] and r['failed'] == 0 else f'failed: {r}')" \
+			|| exit 1; \
+	done
 
 # The previous bench-quick: a scaled-down pass of every paper table.
 bench-all:

@@ -18,8 +18,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, List, Set, Tuple
 
+from ..obs import trace
 from .netlist import Net, Netlist
 
 Position = Tuple[int, int]
@@ -108,9 +110,8 @@ class Placement:
     def to_netlist(self, netlist: LogicalNetlist) -> Netlist:
         """Materialise a placed :class:`~repro.fpga.netlist.Netlist`.
 
-        Distinct logical blocks occupy distinct positions, but two pins of
-        one net may coincide if a net connects blocks placed adjacently —
-        they cannot, since positions are unique per block.
+        The blocks of one net are distinct and no two blocks share a
+        position, so the pins of a placed net never coincide.
         """
         nets = []
         for net in netlist.nets:
@@ -124,8 +125,9 @@ class AnnealingPlacer:
     """VPR-flavoured simulated annealing over block swaps.
 
     The schedule is the textbook one: start hot enough to accept most
-    moves, attempt ``moves_per_temperature × num_blocks`` swaps per step,
-    cool geometrically, stop when the acceptance rate collapses.
+    moves, attempt ``moves_per_temperature × num_blocks`` moves per step,
+    cool geometrically, and stop after a step that accepted no move or
+    once the temperature has cooled to 0.005 or below.
     """
 
     def __init__(self, cols: int, rows: int, seed: int = 0,
@@ -144,100 +146,128 @@ class AnnealingPlacer:
         self.initial_acceptance = initial_acceptance
 
     def place(self, netlist: LogicalNetlist) -> Placement:
-        """Anneal a placement for ``netlist``; deterministic per seed."""
-        if netlist.num_blocks > self.cols * self.rows:
+        """Anneal a placement for ``netlist``; deterministic per seed.
+
+        Each move recomputes only the nets it changes, against a per-net
+        HPWL cache that is written back when the move is accepted.  One
+        ``fpga.place`` span carries the deterministic counters
+        ``blocks``, ``nets``, ``moves`` (move slots drawn), ``accepted``,
+        ``temperatures`` (steps run) and ``hpwl`` (the wirelength of the
+        returned placement).
+        """
+        num_blocks = netlist.num_blocks
+        if num_blocks > self.cols * self.rows:
             raise ValueError(
-                f"{netlist.num_blocks} blocks do not fit a "
+                f"{num_blocks} blocks do not fit a "
                 f"{self.cols}x{self.rows} grid")
-        rng = random.Random(self.seed)
-        cells = [(x, y) for x in range(self.cols) for y in range(self.rows)]
-        rng.shuffle(cells)
-        positions: Dict[int, Position] = {
-            block: cells[block] for block in range(netlist.num_blocks)}
-        placement = Placement(self.cols, self.rows, positions)
+        with trace.span("fpga.place", blocks=num_blocks,
+                        nets=len(netlist.nets)) as span:
+            rng = random.Random(self.seed)
+            cells = [(x, y) for x in range(self.cols)
+                     for y in range(self.rows)]
+            rng.shuffle(cells)
+            xs = [x for x, _ in cells[:num_blocks]]
+            ys = [y for _, y in cells[:num_blocks]]
+            free_cells = cells[num_blocks:]
 
-        nets_of_block: Dict[int, List[LogicalNet]] = {}
-        for net in netlist.nets:
-            for block in set(net.blocks):
-                nets_of_block.setdefault(block, []).append(net)
+            # The netlist as index arrays: the ids of each block's nets and,
+            # per net, a getter of its blocks' coordinates and its HPWL.
+            nets_of: List[Set[int]] = [set() for _ in range(num_blocks)]
+            for net_id, net in enumerate(netlist.nets):
+                for block in net.blocks:
+                    nets_of[block].add(net_id)
+            block_nets = [frozenset(nets) for nets in nets_of]
+            net_pins = [itemgetter(net.source, *net.sinks)
+                        for net in netlist.nets]
+            net_cost = [_hpwl(pins, xs, ys) for pins in net_pins]
+            cost = sum(net_cost)
 
-        def nets_cost(nets: Sequence[LogicalNet]) -> int:
-            total = 0
-            for net in nets:
-                xs = [positions[b][0] for b in net.blocks]
-                ys = [positions[b][1] for b in net.blocks]
-                total += (max(xs) - min(xs)) + (max(ys) - min(ys))
-            return total
-
-        cost = placement.wirelength(netlist)
-        temperature = self._initial_temperature(netlist, positions, rng)
-        moves = max(1, self.moves_per_temperature * netlist.num_blocks)
-        free_cells = [c for c in cells[netlist.num_blocks:]]
-
-        first_pass = True
-        while temperature > 0.005 or first_pass:
-            first_pass = False
-            accepted = 0
-            for _ in range(moves):
-                block = rng.randrange(netlist.num_blocks)
-                use_free = free_cells and rng.random() < 0.3
-                if use_free:
-                    target_cell = rng.choice(free_cells)
-                    other = None
-                else:
-                    other = rng.randrange(netlist.num_blocks)
-                    if other == block:
-                        continue
-                    target_cell = positions[other]
-                affected = list(nets_of_block.get(block, []))
-                if other is not None:
-                    affected += [n for n in nets_of_block.get(other, [])
-                                 if n not in affected]
-                before = nets_cost(affected)
-                source_cell = positions[block]
-                positions[block] = target_cell
-                if other is not None:
-                    positions[other] = source_cell
-                after = nets_cost(affected)
-                delta = after - before
-                if delta <= 0 or (temperature > 0 and
-                                  rng.random() < math.exp(-delta / temperature)):
-                    cost += delta
-                    accepted += 1
+            temperature = self._initial_temperature(
+                net_pins, block_nets, net_cost, xs, ys, rng)
+            moves = max(1, self.moves_per_temperature * num_blocks)
+            temperatures = total_accepted = 0
+            while True:
+                accepted = 0
+                for _ in range(moves):
+                    block = rng.randrange(num_blocks)
+                    use_free = free_cells and rng.random() < 0.3
                     if use_free:
-                        free_cells.remove(target_cell)
-                        free_cells.append(source_cell)
-                else:
-                    positions[block] = source_cell
-                    if other is not None:
-                        positions[other] = target_cell
-            temperature *= self.cooling
-            if accepted == 0:
-                break
-            if temperature <= 0.005:
-                break
-        return Placement(self.cols, self.rows, positions)
+                        target_cell = rng.choice(free_cells)
+                        affected = block_nets[block]
+                    else:
+                        other = rng.randrange(num_blocks)
+                        if other == block:
+                            continue
+                        target_cell = (xs[other], ys[other])
+                        # A net holding both blocks keeps its positions.
+                        affected = block_nets[block] ^ block_nets[other]
+                    source_cell = (xs[block], ys[block])
+                    xs[block], ys[block] = target_cell
+                    if not use_free:
+                        xs[other], ys[other] = source_cell
+                    after = [_hpwl(net_pins[net_id], xs, ys)
+                             for net_id in affected]
+                    delta = sum(after) - sum([net_cost[net_id]
+                                              for net_id in affected])
+                    if delta <= 0 or (temperature > 0 and rng.random()
+                                      < math.exp(-delta / temperature)):
+                        cost += delta
+                        accepted += 1
+                        for net_id, new in zip(affected, after):
+                            net_cost[net_id] = new
+                        if use_free:
+                            free_cells.remove(target_cell)
+                            free_cells.append(source_cell)
+                    else:
+                        xs[block], ys[block] = source_cell
+                        if not use_free:
+                            xs[other], ys[other] = target_cell
+                temperatures += 1
+                total_accepted += accepted
+                temperature *= self.cooling
+                if accepted == 0 or temperature <= 0.005:
+                    break
 
-    def _initial_temperature(self, netlist: LogicalNetlist,
-                             positions: Dict[int, Position],
-                             rng: random.Random) -> float:
+            span.set("moves", temperatures * moves)
+            span.set("accepted", total_accepted)
+            span.set("temperatures", temperatures)
+            span.set("hpwl", cost)
+            return Placement(self.cols, self.rows,
+                             {block: (xs[block], ys[block])
+                              for block in range(num_blocks)})
+
+    def _initial_temperature(self, net_pins: List[itemgetter],
+                             block_nets: List[FrozenSet[int]],
+                             net_cost: List[int], xs: List[int],
+                             ys: List[int], rng: random.Random) -> float:
         """Sample swap deltas; pick T so ~initial_acceptance are accepted."""
+        num_blocks = len(block_nets)
         deltas = []
-        sample = Placement(self.cols, self.rows, positions)
-        base = sample.wirelength(netlist)
-        for _ in range(min(50, 5 * netlist.num_blocks)):
-            a, b = rng.randrange(netlist.num_blocks), rng.randrange(netlist.num_blocks)
+        for _ in range(min(50, 5 * num_blocks)):
+            a, b = rng.randrange(num_blocks), rng.randrange(num_blocks)
             if a == b:
                 continue
-            positions[a], positions[b] = positions[b], positions[a]
-            delta = Placement(self.cols, self.rows, positions).wirelength(netlist) - base
-            positions[a], positions[b] = positions[b], positions[a]
+            xs[a], xs[b] = xs[b], xs[a]
+            ys[a], ys[b] = ys[b], ys[a]
+            delta = sum(_hpwl(net_pins[net_id], xs, ys) - net_cost[net_id]
+                        for net_id in block_nets[a] ^ block_nets[b])
+            xs[a], xs[b] = xs[b], xs[a]
+            ys[a], ys[b] = ys[b], ys[a]
             if delta > 0:
                 deltas.append(delta)
         if not deltas:
             return 1.0
         mean_delta = sum(deltas) / len(deltas)
         return -mean_delta / math.log(self.initial_acceptance)
+
+
+def _hpwl(pins: itemgetter, xs: List[int], ys: List[int]) -> int:
+    """Half-perimeter wirelength of the net whose pins ``pins`` gets.
+
+    Every net has at least two blocks, so ``pins`` returns tuples.
+    """
+    net_xs, net_ys = pins(xs), pins(ys)
+    return (max(net_xs) - min(net_xs)) + (max(net_ys) - min(net_ys))
 
 
 def place_netlist(netlist: LogicalNetlist, cols: int, rows: int,

@@ -377,3 +377,25 @@ class TestEndToEnd:
         assert traced.solver_stats["decisions"] == \
             baseline.solver_stats["decisions"]
         assert traced.coloring == baseline.coloring
+
+
+class TestFpgaSpans:
+    """Spans the FPGA tool flow opens, with their deterministic counters."""
+
+    def test_place_span_counters_repeat_per_seed(self):
+        from repro.fpga import AnnealingPlacer, random_logical_netlist
+
+        netlist = random_logical_netlist(10, 20, seed=3, max_fanout=3)
+        trace.enable()
+        placements = [AnnealingPlacer(4, 4, seed=5).place(netlist)
+                      for _ in range(2)]
+        records = [r for r in trace.tracer().drain_spans()
+                   if r["name"] == "fpga.place"]
+        first, second = (r["attrs"] for r in records)
+        assert first == second
+        assert set(first) == {"blocks", "nets", "moves", "accepted",
+                              "temperatures", "hpwl"}
+        assert first["hpwl"] == placements[0].wirelength(netlist)
+        assert (first["blocks"], first["nets"]) == (10, 20)
+        assert first["moves"] == first["temperatures"] * 10 * 10
+        assert 0 < first["accepted"] <= first["moves"]

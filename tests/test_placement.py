@@ -1,10 +1,42 @@
 """Tests for logical netlists and the annealing placer."""
 
+import hashlib
+
 import pytest
 
 from repro.fpga import (AnnealingPlacer, LogicalNet, LogicalNetlist,
                         Placement, place_netlist, random_logical_netlist,
                         route_netlist, validate_global_routing)
+
+
+def _placement_digest(placement):
+    cells = sorted((b, x, y) for b, (x, y) in placement.positions.items())
+    return hashlib.sha256(repr(cells).encode()).hexdigest()[:16]
+
+
+def _pinned_cases():
+    """(name, netlist, cols, rows, seed, digest, wirelength) per case."""
+    flow = [("7fb24358300a885e", 44), ("9958386c2cd33009", 51),
+            ("4965f84f9d2efd61", 41), ("beb44863ac4f94ed", 54),
+            ("320f55ca6c633a56", 38), ("fc2a9c5076521425", 44),
+            ("7036102a94a7c646", 45), ("ad7a791a675018f4", 38),
+            ("bd05cb7ba6e9885d", 51), ("f9b62db87d019b6a", 47),
+            ("ca3065ec1f64376b", 50), ("25d2115d419bad01", 48)]
+    # The flow benchmark's circuits.
+    cases = [(f"flow{i}", random_logical_netlist(10, 20, i, max_fanout=3),
+              4, 4, 0, pinned, wirelength)
+             for i, (pinned, wirelength) in enumerate(flow)]
+    # A full grid: no free cells, so every move is a swap.
+    cases.append(("full", random_logical_netlist(8, 16, seed=6), 4, 2, 1,
+                  "c0192a7f79e7cf9c", 39))
+    # Block 10 is on no net.
+    base = random_logical_netlist(10, 20, seed=1, max_fanout=3)
+    cases.append(("isolated", LogicalNetlist("isolated", 11, base.nets),
+                  4, 4, 2, "af37dc6e417fad5d", 49))
+    # examples/placement_to_tracks.py.
+    cases.append(("example", random_logical_netlist(30, 70, seed=11), 6, 6,
+                  3, "fcf71a6baf8af272", 262))
+    return cases
 
 
 class TestLogicalNet:
@@ -38,9 +70,8 @@ class TestLogicalNetlist:
 
     def test_random_generator_bounds(self):
         netlist = random_logical_netlist(6, 15, seed=1, max_fanout=2)
-        assert all(1 <= n.fanout if hasattr(n, "fanout") else True
-                   for n in netlist.nets)
-        assert all(len(n.sinks) <= 2 for n in netlist.nets)
+        assert all(1 <= len(n.sinks) <= 2 for n in netlist.nets)
+        assert all(n.source not in n.sinks for n in netlist.nets)
 
 
 class TestPlacement:
@@ -82,6 +113,15 @@ class TestAnnealer:
         a = AnnealingPlacer(4, 4, seed=7).place(netlist)
         b = AnnealingPlacer(4, 4, seed=7).place(netlist)
         assert a.positions == b.positions
+        # The annealing trajectory is pinned: every case must land on
+        # exactly these positions (sha256 of the sorted (block, x, y)
+        # triples) and wirelength.
+        for name, netlist, cols, rows, seed, pinned, wirelength in (
+                _pinned_cases()):
+            placement = AnnealingPlacer(cols, rows, seed=seed).place(netlist)
+            assert (_placement_digest(placement),
+                    placement.wirelength(netlist)) == (pinned, wirelength), \
+                name
 
     def test_improves_over_random(self):
         netlist = random_logical_netlist(16, 40, seed=3)
