@@ -397,10 +397,10 @@ def solve_batch(requests: Sequence[SolveRequest],
     scheduler's ``job_timeout``/retry/quarantine machinery applies
     unchanged.  Always returns one response per request, in order.
 
-    ``num_shards=1`` (the default) is the flat pool of the historical
-    :func:`repro.bench.batch.run_batch`; larger values split the jobs
-    over that many locality-aware work-stealing queues
-    (:func:`repro.dist.scheduler.run_sharded`), which pays off when the
+    ``num_shards=1`` (the default) runs one worker pool, exactly as
+    :func:`repro.bench.batch.run_batch` does; larger values split the
+    jobs over that many locality-aware work-stealing queues of
+    :func:`repro.dist.scheduler.run_sharded`, which pays off when the
     corpus is large and instances repeat.
     """
     from .bench.batch import BatchJob

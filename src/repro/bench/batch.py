@@ -7,15 +7,26 @@ strategy) pair over a bounded worker pool, each job under its own budget
 and deadline, and come back with a complete status table even when some
 jobs time out, crash, or the whole batch is cancelled midway.
 
+:func:`run_sharded` is the package's one job scheduler.  It splits the
+pool into ``num_shards`` work-stealing queues.  A job lands on a *home
+shard* by a stable hash of its instance name, so every solve of one
+instance (strategy sweeps, retries, re-submissions) queues on the same
+shard, and each shard launches from the *head* of its own deque.  An
+idle shard steals from the *tail* of the longest backlog: the head is
+where the owner's locality lives, the tail is where the coldest work
+sits.  :func:`run_batch` is the same scheduler with one shard;
+:mod:`repro.dist.scheduler` re-exports it for the distributed layer.
+
 Guarantees:
 
 * **Per-job deadlines** — ``job_timeout`` becomes each job's
   ``wall_clock_limit``; a job that overruns is first asked to stop via
   its :class:`CancelToken` (so it reports TIMEOUT with partial stats)
   and hard-terminated only if it ignores the token past a grace period.
-* **Retry on crash** — a worker that dies without reporting (segfault,
-  OOM kill) is retried up to ``max_attempts`` times; only then is the
-  job recorded as ERROR.
+* **Retry on failure** — a worker that dies without reporting (segfault,
+  OOM kill, an injected ``crash@worker`` or ``crash@dist_shard``) or
+  whose job ends as ERROR goes back to the head of its home shard, up to
+  ``max_attempts`` attempts; only then is the job recorded as ERROR.
 * **Graceful partial results** — a batch deadline or an external cancel
   token stops scheduling, winds down running jobs cooperatively, and
   returns everything finished so far, with unstarted jobs listed in
@@ -24,28 +35,23 @@ Guarantees:
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import queue as queue_module
 import time
+import zlib
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..coloring.problem import ColoringProblem
 from ..core.pipeline import ColoringOutcome, solve_coloring
+from ..core.portfolio import _worker_injector
 from ..core.strategy import Strategy
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..sat.status import CancelToken, SolveLimits, SolveStatus
-
-def _unpack(item):
-    """Unpack a result-queue item: ``(key, outcome, error)`` from
-    historical senders (test doubles), plus the telemetry slot the
-    current workers append."""
-    key, outcome, error = item[0], item[1], item[2]
-    telemetry = item[3] if len(item) > 3 else None
-    return key, outcome, error, telemetry
-
 
 #: Queue-wait interval of the scheduler loop.
 _POLL_SECONDS = 0.05
@@ -133,20 +139,37 @@ class BatchResult:
                                         for r in self.results)
 
 
-def _batch_worker(job: BatchJob, queue: "mp.Queue", cancel_event,
-                  limits: Optional[SolveLimits], strategy=None,
-                  faults=None, audit: bool = False) -> None:
-    strategy = strategy if strategy is not None else job.strategy
+@dataclass
+class ShardedResult(BatchResult):
+    """A batch result plus the shard-level accounting."""
+
+    #: Per-shard counters, by shard name ("shard0", ...).
+    shards: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: Jobs launched away from their home shard.
+    steals: int = 0
+
+
+def shard_of(instance: str, num_shards: int) -> int:
+    """The home shard of an instance: a stable content hash, so the
+    same instance always queues on the same shard across runs and
+    processes (CRC32 is seed- and ``PYTHONHASHSEED``-independent)."""
+    return zlib.crc32(instance.encode("utf-8")) % num_shards
+
+
+def _batch_worker(dispatch: int, job: BatchJob, queue: "mp.Queue",
+                  cancel_event, limits: Optional[SolveLimits],
+                  strategy: Strategy, faults=None,
+                  audit: bool = False) -> None:
+    """Solve one attempt and report it under its ``dispatch`` number."""
     # Fresh observability state for this process (fork inherits the
     # parent's buffers); spans and metrics travel back on the queue.
     obs.worker_begin()
     try:
-        from ..core.portfolio import _worker_injector
-        injector = _worker_injector(faults, strategy)
+        injector = _worker_injector(faults, strategy,
+                                    extra_sites=("dist_shard",))
         if injector is not None:
             injector.maybe_exit()
             injector.maybe_hang()
-        cancel = CancelToken(cancel_event) if cancel_event is not None else None
         # Reliability kwargs only when they deviate from the defaults,
         # so test doubles with the historical signature keep working.
         kwargs = {}
@@ -155,49 +178,43 @@ def _batch_worker(job: BatchJob, queue: "mp.Queue", cancel_event,
         if audit:
             kwargs.update(keep_model=True, proof_log=True)
         outcome = solve_coloring(job.problem, strategy,
-                                 graph_time=job.graph_time,
-                                 limits=limits, cancel=cancel, **kwargs)
-        queue.put((job.key, outcome, None, obs.drain_telemetry()))
+                                 graph_time=job.graph_time, limits=limits,
+                                 cancel=CancelToken(cancel_event), **kwargs)
+        queue.put((dispatch, outcome, None, obs.drain_telemetry()))
     except Exception as error:  # report, never hang the scheduler
-        queue.put((job.key, None, repr(error), obs.drain_telemetry()))
+        queue.put((dispatch, None, repr(error), obs.drain_telemetry()))
 
 
+@dataclass
+class _Entry:
+    """One queued attempt; the home shard is kept across requeues."""
+
+    job: BatchJob
+    home: int
+    #: Strategy run this attempt: ``job.strategy``, or its legacy-engine
+    #: twin after an engine fallback (results stay keyed by the job).
+    strategy: Strategy
+    attempt: int = 1
+    #: Monotonic timestamp before which this entry may not launch
+    #: (quarantine backoff of its strategy).
+    not_before: float = 0.0
+
+
+@dataclass
 class _Running:
-    """Scheduler-side state of one in-flight job."""
+    """Scheduler-side state of one launched attempt."""
 
-    __slots__ = ("job", "process", "cancel_event", "started",
-                 "deadline", "hard_deadline", "attempt", "strategy")
-
-    def __init__(self, job: BatchJob, process: "mp.Process", cancel_event,
-                 started: float, deadline: Optional[float],
-                 attempt: int, strategy: Strategy) -> None:
-        self.job = job
-        self.process = process
-        self.cancel_event = cancel_event
-        self.started = started
-        self.deadline = deadline
-        self.hard_deadline: Optional[float] = None
-        self.attempt = attempt
-        #: Strategy actually run this attempt — differs from
-        #: ``job.strategy`` after an engine fallback; results stay keyed
-        #: by the original ``job.key``.
-        self.strategy = strategy
-
-
-class _Waiting:
-    """Scheduler-side state of one not-yet-launched (or requeued) job."""
-
-    __slots__ = ("job", "attempt", "strategy", "not_before")
-
-    def __init__(self, job: BatchJob, attempt: int = 1,
-                 strategy: Optional[Strategy] = None,
-                 not_before: float = 0.0) -> None:
-        self.job = job
-        self.attempt = attempt
-        self.strategy = strategy if strategy is not None else job.strategy
-        #: Monotonic timestamp before which this entry may not launch
-        #: (quarantine backoff of its strategy).
-        self.not_before = not_before
+    #: Launch number the worker reports back under.
+    dispatch: int
+    entry: _Entry
+    #: Shard whose worker slot this attempt occupies (the thief's, on a
+    #: stolen launch — the home shard stays on the entry).
+    shard: int
+    process: "mp.Process"
+    cancel_event: object
+    started: float
+    deadline: Optional[float]
+    hard_deadline: Optional[float] = None
 
 
 def jobs_for(instances: Sequence, strategies: Sequence[Strategy],
@@ -255,84 +272,6 @@ def _dedup_jobs(jobs: Sequence[BatchJob], limits: Optional[SolveLimits],
     return primaries, fanout
 
 
-def run_batch(jobs: Sequence[BatchJob],
-              max_workers: Optional[int] = None,
-              job_timeout: Optional[float] = None,
-              limits: Optional[SolveLimits] = None,
-              max_attempts: int = 2,
-              timeout: Optional[float] = None,
-              cancel: Optional[CancelToken] = None,
-              audit: bool = False, faults=None,
-              quarantine=None,
-              engine_fallback: bool = True,
-              dedup: bool = True) -> BatchResult:
-    """Run every job over a worker pool; always returns a full table.
-
-    ``job_timeout`` bounds each job's wall clock (merged into
-    ``limits``); ``timeout`` bounds the whole batch; ``cancel`` lets a
-    caller stop the batch from outside.  ``max_attempts`` caps retries
-    for jobs that fail — workers that die without reporting as well as
-    jobs that end with status ERROR (a crash degraded by the pipeline,
-    or an answer that failed its audit).  No exception escapes a job:
-    every job ends as a :class:`BatchJobResult` or in ``pending``.
-
-    Reliability controls:
-
-    * ``audit=True`` re-verifies every decided answer in the scheduler
-      (:func:`repro.reliability.audit.audit_outcome`); an answer that
-      fails audit counts as ERROR and is retried, never silently kept.
-    * ``faults`` injects faults into the workers (None = the
-      ``REPRO_FAULTS`` environment plan only; a ``FaultPlan`` is used
-      as given; ``False`` disables injection).
-    * ``quarantine`` is a
-      :class:`repro.reliability.quarantine.QuarantinePolicy` (None =
-      defaults): a strategy whose jobs repeatedly crash or fail audit
-      sits out with capped exponential backoff before its next retry.
-    * ``engine_fallback`` retries a failed ``engine="arena"`` job on
-      ``engine="legacy"`` (same search trajectory, independent BCP
-      implementation), so an arena-specific fault cannot sink a job
-      that the legacy engine can still answer.
-
-    ``dedup=True`` (the default) collapses content-identical jobs —
-    same canonical graph, colors, strategy and limits by
-    :meth:`repro.api.SolveRequest.cache_key` — to a single dispatch and
-    fans its result back out to every duplicate, so a corpus with
-    repeated instances no longer pays for redundant solves.
-    """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    if max_workers is None:
-        max_workers = max(1, (mp.cpu_count() or 2) - 1)
-    if max_workers < 1:
-        raise ValueError("max_workers must be at least 1")
-    fanout: Dict[int, List[BatchJob]] = {}
-    duplicates = 0
-    if dedup and len(jobs) > 1:
-        jobs, fanout = _dedup_jobs(jobs, limits, job_timeout)
-        duplicates = sum(len(dupes) for dupes in fanout.values())
-    with trace.span("batch.run", jobs=len(jobs), workers=max_workers,
-                    audit=audit, deduped=duplicates) as batch_span:
-        result = _run_batch_in_span(
-            batch_span, jobs, max_workers, job_timeout, limits,
-            max_attempts, timeout, cancel, audit, faults, quarantine,
-            engine_fallback)
-        if fanout:
-            _fan_out_duplicates(result, fanout)
-        batch_span.set("settled", len(result.results))
-        batch_span.set("cancelled", result.cancelled)
-        if obs_metrics.enabled():
-            registry = obs_metrics.registry()
-            registry.inc("batch.runs")
-            registry.inc("batch.jobs", len(result.results))
-            registry.inc("batch.jobs_pending", len(result.pending))
-            if duplicates:
-                registry.inc("batch.deduped", duplicates)
-            for status, count in result.status_counts().items():
-                registry.inc(f"batch.status.{status}", count)
-            registry.observe("batch.wall_time", result.wall_time)
-        return result
-
-
 def _fan_out_duplicates(result: BatchResult,
                         fanout: Dict[int, List[BatchJob]]) -> None:
     """Clone each primary's result/pending entry for its duplicates, so
@@ -355,19 +294,126 @@ def _fan_out_duplicates(result: BatchResult,
     result.by_key = {r.key: r for r in result.results}
 
 
-def _run_batch_in_span(batch_span, jobs: Sequence[BatchJob],
-                       max_workers: int, job_timeout: Optional[float],
-                       limits: Optional[SolveLimits], max_attempts: int,
-                       timeout: Optional[float],
-                       cancel: Optional[CancelToken], audit: bool, faults,
-                       quarantine, engine_fallback: bool) -> BatchResult:
-    """:func:`run_batch` scheduler loop, inside its already-open span.
+def run_batch(jobs: Sequence[BatchJob], max_workers: Optional[int] = None,
+              **options) -> ShardedResult:
+    """Run every job over one worker pool: :func:`run_sharded` with a
+    single shard, taking the same keyword ``options``."""
+    return run_sharded(jobs, num_shards=1, max_workers=max_workers,
+                       **options)
 
-    Job lifecycle transitions — launch, settle, retry/requeue (with
-    backoff and engine fallback), per-job deadline kills, unreported
-    worker deaths and batch-level cancellation — become span events, and
-    the telemetry each worker ships back (span tree + metrics snapshot)
-    is grafted under this span.
+
+def run_sharded(jobs: Sequence[BatchJob],
+                num_shards: int = 2,
+                max_workers: Optional[int] = None,
+                workers_per_shard: Optional[int] = None,
+                job_timeout: Optional[float] = None,
+                limits: Optional[SolveLimits] = None,
+                max_attempts: int = 2,
+                timeout: Optional[float] = None,
+                cancel: Optional[CancelToken] = None,
+                audit: bool = False, faults=None,
+                quarantine=None,
+                engine_fallback: bool = True,
+                dedup: bool = True) -> ShardedResult:
+    """Run every job over ``num_shards`` work-stealing shard queues;
+    always returns a full table.
+
+    ``max_workers`` (default: one less than the CPU count, at least
+    ``num_shards``) is spread evenly over the shards unless
+    ``workers_per_shard`` bounds each shard's pool directly.
+    ``job_timeout`` bounds each job's wall clock (merged into
+    ``limits``); ``timeout`` bounds the whole batch; ``cancel`` lets a
+    caller stop the batch from outside.  ``max_attempts`` caps retries
+    for jobs that fail — workers that die without reporting as well as
+    jobs that end with status ERROR (a crash degraded by the pipeline,
+    or an answer that failed its audit); a failed attempt goes back to
+    the head of its home shard's queue.  No exception escapes a job:
+    every job ends as a :class:`BatchJobResult` or in ``pending``.
+
+    Reliability controls:
+
+    * ``audit=True`` re-verifies every decided answer in the scheduler
+      (:func:`repro.reliability.audit.audit_outcome`); an answer that
+      fails audit counts as ERROR and is retried, never silently kept.
+    * ``faults`` injects faults into the workers (None = the
+      ``REPRO_FAULTS`` environment plan only; a ``FaultPlan`` is used
+      as given; ``False`` disables injection).  Worker-site faults
+      fire at both the ``worker`` and the ``dist_shard`` site.
+    * ``quarantine`` is a
+      :class:`repro.reliability.quarantine.QuarantinePolicy` (None =
+      defaults): a strategy whose jobs repeatedly crash or fail audit
+      sits out with capped exponential backoff before its next retry.
+    * ``engine_fallback`` retries a failed ``engine="arena"`` job on
+      ``engine="legacy"`` (same search trajectory, independent BCP
+      implementation), so an arena-specific fault cannot sink a job
+      that the legacy engine can still answer.
+
+    ``dedup=True`` (the default) collapses content-identical jobs —
+    same canonical graph, colors, strategy and limits by
+    :meth:`repro.api.SolveRequest.cache_key` — to a single dispatch and
+    fans its result back out to every duplicate, so a corpus with
+    repeated instances no longer pays for redundant solves.
+
+    The result carries per-shard counters (``launched``, ``stolen``,
+    ``requeued``, ``completed``) and the steal total.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be positive")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError("max_workers must be at least 1")
+    if workers_per_shard is not None and workers_per_shard < 1:
+        raise ValueError("workers_per_shard must be at least 1")
+    if max_workers is None:
+        max_workers = max(num_shards, (mp.cpu_count() or 2) - 1)
+    if workers_per_shard is None:
+        workers_per_shard = max(1, max_workers // num_shards)
+    fanout: Dict[int, List[BatchJob]] = {}
+    duplicates = 0
+    if dedup and len(jobs) > 1:
+        jobs, fanout = _dedup_jobs(jobs, limits, job_timeout)
+        duplicates = sum(len(d) for d in fanout.values())
+    with trace.span("dist.schedule", jobs=len(jobs), shards=num_shards,
+                    workers_per_shard=workers_per_shard, audit=audit,
+                    deduped=duplicates) as span:
+        result = _schedule_in_span(
+            span, jobs, num_shards, workers_per_shard, job_timeout,
+            limits, max_attempts, timeout, cancel, audit, faults,
+            quarantine, engine_fallback)
+        if fanout:
+            _fan_out_duplicates(result, fanout)
+        span.set("settled", len(result.results))
+        span.set("steals", result.steals)
+        span.set("cancelled", result.cancelled)
+        if obs_metrics.enabled():
+            registry = obs_metrics.registry()
+            registry.inc("dist.schedules")
+            registry.inc("dist.jobs", len(result.results))
+            if duplicates:
+                registry.inc("batch.deduped", duplicates)
+            for status, count in result.status_counts().items():
+                registry.inc(f"dist.status.{status}", count)
+            registry.observe("dist.wall_time", result.wall_time)
+        return result
+
+
+def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
+                      workers_per_shard: int,
+                      job_timeout: Optional[float],
+                      limits: Optional[SolveLimits], max_attempts: int,
+                      timeout: Optional[float],
+                      cancel: Optional[CancelToken], audit: bool, faults,
+                      quarantine, engine_fallback: bool) -> ShardedResult:
+    """:func:`run_sharded`'s scheduler loop, inside its already-open span.
+
+    Job lifecycle transitions — launch, steal, settle, retry/requeue
+    (with backoff and engine fallback), per-job deadline kills,
+    unreported worker deaths and batch-level cancellation — become span
+    events, and the telemetry each worker ships back (span tree +
+    metrics snapshot) is grafted under this span.  Each launch gets its
+    own dispatch number, so jobs sharing an (instance, strategy) key
+    never collide in flight.
     """
     from ..reliability.quarantine import QuarantineTracker
     tracker = QuarantineTracker(quarantine)
@@ -378,218 +424,268 @@ def _run_batch_in_span(batch_span, jobs: Sequence[BatchJob],
     start = time.perf_counter()
     batch_deadline = None if timeout is None else start + timeout
 
-    waiting: List[_Waiting] = [_Waiting(job) for job in jobs]
-    waiting.reverse()  # pop() from the end preserves submission order
-    running: Dict[Tuple[str, str], _Running] = {}
+    queues: List[Deque[_Entry]] = [deque() for _ in range(num_shards)]
+    for job in jobs:
+        home = shard_of(job.instance, num_shards)
+        queues[home].append(_Entry(job, home, job.strategy))
+    running: Dict[int, _Running] = {}
+    busy = [0] * num_shards
+    dispatches = itertools.count()
     results: List[BatchJobResult] = []
+    stats = [{"queued": len(queue), "launched": 0, "stolen": 0,
+              "completed": 0, "requeued": 0} for queue in queues]
+    steals = 0
     stopping = False
 
-    def _launch(pending_entry: _Waiting) -> None:
-        job = pending_entry.job
+    def _take(queue: Deque[_Entry], order: Iterable[int],
+              now: float) -> Optional[_Entry]:
+        """Remove and return the first entry, in ``order``, that is past
+        its backoff and not quarantined; blocked entries keep their
+        place."""
+        for index in order:
+            entry = queue[index]
+            if entry.not_before <= now and not tracker.quarantined(
+                    entry.job.strategy.label, now):
+                del queue[index]
+                return entry
+        return None
+
+    def _next(shard: int, now: float) -> Tuple[Optional[_Entry], bool]:
+        """The next attempt for a free slot of ``shard``, and whether it
+        is stolen: from the head of its own queue, or — once that is
+        empty — from the tail of the longest other queue."""
+        own = queues[shard]
+        if own:
+            return _take(own, range(len(own)), now), False
+        donors = sorted((s for s in range(num_shards) if queues[s]),
+                        key=lambda s: -len(queues[s]))
+        for donor in donors:
+            queue = queues[donor]
+            entry = _take(queue, range(len(queue) - 1, -1, -1), now)
+            if entry is not None:
+                return entry, True
+        return None, False
+
+    def _launch(entry: _Entry, shard: int, stolen: bool) -> None:
+        nonlocal steals
+        job = entry.job
+        dispatch = next(dispatches)
         cancel_event = context.Event()
         process = context.Process(
             target=_batch_worker,
-            args=(job, result_queue, cancel_event, job_limits,
-                  pending_entry.strategy, faults, audit),
+            args=(dispatch, job, result_queue, cancel_event, job_limits,
+                  entry.strategy, faults, audit),
             daemon=True)
         now = time.perf_counter()
         deadline = None if job_timeout is None else now + job_timeout
-        running[job.key] = _Running(job, process, cancel_event, now,
-                                    deadline, pending_entry.attempt,
-                                    pending_entry.strategy)
+        running[dispatch] = _Running(dispatch, entry, shard, process,
+                                     cancel_event, now, deadline)
+        busy[shard] += 1
         process.start()
+        stats[shard]["launched"] += 1
+        if stolen:
+            steals += 1
+            stats[shard]["stolen"] += 1
+            trace.event("dist.steal", instance=job.instance,
+                        home=entry.home, thief=shard)
+            if obs_metrics.enabled():
+                obs_metrics.registry().inc("dist.steal")
         trace.event("job.launched", instance=job.instance,
-                    strategy=pending_entry.strategy.label,
-                    engine=pending_entry.strategy.engine,
-                    attempt=pending_entry.attempt)
+                    strategy=entry.strategy.label,
+                    engine=entry.strategy.engine, shard=shard,
+                    attempt=entry.attempt)
 
-    def _settle(entry: _Running, outcome: Optional[ColoringOutcome],
-                error: Optional[str],
-                forced_status: Optional[SolveStatus] = None,
-                audit_report=None) -> None:
-        wall = time.perf_counter() - entry.started
-        if forced_status is not None:
-            status = forced_status
-        elif error is not None:
-            status = SolveStatus.ERROR
-        else:
-            status = outcome.status
-        results.append(BatchJobResult(job=entry.job, status=status,
-                                      outcome=outcome, wall_time=wall,
-                                      attempts=entry.attempt, error=error,
-                                      audit=audit_report,
-                                      engine=entry.strategy.engine))
-        del running[entry.job.key]
+    def _forget(record: _Running) -> None:
+        del running[record.dispatch]
+        busy[record.shard] -= 1
+
+    def _settle(record: _Running, status: SolveStatus,
+                outcome: Optional[ColoringOutcome] = None,
+                error: Optional[str] = None, audit_report=None) -> None:
+        entry = record.entry
+        results.append(BatchJobResult(
+            job=entry.job, status=status, outcome=outcome,
+            wall_time=time.perf_counter() - record.started,
+            attempts=entry.attempt, error=error, audit=audit_report,
+            engine=entry.strategy.engine))
+        stats[record.shard]["completed"] += 1
+        _forget(record)
         trace.event("job.settled", instance=entry.job.instance,
                     strategy=entry.job.strategy.label, status=str(status),
-                    attempts=entry.attempt,
+                    shard=record.shard, attempts=entry.attempt,
                     **({"error": error} if error else {}))
 
-    def _requeue(entry: _Running) -> None:
-        """Put a failed attempt back on the queue: possibly on the
-        fallback engine, and not before its quarantine backoff ends."""
+    def _requeue(record: _Running) -> None:
+        """A failed attempt goes back to the *head of its home shard*
+        (locality survives the crash), engine-fallen-back and delayed
+        by its strategy's quarantine backoff."""
+        entry = record.entry
         strategy = entry.strategy
         if engine_fallback and strategy.engine == "arena":
             strategy = strategy.with_engine("legacy")
         not_before = tracker.release_time(entry.job.strategy.label)
-        waiting.insert(0, _Waiting(
-            entry.job, entry.attempt + 1, strategy,
-            not_before=not_before))
-        del running[entry.job.key]
+        queues[entry.home].appendleft(_Entry(
+            entry.job, entry.home, strategy, entry.attempt + 1, not_before))
+        stats[entry.home]["requeued"] += 1
+        _forget(record)
         trace.event("job.requeued", instance=entry.job.instance,
-                    strategy=entry.job.strategy.label,
+                    strategy=entry.job.strategy.label, shard=entry.home,
                     next_attempt=entry.attempt + 1, engine=strategy.engine,
                     backoff=round(max(0.0, not_before - time.perf_counter()),
                                   3))
         if obs_metrics.enabled():
-            obs_metrics.registry().inc("batch.retries")
+            obs_metrics.registry().inc("dist.requeues")
 
-    def _report(entry: _Running, outcome: Optional[ColoringOutcome],
+    def _fail(record: _Running, detail: str,
+              outcome: Optional[ColoringOutcome] = None,
+              audit_report=None) -> None:
+        """Charge a failed attempt to its strategy, then retry the job
+        or, with no attempts left (or the batch stopping), settle it as
+        ERROR."""
+        tracker.record_offence(record.entry.job.strategy.label, detail,
+                               time.perf_counter())
+        if record.entry.attempt < max_attempts and not stopping:
+            _requeue(record)
+        else:
+            _settle(record, SolveStatus.ERROR, outcome, detail,
+                    audit_report)
+
+    def _report(record: _Running, outcome: Optional[ColoringOutcome],
                 error: Optional[str]) -> None:
         """Consume one worker report: audit it, then settle or retry."""
-        status = SolveStatus.ERROR if error is not None else outcome.status
-        audit_report = None
-        if audit and error is None and outcome.status.decided:
-            from ..reliability.audit import audit_outcome
-            audit_report = audit_outcome(entry.job.problem, outcome)
-            if audit_report.failed:
-                status = SolveStatus.ERROR
-                error = "audit failed: " + "; ".join(
-                    f"{check.name} ({check.detail})"
-                    for check in audit_report.failures)
-        if status is SolveStatus.ERROR:
-            detail = error
-            if detail is None:
-                detail = str(outcome.solver_stats.get(
-                    "stop_reason", "")) or "job failed"
-            tracker.record_offence(entry.job.strategy.label, detail,
-                                   time.perf_counter())
-            if entry.attempt < max_attempts and not stopping:
-                _requeue(entry)
-            else:
-                _settle(entry, outcome, detail, audit_report=audit_report)
+        if error is not None:
+            _fail(record, error)
             return
-        if status.decided:
-            tracker.record_success(entry.job.strategy.label)
-        _settle(entry, outcome, error, audit_report=audit_report)
+        audit_report = None
+        if audit and outcome.status.decided:
+            from ..reliability.audit import audit_outcome
+            audit_report = audit_outcome(record.entry.job.problem, outcome)
+            if audit_report.failed:
+                _fail(record, "audit failed: " + "; ".join(
+                    f"{check.name} ({check.detail})"
+                    for check in audit_report.failures),
+                    outcome, audit_report)
+                return
+        if outcome.status is SolveStatus.ERROR:
+            _fail(record, str(outcome.solver_stats.get("stop_reason", ""))
+                  or "job failed", outcome)
+            return
+        if outcome.status.decided:
+            tracker.record_success(record.entry.job.strategy.label)
+        _settle(record, outcome.status, outcome, audit_report=audit_report)
+
+    def _receive(item) -> None:
+        dispatch, outcome, error, telemetry = item
+        obs.ingest_telemetry(telemetry, span.span_id)
+        record = running.get(dispatch)
+        if record is not None:  # None: a late report after a hard kill
+            _report(record, outcome, error)
+
+    def _reap_dead() -> None:
+        """A worker that died unreported can never answer: drain its
+        pipe once, then retry its job or record ERROR."""
+        for record in list(running.values()):
+            if record.process.is_alive():
+                continue
+            record.process.join()
+            try:
+                item = result_queue.get(timeout=_DRAIN_SECONDS)
+            except queue_module.Empty:
+                exit_code = record.process.exitcode
+                trace.event("job.died", instance=record.entry.job.instance,
+                            strategy=record.entry.job.strategy.label,
+                            shard=record.shard, exit_code=exit_code)
+                _fail(record, f"worker died without reporting "
+                              f"(exit code {exit_code})")
+            else:
+                _receive(item)
+            return
 
     try:
-        while running or (waiting and not stopping):
+        while running or (any(queues) and not stopping):
             now = time.perf_counter()
-            externally_stopped = (
-                (batch_deadline is not None and now >= batch_deadline)
-                or (cancel is not None and cancel.cancelled))
-            if externally_stopped and not stopping:
+            if batch_deadline is not None and now >= batch_deadline:
+                reason = "deadline"
+            elif cancel is not None and cancel.cancelled:
+                reason = "cancel"
+            else:
+                reason = None
+            if reason is not None and not stopping:
                 # Stop scheduling; ask every running job to wind down.
                 stopping = True
-                trace.event("batch.stopping",
-                            reason=("deadline" if batch_deadline is not None
-                                    and now >= batch_deadline else "cancel"),
-                            running=len(running), waiting=len(waiting))
-                for entry in running.values():
-                    entry.cancel_event.set()
-                    if entry.hard_deadline is None:
-                        entry.hard_deadline = now + _CANCEL_GRACE_SECONDS
-            while waiting and not stopping and len(running) < max_workers:
-                # Scan back-to-front (submission order) for an entry
-                # that is past its backoff and not quarantined.
-                index = None
-                for i in range(len(waiting) - 1, -1, -1):
-                    candidate = waiting[i]
-                    if candidate.not_before > now:
-                        continue
-                    if tracker.quarantined(candidate.job.strategy.label,
-                                           now):
-                        continue
-                    index = i
-                    break
-                if index is None:
-                    break
-                _launch(waiting.pop(index))
-            for entry in list(running.values()):
-                if entry.deadline is not None and now >= entry.deadline \
-                        and not entry.cancel_event.is_set():
+                trace.event("dist.stopping", reason=reason,
+                            running=len(running),
+                            waiting=sum(len(queue) for queue in queues))
+                for record in running.values():
+                    record.cancel_event.set()
+                    if record.hard_deadline is None:
+                        record.hard_deadline = now + _CANCEL_GRACE_SECONDS
+            if not stopping:
+                for shard in range(num_shards):
+                    while busy[shard] < workers_per_shard:
+                        entry, stolen = _next(shard, now)
+                        if entry is None:
+                            break
+                        _launch(entry, shard, stolen)
+            for record in list(running.values()):
+                if record.deadline is not None and now >= record.deadline \
+                        and not record.cancel_event.is_set():
                     # Per-job deadline: cooperative stop, then backstop.
-                    entry.cancel_event.set()
-                    entry.hard_deadline = now + _CANCEL_GRACE_SECONDS
-                if entry.hard_deadline is not None \
-                        and now >= entry.hard_deadline:
-                    if entry.process.is_alive():
-                        entry.process.terminate()
-                        entry.process.join(timeout=5)
+                    record.cancel_event.set()
+                    record.hard_deadline = now + _CANCEL_GRACE_SECONDS
+                if record.hard_deadline is not None \
+                        and now >= record.hard_deadline:
+                    if record.process.is_alive():
+                        record.process.terminate()
+                        record.process.join(timeout=5)
                         trace.event("job.terminated",
-                                    instance=entry.job.instance,
-                                    strategy=entry.job.strategy.label,
+                                    instance=record.entry.job.instance,
+                                    strategy=record.entry.job.strategy.label,
                                     reason="ignored cancel past grace")
-                    _settle(entry, None, None,
-                            forced_status=SolveStatus.TIMEOUT)
+                    _settle(record, SolveStatus.TIMEOUT)
             if not running:
-                if waiting and not stopping:
+                if any(queues) and not stopping:
                     # Everything launchable is backoff-blocked: wait the
                     # poll interval out instead of spinning.
                     time.sleep(_POLL_SECONDS)
                 continue
             try:
-                key, outcome, error, telemetry = _unpack(
-                    result_queue.get(timeout=_POLL_SECONDS))
+                item = result_queue.get(timeout=_POLL_SECONDS)
             except queue_module.Empty:
-                # A worker that died unreported can never answer: drain
-                # its pipe once, then retry the job or record ERROR.
-                for entry in list(running.values()):
-                    if entry.process.is_alive():
-                        continue
-                    entry.process.join()
-                    try:
-                        key, outcome, error, telemetry = _unpack(
-                            result_queue.get(timeout=_DRAIN_SECONDS))
-                    except queue_module.Empty:
-                        reason = (f"worker died without reporting "
-                                  f"(exit code {entry.process.exitcode})")
-                        trace.event("job.died", instance=entry.job.instance,
-                                    strategy=entry.job.strategy.label,
-                                    exit_code=entry.process.exitcode)
-                        tracker.record_offence(entry.job.strategy.label,
-                                               reason, time.perf_counter())
-                        if entry.attempt < max_attempts and not stopping:
-                            _requeue(entry)
-                        else:
-                            _settle(entry, None, reason)
-                    else:
-                        obs.ingest_telemetry(telemetry, batch_span.span_id)
-                        if key in running:
-                            _report(running[key], outcome, error)
-                    break
-                continue
-            obs.ingest_telemetry(telemetry, batch_span.span_id)
-            if key in running:  # late report after a hard kill: ignore
-                _report(running[key], outcome, error)
+                _reap_dead()
+            else:
+                _receive(item)
     finally:
-        for entry in running.values():
-            entry.cancel_event.set()
+        # Attempts still running here were interrupted by an exception.
+        for record in running.values():
+            record.cancel_event.set()
         grace_until = time.perf_counter() + _CANCEL_GRACE_SECONDS
-        for entry in running.values():
+        for record in running.values():
             remaining = grace_until - time.perf_counter()
             if remaining > 0:
-                entry.process.join(timeout=remaining)
-        for entry in list(running.values()):
-            if entry.process.is_alive():
-                entry.process.terminate()
-                trace.event("job.terminated", instance=entry.job.instance,
-                            strategy=entry.job.strategy.label,
+                record.process.join(timeout=remaining)
+        for record in list(running.values()):
+            if record.process.is_alive():
+                record.process.terminate()
+                trace.event("job.terminated",
+                            instance=record.entry.job.instance,
+                            strategy=record.entry.job.strategy.label,
                             reason="straggler after batch end")
-            entry.process.join(timeout=5)
-            _settle(entry, None, None, forced_status=SolveStatus.TIMEOUT)
+            record.process.join(timeout=5)
+            _settle(record, SolveStatus.TIMEOUT)
         # Cancelled jobs that wound down cooperatively may still have
         # telemetry in the pipe: drain it so their spans are not lost.
         while True:
             try:
-                _, _, _, telemetry = _unpack(result_queue.get_nowait())
+                item = result_queue.get_nowait()
             except queue_module.Empty:
                 break
-            obs.ingest_telemetry(telemetry, batch_span.span_id)
+            obs.ingest_telemetry(item[3], span.span_id)
 
-    pending = [entry.job for entry in reversed(waiting)]
-    return BatchResult(results=results, pending=pending,
-                       cancelled=stopping,
-                       wall_time=time.perf_counter() - start,
-                       quarantine=tracker.snapshot())
+    return ShardedResult(
+        results=results,
+        pending=[entry.job for queue in queues for entry in queue],
+        cancelled=stopping, wall_time=time.perf_counter() - start,
+        quarantine=tracker.snapshot(),
+        shards={f"shard{s}": stats[s] for s in range(num_shards)},
+        steals=steals)

@@ -86,7 +86,7 @@ def _worker_injector(faults, strategy: Strategy, extra_sites=()):
     without a report, a hang ignores the cancel token — exercising the
     parent's liveness polling and hard-termination backstops.
     ``extra_sites`` lets other process-pool layers reuse this resolution
-    (the distributed scheduler's shard workers answer to ``dist_shard``
+    (the job scheduler's and the cube workers answer to ``dist_shard``
     as well).
     """
     import os

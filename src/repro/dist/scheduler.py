@@ -1,480 +1,10 @@
-"""Work-stealing shard scheduler: many locality-aware job queues.
+"""Work-stealing shard scheduler: the distributed layer's import path.
 
-Generalizes :func:`repro.bench.batch.run_batch` from one process pool
-to ``num_shards`` cooperating pools.  Jobs land on a *home shard* by a
-stable hash of their instance name — so every solve of one instance
-(strategy sweeps, retries, re-submissions) queues on the same shard,
-which is what makes shard-local caches and warm per-instance state
-possible for the layers above — and each shard launches from the
-*head* of its own deque.  An idle shard steals from the *tail* of the
-longest backlog, the classic work-stealing compromise: the head is
-where the owner's locality lives, the tail is where the coldest work
-sits.
-
-Failure handling reuses the reliability substrate wholesale: a worker
-that crashes (including an injected ``crash@dist_shard``) or reports
-ERROR is requeued to its home shard with the strategy's
-:class:`~repro.reliability.quarantine.QuarantineTracker` backoff, up
-to ``max_attempts``, with the same arena→legacy engine fallback as the
-flat batch runner.  Per-shard deadlines (``shard_timeout``) stop a
-shard from *launching* past its budget while its remaining jobs stay
-stealable, so one slow shard degrades into a donor instead of a
-straggler.
-
-The result is a plain :class:`~repro.bench.batch.BatchResult` extended
-with per-shard counters, so everything that consumes batch results —
-``repro.api.solve_batch``, the bench reports, the CLI — works
-unchanged on top.
+The scheduler lives in :mod:`repro.bench.batch`, beside the job and
+result types it runs; :func:`repro.bench.batch.run_batch` is
+:func:`run_sharded` with one shard.
 """
 
-from __future__ import annotations
-
-import multiprocessing as mp
-import queue as queue_module
-import time
-import zlib
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
-
-from .. import obs
-from ..bench.batch import (BatchJob, BatchJobResult, BatchResult,
-                           _dedup_jobs, _fan_out_duplicates, _unpack)
-from ..core.pipeline import ColoringOutcome, solve_coloring
-from ..core.portfolio import _worker_injector
-from ..core.strategy import Strategy
-from ..obs import metrics as obs_metrics
-from ..obs import trace
-from ..sat.status import CancelToken, SolveLimits, SolveStatus
+from ..bench.batch import ShardedResult, run_sharded, shard_of
 
 __all__ = ["ShardedResult", "run_sharded", "shard_of"]
-
-_POLL_SECONDS = 0.05
-_CANCEL_GRACE_SECONDS = 2.0
-_DRAIN_SECONDS = 0.5
-
-
-def shard_of(instance: str, num_shards: int) -> int:
-    """The home shard of an instance: a stable content hash, so the
-    same instance always queues on the same shard across runs and
-    processes (CRC32 is seed- and ``PYTHONHASHSEED``-independent)."""
-    return zlib.crc32(instance.encode("utf-8")) % num_shards
-
-
-@dataclass
-class ShardedResult(BatchResult):
-    """A batch result plus the shard-level accounting."""
-
-    #: Per-shard counters, by shard name ("shard0", ...).
-    shards: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Jobs launched away from their home shard.
-    steals: int = 0
-
-
-class _Entry:
-    """One queued attempt (home shard remembered across requeues)."""
-
-    __slots__ = ("job", "shard", "attempt", "strategy", "not_before")
-
-    def __init__(self, job: BatchJob, shard: int, attempt: int = 1,
-                 strategy: Optional[Strategy] = None,
-                 not_before: float = 0.0) -> None:
-        self.job = job
-        self.shard = shard
-        self.attempt = attempt
-        self.strategy = strategy if strategy is not None else job.strategy
-        self.not_before = not_before
-
-
-class _Running:
-    __slots__ = ("entry", "shard", "process", "cancel_event", "started",
-                 "deadline", "hard_deadline")
-
-    def __init__(self, entry: _Entry, shard: int, process, cancel_event,
-                 started: float, deadline: Optional[float]) -> None:
-        self.entry = entry
-        #: Shard whose worker slot this job occupies (the thief's, on a
-        #: stolen launch — the home shard stays on the entry).
-        self.shard = shard
-        self.process = process
-        self.cancel_event = cancel_event
-        self.started = started
-        self.deadline = deadline
-        self.hard_deadline: Optional[float] = None
-
-
-def _shard_worker(job: BatchJob, queue, cancel_event,
-                  limits: Optional[SolveLimits], strategy,
-                  faults=None, audit: bool = False) -> None:
-    """Twin of ``bench.batch._batch_worker`` answering to the extra
-    ``dist_shard`` fault site (``crash@dist_shard`` / ``hang@dist_shard``
-    kill or wedge a shard worker specifically, leaving plain batch
-    workers untouched)."""
-    strategy = strategy if strategy is not None else job.strategy
-    obs.worker_begin()
-    try:
-        injector = _worker_injector(faults, strategy,
-                                    extra_sites=("dist_shard",))
-        if injector is not None:
-            injector.maybe_exit()
-            injector.maybe_hang()
-        cancel = CancelToken(cancel_event) if cancel_event is not None else None
-        kwargs = {}
-        if faults is not None:
-            kwargs["faults"] = faults
-        if audit:
-            kwargs.update(keep_model=True, proof_log=True)
-        outcome = solve_coloring(job.problem, strategy,
-                                 graph_time=job.graph_time,
-                                 limits=limits, cancel=cancel, **kwargs)
-        queue.put((job.key, outcome, None, obs.drain_telemetry()))
-    except Exception as error:
-        queue.put((job.key, None, repr(error), obs.drain_telemetry()))
-
-
-def run_sharded(jobs: Sequence[BatchJob],
-                num_shards: int = 2,
-                max_workers: Optional[int] = None,
-                workers_per_shard: Optional[int] = None,
-                job_timeout: Optional[float] = None,
-                limits: Optional[SolveLimits] = None,
-                max_attempts: int = 2,
-                timeout: Optional[float] = None,
-                shard_timeout: Optional[float] = None,
-                cancel: Optional[CancelToken] = None,
-                audit: bool = False, faults=None,
-                quarantine=None,
-                engine_fallback: bool = True,
-                dedup: bool = True) -> ShardedResult:
-    """Run a batch over ``num_shards`` work-stealing shard queues.
-
-    Semantics match :func:`repro.bench.batch.run_batch` — same job
-    type, same result table, same retry / audit / quarantine /
-    engine-fallback / dedup behaviour — plus the shard layer:
-    ``workers_per_shard`` (default: ``max_workers`` spread evenly,
-    minimum one) bounds each shard's pool, ``shard_timeout`` is the
-    per-shard launch deadline, and the result carries per-shard
-    counters and the steal total.  ``num_shards=1`` degenerates to the
-    flat pool (the scheduler is then exactly a batch runner), which is
-    how :func:`repro.api.solve_batch` uses it by default.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be positive")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    if max_workers is None:
-        max_workers = max(num_shards, (mp.cpu_count() or 2) - 1)
-    if workers_per_shard is None:
-        workers_per_shard = max(1, max_workers // num_shards)
-    fanout: Dict[int, List[BatchJob]] = {}
-    duplicates = 0
-    if dedup and len(jobs) > 1:
-        jobs, fanout = _dedup_jobs(jobs, limits, job_timeout)
-        duplicates = sum(len(d) for d in fanout.values())
-    with trace.span("dist.schedule", jobs=len(jobs), shards=num_shards,
-                    workers_per_shard=workers_per_shard, audit=audit,
-                    deduped=duplicates) as span:
-        result = _schedule_in_span(
-            span, jobs, num_shards, workers_per_shard, job_timeout,
-            limits, max_attempts, timeout, shard_timeout, cancel, audit,
-            faults, quarantine, engine_fallback)
-        if fanout:
-            _fan_out_duplicates(result, fanout)
-        span.set("settled", len(result.results))
-        span.set("steals", result.steals)
-        span.set("cancelled", result.cancelled)
-        if obs_metrics.enabled():
-            registry = obs_metrics.registry()
-            registry.inc("dist.schedules")
-            registry.inc("dist.jobs", len(result.results))
-            if duplicates:
-                registry.inc("batch.deduped", duplicates)
-            for status, count in result.status_counts().items():
-                registry.inc(f"dist.status.{status}", count)
-            registry.observe("dist.wall_time", result.wall_time)
-        return result
-
-
-def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
-                      workers_per_shard: int,
-                      job_timeout: Optional[float],
-                      limits: Optional[SolveLimits], max_attempts: int,
-                      timeout: Optional[float],
-                      shard_timeout: Optional[float],
-                      cancel: Optional[CancelToken], audit: bool, faults,
-                      quarantine, engine_fallback: bool) -> ShardedResult:
-    from ..reliability.quarantine import QuarantineTracker
-    tracker = QuarantineTracker(quarantine)
-    job_limits = (limits or SolveLimits()).with_wall_clock(job_timeout)
-    context = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
-                             else "spawn")
-    result_queue = context.Queue()
-    start = time.perf_counter()
-    batch_deadline = None if timeout is None else start + timeout
-    shard_deadline = None if shard_timeout is None else start + shard_timeout
-
-    queues: List[Deque[_Entry]] = [deque() for _ in range(num_shards)]
-    for job in jobs:
-        queues[shard_of(job.instance, num_shards)].append(
-            _Entry(job, shard_of(job.instance, num_shards)))
-    running: List[Dict[Tuple[str, str], _Running]] = \
-        [{} for _ in range(num_shards)]
-    by_key: Dict[Tuple[str, str], _Running] = {}
-    results: List[BatchJobResult] = []
-    stats = [{"queued": len(queues[s]), "launched": 0, "stolen": 0,
-              "completed": 0, "requeued": 0}
-             for s in range(num_shards)]
-    steals = 0
-    stopping = False
-
-    def _pop_own(shard: int, now: float) -> Optional[_Entry]:
-        """A launchable entry from the head of this shard's own queue
-        (skipping backoff-blocked / quarantined entries in place)."""
-        queue = queues[shard]
-        for _ in range(len(queue)):
-            entry = queue[0]
-            if entry.not_before <= now and not tracker.quarantined(
-                    entry.job.strategy.label, now):
-                queue.popleft()
-                return entry
-            queue.rotate(-1)  # blocked: step past it, keep order
-        return None
-
-    def _steal(thief: int, now: float) -> Optional[_Entry]:
-        """A launchable entry from the tail of the longest other queue."""
-        donors = sorted((s for s in range(num_shards)
-                         if s != thief and queues[s]),
-                        key=lambda s: -len(queues[s]))
-        for donor in donors:
-            queue = queues[donor]
-            for _ in range(len(queue)):
-                entry = queue[-1]
-                if entry.not_before <= now and not tracker.quarantined(
-                        entry.job.strategy.label, now):
-                    queue.pop()
-                    return entry
-                queue.rotate(1)
-        return None
-
-    def _launch(entry: _Entry, shard: int, stolen: bool) -> None:
-        nonlocal steals
-        job = entry.job
-        cancel_event = context.Event()
-        process = context.Process(
-            target=_shard_worker,
-            args=(job, result_queue, cancel_event, job_limits,
-                  entry.strategy, faults, audit),
-            daemon=True)
-        now = time.perf_counter()
-        deadline = None if job_timeout is None else now + job_timeout
-        record = _Running(entry, shard, process, cancel_event, now, deadline)
-        running[shard][job.key] = record
-        by_key[job.key] = record
-        process.start()
-        stats[shard]["launched"] += 1
-        if stolen:
-            steals += 1
-            stats[shard]["stolen"] += 1
-            trace.event("dist.steal", instance=job.instance,
-                        home=entry.shard, thief=shard)
-            if obs_metrics.enabled():
-                obs_metrics.registry().inc("dist.steal")
-        trace.event("job.launched", instance=job.instance,
-                    strategy=entry.strategy.label, shard=shard,
-                    attempt=entry.attempt)
-
-    def _forget(record: _Running) -> None:
-        del running[record.shard][record.entry.job.key]
-        by_key.pop(record.entry.job.key, None)
-
-    def _settle(record: _Running, outcome: Optional[ColoringOutcome],
-                error: Optional[str],
-                forced_status: Optional[SolveStatus] = None,
-                audit_report=None) -> None:
-        entry = record.entry
-        if forced_status is not None:
-            status = forced_status
-        elif error is not None:
-            status = SolveStatus.ERROR
-        else:
-            status = outcome.status
-        results.append(BatchJobResult(
-            job=entry.job, status=status, outcome=outcome,
-            wall_time=time.perf_counter() - record.started,
-            attempts=entry.attempt, error=error, audit=audit_report,
-            engine=entry.strategy.engine))
-        stats[record.shard]["completed"] += 1
-        _forget(record)
-        trace.event("job.settled", instance=entry.job.instance,
-                    strategy=entry.job.strategy.label, status=str(status),
-                    shard=record.shard, attempts=entry.attempt,
-                    **({"error": error} if error else {}))
-
-    def _requeue(record: _Running) -> None:
-        """A failed attempt goes back to the *head of its home shard*
-        (locality survives the crash), engine-fallen-back and delayed
-        by its strategy's quarantine backoff."""
-        entry = record.entry
-        strategy = entry.strategy
-        if engine_fallback and strategy.engine == "arena":
-            strategy = strategy.with_engine("legacy")
-        not_before = tracker.release_time(entry.job.strategy.label)
-        queues[entry.shard].appendleft(_Entry(
-            entry.job, entry.shard, entry.attempt + 1, strategy,
-            not_before=not_before))
-        stats[entry.shard]["requeued"] += 1
-        _forget(record)
-        trace.event("job.requeued", instance=entry.job.instance,
-                    strategy=entry.job.strategy.label, shard=entry.shard,
-                    next_attempt=entry.attempt + 1, engine=strategy.engine)
-        if obs_metrics.enabled():
-            obs_metrics.registry().inc("dist.requeues")
-
-    def _report(record: _Running, outcome: Optional[ColoringOutcome],
-                error: Optional[str]) -> None:
-        entry = record.entry
-        status = SolveStatus.ERROR if error is not None else outcome.status
-        audit_report = None
-        if audit and error is None and outcome.status.decided:
-            from ..reliability.audit import audit_outcome
-            audit_report = audit_outcome(entry.job.problem, outcome)
-            if audit_report.failed:
-                status = SolveStatus.ERROR
-                error = "audit failed: " + "; ".join(
-                    f"{check.name} ({check.detail})"
-                    for check in audit_report.failures)
-        if status is SolveStatus.ERROR:
-            detail = error
-            if detail is None:
-                detail = str(outcome.solver_stats.get(
-                    "stop_reason", "")) or "job failed"
-            tracker.record_offence(entry.job.strategy.label, detail,
-                                   time.perf_counter())
-            if entry.attempt < max_attempts and not stopping:
-                _requeue(record)
-            else:
-                _settle(record, outcome, detail, audit_report=audit_report)
-            return
-        if status.decided:
-            tracker.record_success(entry.job.strategy.label)
-        _settle(record, outcome, error, audit_report=audit_report)
-
-    try:
-        while any(running) or (any(queues) and not stopping):
-            now = time.perf_counter()
-            externally_stopped = (
-                (batch_deadline is not None and now >= batch_deadline)
-                or (cancel is not None and cancel.cancelled))
-            if externally_stopped and not stopping:
-                stopping = True
-                trace.event("dist.stopping",
-                            running=sum(len(r) for r in running),
-                            waiting=sum(len(q) for q in queues))
-                for shard_running in running:
-                    for record in shard_running.values():
-                        record.cancel_event.set()
-                        if record.hard_deadline is None:
-                            record.hard_deadline = \
-                                now + _CANCEL_GRACE_SECONDS
-            expired = (shard_deadline is not None and now >= shard_deadline)
-            if not stopping:
-                for shard in range(num_shards):
-                    while len(running[shard]) < workers_per_shard:
-                        # Own queue first — unless this shard's launch
-                        # deadline passed, in which case its backlog
-                        # only moves by being stolen.
-                        entry = None if expired else _pop_own(shard, now)
-                        stolen = False
-                        if entry is None and not queues[shard]:
-                            entry = _steal(shard, now)
-                            stolen = entry is not None
-                        if entry is None:
-                            break
-                        _launch(entry, shard, stolen)
-            for shard_running in running:
-                for record in list(shard_running.values()):
-                    if record.deadline is not None \
-                            and now >= record.deadline \
-                            and not record.cancel_event.is_set():
-                        record.cancel_event.set()
-                        record.hard_deadline = now + _CANCEL_GRACE_SECONDS
-                    if record.hard_deadline is not None \
-                            and now >= record.hard_deadline:
-                        if record.process.is_alive():
-                            record.process.terminate()
-                            record.process.join(timeout=5)
-                            trace.event(
-                                "job.terminated",
-                                instance=record.entry.job.instance,
-                                reason="ignored cancel past grace")
-                        _settle(record, None, None,
-                                forced_status=SolveStatus.TIMEOUT)
-            if not any(running):
-                if any(queues) and not stopping:
-                    time.sleep(_POLL_SECONDS)  # all backoff-blocked
-                continue
-            try:
-                key, outcome, error, telemetry = _unpack(
-                    result_queue.get(timeout=_POLL_SECONDS))
-            except queue_module.Empty:
-                for record in list(by_key.values()):
-                    if record.process.is_alive():
-                        continue
-                    record.process.join()
-                    try:
-                        key, outcome, error, telemetry = _unpack(
-                            result_queue.get(timeout=_DRAIN_SECONDS))
-                    except queue_module.Empty:
-                        reason = (f"worker died without reporting "
-                                  f"(exit code {record.process.exitcode})")
-                        trace.event("job.died",
-                                    instance=record.entry.job.instance,
-                                    shard=record.shard,
-                                    exit_code=record.process.exitcode)
-                        tracker.record_offence(
-                            record.entry.job.strategy.label, reason,
-                            time.perf_counter())
-                        if record.entry.attempt < max_attempts \
-                                and not stopping:
-                            _requeue(record)
-                        else:
-                            _settle(record, None, reason)
-                    else:
-                        obs.ingest_telemetry(telemetry, span.span_id)
-                        if key in by_key:
-                            _report(by_key[key], outcome, error)
-                    break
-                continue
-            obs.ingest_telemetry(telemetry, span.span_id)
-            if key in by_key:  # late report after a hard kill: ignore
-                _report(by_key[key], outcome, error)
-    finally:
-        for record in by_key.values():
-            record.cancel_event.set()
-        grace_until = time.perf_counter() + _CANCEL_GRACE_SECONDS
-        for record in by_key.values():
-            remaining = grace_until - time.perf_counter()
-            if remaining > 0:
-                record.process.join(timeout=remaining)
-        for record in list(by_key.values()):
-            if record.process.is_alive():
-                record.process.terminate()
-                trace.event("job.terminated",
-                            instance=record.entry.job.instance,
-                            reason="straggler after batch end")
-            record.process.join(timeout=5)
-            _settle(record, None, None, forced_status=SolveStatus.TIMEOUT)
-        while True:
-            try:
-                _, _, _, telemetry = _unpack(result_queue.get_nowait())
-            except queue_module.Empty:
-                break
-            obs.ingest_telemetry(telemetry, span.span_id)
-
-    pending = [entry.job for queue in queues for entry in queue]
-    return ShardedResult(
-        results=results, pending=pending, cancelled=stopping,
-        wall_time=time.perf_counter() - start,
-        quarantine=tracker.snapshot(),
-        shards={f"shard{s}": stats[s] for s in range(num_shards)},
-        steals=steals)

@@ -96,14 +96,15 @@ corrupt_share
 Sites: ``solver`` (all CDCL engines), ``arena`` / ``legacy`` /
 ``packed`` (one specific engine — used to test the engine-fallback
 path), ``inprocess`` (the inter-restart simplification phases),
-``encode`` (CNF generation in the pipeline), ``worker`` (the
-portfolio / batch worker process itself), ``serve_worker`` (the solve
-service's pool worker), ``journal`` (the serve request journal's
-appends), ``conn`` (the serve connection layer, both ends),
-``dist_shard`` (a shard worker of the distributed scheduler — the
-usual targets are ``crash`` and ``hang``), ``clause_channel`` (the
-clause-sharing transport between portfolio / cube members), or ``*``
-(everywhere).
+``encode`` (CNF generation in the pipeline), ``worker`` (a worker
+process itself: a portfolio member, a job-scheduler worker or a cube
+worker), ``serve_worker`` (the solve service's pool worker),
+``journal`` (the serve request journal's appends), ``conn`` (the serve
+connection layer, both ends), ``dist_shard`` (a job-scheduler worker
+of ``run_batch`` / ``run_sharded`` or a cube worker, not a portfolio
+member — the usual targets are ``crash`` and ``hang``),
+``clause_channel`` (the clause-sharing transport between portfolio /
+cube members), or ``*`` (everywhere).
 
 ``REPRO_FAULTS`` grammar (items separated by ``;``)::
 

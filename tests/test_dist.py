@@ -339,10 +339,17 @@ class TestShardScheduler:
                    for r in result.results)
 
     def test_single_shard_degenerates_to_flat_batch(self):
+        from repro.bench.batch import run_batch
         jobs = _jobs(2)
         result = run_sharded(jobs, num_shards=1, max_workers=2)
         assert result.steals == 0
         assert len(result.results) == len(jobs)
+        # run_batch is this scheduler with one shard.
+        flat = run_batch(jobs, max_workers=2)
+        assert {r.key: r.status for r in flat.results} == \
+            {r.key: r.status for r in result.results}
+        assert flat.steals == 0
+        assert flat.shards["shard0"]["launched"] == len(jobs)
 
     def test_dedup_fans_duplicates_back_out(self):
         jobs = _jobs(2)
@@ -358,6 +365,10 @@ class TestShardScheduler:
             run_sharded([], num_shards=0)
         with pytest.raises(ValueError):
             run_sharded([], max_attempts=0)
+        with pytest.raises(ValueError):
+            run_sharded([], max_workers=0)
+        with pytest.raises(ValueError):
+            run_sharded([], workers_per_shard=0)
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +406,12 @@ class TestBatchDedup:
         result = run_batch(jobs, max_workers=2, dedup=False)
         assert len(result.results) == 2
         assert len({r.wall_time for r in result.results}) == 2
+        # Same (instance, strategy) key: both jobs still run and settle.
+        same_name = [BatchJob("c5", problem, DIRECT),
+                     BatchJob("c5", problem, DIRECT)]
+        result = run_batch(same_name, max_workers=2, dedup=False)
+        assert len(result.results) == 2 and not result.pending
+        assert all(r.status is SolveStatus.SAT for r in result.results)
 
 
 # ----------------------------------------------------------------------
