@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke bench bench-quick bench-smoke bench-scale bench-all perfbench-smoke examples clean
+.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke pool-dev bench bench-quick bench-smoke bench-scale bench-all perfbench-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -97,6 +97,15 @@ serve-chaos:
 # Deterministic fault seeds; see docs/distributed.md.
 dist-smoke:
 	PYTHONPATH=src python -m repro.dist.smoke
+
+# The worker-pool tests under the interpreter's development mode, with a
+# ResourceWarning (a file, pipe or process left open) turned into an
+# error: guards the lifetimes of the job scheduler's worker processes
+# and queues, and of the portfolio and cube workers, against leaks.
+pool-dev:
+	PYTHONPATH=src python -X dev -W error::ResourceWarning -m pytest -q \
+		tests/test_batch_runner.py tests/test_dist.py tests/test_chaos.py \
+		tests/test_portfolio.py tests/test_obs.py
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -17,15 +17,24 @@ where the owner's locality lives, the tail is where the coldest work
 sits.  :func:`run_batch` is the same scheduler with one shard;
 :mod:`repro.dist.scheduler` re-exports it for the distributed layer.
 
+Each worker slot of each shard keeps one worker process for the whole
+call: forked at the slot's first launch, sent one attempt at a time on
+the slot's own pipe, and stopped when the call returns.  With
+``audit=True`` the worker also audits its own decided answer, so audits
+run on every worker at once rather than one by one in the scheduler.
+
 Guarantees:
 
 * **Per-job deadlines** — ``job_timeout`` becomes each job's
   ``wall_clock_limit``; a job that overruns is first asked to stop via
   its :class:`CancelToken` (so it reports TIMEOUT with partial stats)
   and hard-terminated only if it ignores the token past a grace period.
-* **Retry on failure** — a worker that dies without reporting (segfault,
-  OOM kill, an injected ``crash@worker`` or ``crash@dist_shard``) or
-  whose job ends as ERROR goes back to the head of its home shard, up to
+  A killed worker is replaced by a fresh process at its slot's next
+  launch.
+* **Retry on failure** — a job whose worker dies without reporting
+  (segfault, OOM kill, an injected ``crash@worker`` or
+  ``crash@dist_shard``; the slot forks a fresh worker) or whose job ends
+  as ERROR goes back to the head of its home shard, up to
   ``max_attempts`` attempts; only then is the job recorded as ERROR.
 * **Graceful partial results** — a batch deadline or an external cancel
   token stops scheduling, winds down running jobs cooperatively, and
@@ -37,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
-import queue as queue_module
+import os
 import time
 import zlib
 from collections import deque
@@ -53,15 +62,16 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..sat.status import CancelToken, SolveLimits, SolveStatus
 
-#: Queue-wait interval of the scheduler loop.
+#: Report-wait interval of the scheduler loop.
 _POLL_SECONDS = 0.05
 
 #: Grace given to a cancelled job to wind down and report before it is
 #: hard-terminated (covers time spent outside the solver, e.g. encoding).
 _CANCEL_GRACE_SECONDS = 2.0
 
-#: Grace given to a dead worker's queue feeder to flush a final message.
-_DRAIN_SECONDS = 0.5
+#: How often an idle worker checks that its scheduler still exists: a
+#: scheduler that is killed never sends the stop sentinel.
+_PARENT_CHECK_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -156,39 +166,83 @@ def shard_of(instance: str, num_shards: int) -> int:
     return zlib.crc32(instance.encode("utf-8")) % num_shards
 
 
-def _batch_worker(dispatch: int, job: BatchJob, queue: "mp.Queue",
-                  cancel_event, limits: Optional[SolveLimits],
-                  strategy: Strategy, faults=None,
+def _batch_worker(jobs: Sequence[BatchJob], conn, cancel_event,
+                  limits: Optional[SolveLimits], faults=None,
                   audit: bool = False) -> None:
-    """Solve one attempt and report it under its ``dispatch`` number."""
-    # Fresh observability state for this process (fork inherits the
-    # parent's buffers); spans and metrics travel back on the queue.
-    obs.worker_begin()
-    try:
-        injector = _worker_injector(faults, strategy,
-                                    extra_sites=("dist_shard",))
-        if injector is not None:
-            injector.maybe_exit()
-            injector.maybe_hang()
-        # Reliability kwargs only when they deviate from the defaults,
-        # so test doubles with the historical signature keep working.
-        kwargs = {}
-        if faults is not None:
-            kwargs["faults"] = faults
-        if audit:
-            kwargs.update(keep_model=True, proof_log=True)
-        outcome = solve_coloring(job.problem, strategy,
-                                 graph_time=job.graph_time, limits=limits,
-                                 cancel=CancelToken(cancel_event), **kwargs)
-        queue.put((dispatch, outcome, None, obs.drain_telemetry()))
-    except Exception as error:  # report, never hang the scheduler
-        queue.put((dispatch, None, repr(error), obs.drain_telemetry()))
+    """A slot's worker process: for each ``(job index, strategy)``
+    task read from ``conn``, solve one attempt, audit its decided answer
+    when ``audit`` is set, and send both back; return at the ``None``
+    stop sentinel, or once the scheduler process is gone."""
+    scheduler = os.getppid()
+    while True:
+        if not conn.poll(_PARENT_CHECK_SECONDS):
+            if os.getppid() != scheduler:
+                return
+            continue
+        task = conn.recv()
+        if task is None:
+            return
+        index, strategy = task
+        # Fresh observability state for each attempt (fork inherits the
+        # parent's buffers); spans and metrics travel back on the pipe.
+        obs.worker_begin()
+        try:
+            job = jobs[index]
+            injector = _worker_injector(faults, strategy,
+                                        extra_sites=("dist_shard",))
+            if injector is not None:
+                injector.maybe_exit()
+                injector.maybe_hang()
+            # Reliability kwargs only when they deviate from the
+            # defaults, so test doubles with the historical signature
+            # keep working.
+            kwargs = {}
+            if faults is not None:
+                kwargs["faults"] = faults
+            if audit:
+                kwargs.update(keep_model=True, proof_log=True)
+            outcome = solve_coloring(job.problem, strategy,
+                                     graph_time=job.graph_time,
+                                     limits=limits,
+                                     cancel=CancelToken(cancel_event),
+                                     **kwargs)
+            report = None
+            if audit and outcome.status.decided:
+                from ..reliability.audit import audit_outcome
+                report = audit_outcome(job.problem, outcome)
+            conn.send((outcome, None, report, obs.drain_telemetry()))
+        except Exception as error:  # report, never hang the scheduler
+            conn.send((None, repr(error), None, obs.drain_telemetry()))
+
+
+@dataclass
+class _Slot:
+    """One worker slot of a shard and the worker process serving it.
+
+    The process is forked at the slot's first launch and serves every
+    attempt launched on the slot until the call ends.  Tasks go out and
+    reports come back on the slot's own pipe, so no lock is shared
+    between workers, and a worker that dies at any point cannot hold up
+    another's report.  A worker killed past its grace period or found
+    dead is replaced, with its pipe and cancel event, at the slot's
+    next launch: a process killed inside ``Event.is_set`` can leave the
+    event's lock held.
+    """
+
+    shard: int
+    process: Optional["mp.Process"] = None
+    #: The scheduler's end of the slot's pipe.
+    conn: object = None
+    cancel_event: object = None
+    busy: bool = False
 
 
 @dataclass
 class _Entry:
     """One queued attempt; the home shard is kept across requeues."""
 
+    #: Position of ``job`` in the job list the workers hold.
+    index: int
     job: BatchJob
     home: int
     #: Strategy run this attempt: ``job.strategy``, or its legacy-engine
@@ -204,14 +258,12 @@ class _Entry:
 class _Running:
     """Scheduler-side state of one launched attempt."""
 
-    #: Launch number the worker reports back under.
+    #: Launch number, the key of the attempt among those running.
     dispatch: int
     entry: _Entry
-    #: Shard whose worker slot this attempt occupies (the thief's, on a
-    #: stolen launch — the home shard stays on the entry).
-    shard: int
-    process: "mp.Process"
-    cancel_event: object
+    #: Worker slot this attempt occupies (the thief's shard, on a stolen
+    #: launch — the home shard stays on the entry).
+    slot: _Slot
     started: float
     deadline: Optional[float]
     hard_deadline: Optional[float] = None
@@ -332,9 +384,13 @@ def run_sharded(jobs: Sequence[BatchJob],
 
     Reliability controls:
 
-    * ``audit=True`` re-verifies every decided answer in the scheduler
+    * ``audit=True`` re-verifies every decided answer in the worker
+      that found it, right after the solve
       (:func:`repro.reliability.audit.audit_outcome`); an answer that
       fails audit counts as ERROR and is retried, never silently kept.
+      The audit is part of the attempt: ``job_timeout`` and
+      :attr:`BatchJobResult.wall_time` include it, and an audit still
+      running at the hard deadline ends the attempt as TIMEOUT.
     * ``faults`` injects faults into the workers (None = the
       ``REPRO_FAULTS`` environment plan only; a ``FaultPlan`` is used
       as given; ``False`` disables injection).  Worker-site faults
@@ -353,6 +409,11 @@ def run_sharded(jobs: Sequence[BatchJob],
     :meth:`repro.api.SolveRequest.cache_key` — to a single dispatch and
     fans its result back out to every duplicate, so a corpus with
     repeated instances no longer pays for redundant solves.
+
+    Each of the ``num_shards * workers_per_shard`` worker slots forks
+    its process at its first launch and keeps it for the whole call;
+    only a worker killed past its grace period or found dead is
+    replaced.  No worker outlives the call.
 
     The result carries per-shard counters (``launched``, ``stolen``,
     ``requeued``, ``completed``) and the steal total.
@@ -415,21 +476,24 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
     own dispatch number, so jobs sharing an (instance, strategy) key
     never collide in flight.
     """
+    # Imported here: multiprocessing.connection costs every importer
+    # of repro.api about 0.6 MB of resident memory.
+    from multiprocessing.connection import wait
     from ..reliability.quarantine import QuarantineTracker
     tracker = QuarantineTracker(quarantine)
     job_limits = (limits or SolveLimits()).with_wall_clock(job_timeout)
     context = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
                              else "spawn")
-    result_queue: "mp.Queue" = context.Queue()
     start = time.perf_counter()
     batch_deadline = None if timeout is None else start + timeout
 
     queues: List[Deque[_Entry]] = [deque() for _ in range(num_shards)]
-    for job in jobs:
+    for index, job in enumerate(jobs):
         home = shard_of(job.instance, num_shards)
-        queues[home].append(_Entry(job, home, job.strategy))
+        queues[home].append(_Entry(index, job, home, job.strategy))
+    slots = [_Slot(shard) for shard in range(num_shards)
+             for _ in range(workers_per_shard)]
     running: Dict[int, _Running] = {}
-    busy = [0] * num_shards
     dispatches = itertools.count()
     results: List[BatchJobResult] = []
     stats = [{"queued": len(queue), "launched": 0, "stolen": 0,
@@ -466,22 +530,40 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                 return entry, True
         return None, False
 
-    def _launch(entry: _Entry, shard: int, stolen: bool) -> None:
+    def _close(slot: _Slot) -> None:
+        """Reap a slot's stopped or killed worker and close its pipe."""
+        slot.process.join(timeout=5)
+        slot.conn.close()
+
+    def _launch(entry: _Entry, slot: _Slot, stolen: bool) -> None:
         nonlocal steals
         job = entry.job
+        shard = slot.shard
+        if slot.process is None or not slot.process.is_alive():
+            if slot.process is not None:
+                _close(slot)
+            slot.conn, worker_end = context.Pipe()
+            slot.cancel_event = context.Event()
+            slot.process = context.Process(
+                target=_batch_worker,
+                args=(jobs, worker_end, slot.cancel_event, job_limits,
+                      faults, audit),
+                daemon=True)
+            slot.process.start()
+            worker_end.close()
+        # The worker is idle between attempts, so clearing here cannot
+        # race with it: a cancel meant for the slot's previous attempt
+        # never reaches this one.
+        slot.cancel_event.clear()
         dispatch = next(dispatches)
-        cancel_event = context.Event()
-        process = context.Process(
-            target=_batch_worker,
-            args=(dispatch, job, result_queue, cancel_event, job_limits,
-                  entry.strategy, faults, audit),
-            daemon=True)
         now = time.perf_counter()
         deadline = None if job_timeout is None else now + job_timeout
-        running[dispatch] = _Running(dispatch, entry, shard, process,
-                                     cancel_event, now, deadline)
-        busy[shard] += 1
-        process.start()
+        running[dispatch] = _Running(dispatch, entry, slot, now, deadline)
+        slot.busy = True
+        try:
+            slot.conn.send((entry.index, entry.strategy))
+        except OSError:
+            pass  # died since the check above: _collect reports it
         stats[shard]["launched"] += 1
         if stolen:
             steals += 1
@@ -497,7 +579,7 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
 
     def _forget(record: _Running) -> None:
         del running[record.dispatch]
-        busy[record.shard] -= 1
+        record.slot.busy = False
 
     def _settle(record: _Running, status: SolveStatus,
                 outcome: Optional[ColoringOutcome] = None,
@@ -508,11 +590,11 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
             wall_time=time.perf_counter() - record.started,
             attempts=entry.attempt, error=error, audit=audit_report,
             engine=entry.strategy.engine))
-        stats[record.shard]["completed"] += 1
+        stats[record.slot.shard]["completed"] += 1
         _forget(record)
         trace.event("job.settled", instance=entry.job.instance,
                     strategy=entry.job.strategy.label, status=str(status),
-                    shard=record.shard, attempts=entry.attempt,
+                    shard=record.slot.shard, attempts=entry.attempt,
                     **({"error": error} if error else {}))
 
     def _requeue(record: _Running) -> None:
@@ -525,7 +607,8 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
             strategy = strategy.with_engine("legacy")
         not_before = tracker.release_time(entry.job.strategy.label)
         queues[entry.home].appendleft(_Entry(
-            entry.job, entry.home, strategy, entry.attempt + 1, not_before))
+            entry.index, entry.job, entry.home, strategy, entry.attempt + 1,
+            not_before))
         stats[entry.home]["requeued"] += 1
         _forget(record)
         trace.event("job.requeued", instance=entry.job.instance,
@@ -551,21 +634,18 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                     audit_report)
 
     def _report(record: _Running, outcome: Optional[ColoringOutcome],
-                error: Optional[str]) -> None:
-        """Consume one worker report: audit it, then settle or retry."""
+                error: Optional[str], audit_report) -> None:
+        """Consume one worker report and the worker's audit of it:
+        settle, or retry a failed attempt."""
         if error is not None:
             _fail(record, error)
             return
-        audit_report = None
-        if audit and outcome.status.decided:
-            from ..reliability.audit import audit_outcome
-            audit_report = audit_outcome(record.entry.job.problem, outcome)
-            if audit_report.failed:
-                _fail(record, "audit failed: " + "; ".join(
-                    f"{check.name} ({check.detail})"
-                    for check in audit_report.failures),
-                    outcome, audit_report)
-                return
+        if audit_report is not None and audit_report.failed:
+            _fail(record, "audit failed: " + "; ".join(
+                f"{check.name} ({check.detail})"
+                for check in audit_report.failures),
+                outcome, audit_report)
+            return
         if outcome.status is SolveStatus.ERROR:
             _fail(record, str(outcome.solver_stats.get("stop_reason", ""))
                   or "job failed", outcome)
@@ -574,32 +654,27 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
             tracker.record_success(record.entry.job.strategy.label)
         _settle(record, outcome.status, outcome, audit_report=audit_report)
 
-    def _receive(item) -> None:
-        dispatch, outcome, error, telemetry = item
-        obs.ingest_telemetry(telemetry, span.span_id)
-        record = running.get(dispatch)
-        if record is not None:  # None: a late report after a hard kill
-            _report(record, outcome, error)
-
-    def _reap_dead() -> None:
-        """A worker that died unreported can never answer: drain its
-        pipe once, then retry its job or record ERROR."""
-        for record in list(running.values()):
-            if record.process.is_alive():
-                continue
-            record.process.join()
-            try:
-                item = result_queue.get(timeout=_DRAIN_SECONDS)
-            except queue_module.Empty:
-                exit_code = record.process.exitcode
-                trace.event("job.died", instance=record.entry.job.instance,
-                            strategy=record.entry.job.strategy.label,
-                            shard=record.shard, exit_code=exit_code)
-                _fail(record, f"worker died without reporting "
-                              f"(exit code {exit_code})")
-            else:
-                _receive(item)
+    def _collect(record: _Running) -> None:
+        """Read the report on a running attempt's pipe.  A worker that
+        died without a complete report can never answer: retry its job
+        or record ERROR; the slot's next launch forks a fresh worker."""
+        slot = record.slot
+        try:
+            item = slot.conn.recv() if slot.conn.poll() else None
+        except (EOFError, OSError):  # died before or while reporting
+            item = None
+        if item is not None:
+            outcome, error, audit_report, telemetry = item
+            obs.ingest_telemetry(telemetry, span.span_id)
+            _report(record, outcome, error, audit_report)
             return
+        slot.process.join()
+        exit_code = slot.process.exitcode
+        trace.event("job.died", instance=record.entry.job.instance,
+                    strategy=record.entry.job.strategy.label,
+                    shard=slot.shard, exit_code=exit_code)
+        _fail(record, f"worker died without reporting "
+                      f"(exit code {exit_code})")
 
     try:
         while running or (any(queues) and not stopping):
@@ -617,27 +692,27 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                             running=len(running),
                             waiting=sum(len(queue) for queue in queues))
                 for record in running.values():
-                    record.cancel_event.set()
+                    record.slot.cancel_event.set()
                     if record.hard_deadline is None:
                         record.hard_deadline = now + _CANCEL_GRACE_SECONDS
             if not stopping:
-                for shard in range(num_shards):
-                    while busy[shard] < workers_per_shard:
-                        entry, stolen = _next(shard, now)
-                        if entry is None:
-                            break
-                        _launch(entry, shard, stolen)
+                for slot in slots:
+                    if not slot.busy:
+                        entry, stolen = _next(slot.shard, now)
+                        if entry is not None:
+                            _launch(entry, slot, stolen)
             for record in list(running.values()):
                 if record.deadline is not None and now >= record.deadline \
-                        and not record.cancel_event.is_set():
+                        and record.hard_deadline is None:
                     # Per-job deadline: cooperative stop, then backstop.
-                    record.cancel_event.set()
+                    record.slot.cancel_event.set()
                     record.hard_deadline = now + _CANCEL_GRACE_SECONDS
                 if record.hard_deadline is not None \
                         and now >= record.hard_deadline:
-                    if record.process.is_alive():
-                        record.process.terminate()
-                        record.process.join(timeout=5)
+                    process = record.slot.process
+                    if process.is_alive():
+                        process.terminate()
+                        process.join(timeout=5)
                         trace.event("job.terminated",
                                     instance=record.entry.job.instance,
                                     strategy=record.entry.job.strategy.label,
@@ -649,38 +724,53 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                     # poll interval out instead of spinning.
                     time.sleep(_POLL_SECONDS)
                 continue
-            try:
-                item = result_queue.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                _reap_dead()
-            else:
-                _receive(item)
+            # A pipe turns ready on a report, and a process sentinel
+            # when its worker exits.
+            ready = set(wait(
+                [record.slot.conn for record in running.values()]
+                + [record.slot.process.sentinel
+                   for record in running.values()],
+                timeout=_POLL_SECONDS))
+            for record in list(running.values()):
+                if record.slot.conn in ready \
+                        or record.slot.process.sentinel in ready:
+                    _collect(record)
     finally:
-        # Attempts still running here were interrupted by an exception.
+        # Attempts still running here were interrupted by an exception:
+        # ask them to stop.  Every live worker gets the stop sentinel,
+        # and none outlives the call.
         for record in running.values():
-            record.cancel_event.set()
+            record.slot.cancel_event.set()
+        started = [slot for slot in slots if slot.process is not None]
+        for slot in started:
+            try:
+                slot.conn.send(None)
+            except OSError:
+                pass  # already dead
         grace_until = time.perf_counter() + _CANCEL_GRACE_SECONDS
-        for record in running.values():
-            remaining = grace_until - time.perf_counter()
-            if remaining > 0:
-                record.process.join(timeout=remaining)
+        for slot in started:
+            slot.process.join(
+                timeout=max(0.0, grace_until - time.perf_counter()))
         for record in list(running.values()):
-            if record.process.is_alive():
-                record.process.terminate()
+            if record.slot.process.is_alive():
                 trace.event("job.terminated",
                             instance=record.entry.job.instance,
                             strategy=record.entry.job.strategy.label,
                             reason="straggler after batch end")
-            record.process.join(timeout=5)
             _settle(record, SolveStatus.TIMEOUT)
-        # Cancelled jobs that wound down cooperatively may still have
-        # telemetry in the pipe: drain it so their spans are not lost.
-        while True:
+        for slot in started:
+            if slot.process.is_alive():
+                slot.process.terminate()
+            # Cancelled jobs that wound down cooperatively may still
+            # have telemetry in the pipe: drain it so their spans are
+            # not lost.
             try:
-                item = result_queue.get_nowait()
-            except queue_module.Empty:
-                break
-            obs.ingest_telemetry(item[3], span.span_id)
+                while slot.conn.poll():
+                    obs.ingest_telemetry(slot.conn.recv()[-1],
+                                         span.span_id)
+            except (EOFError, OSError):
+                pass
+            _close(slot)
 
     return ShardedResult(
         results=results,

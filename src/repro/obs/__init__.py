@@ -44,9 +44,13 @@ __all__ = [
 
 
 def worker_begin() -> None:
-    """Top of a worker process: clean tracing state (fork inherits the
-    parent's buffers), environment re-check for spawn workers."""
+    """Top of each job in a worker process: clean tracing state and an
+    empty metrics registry (fork inherits the parent's buffers and
+    counters, and a reused worker its previous jobs'), environment
+    re-check for spawn workers.  The registry keeps its enabled flag,
+    so what the worker ships back is this job's alone."""
     trace.worker_begin()
+    metrics.registry().reset()
 
 
 def drain_telemetry():

@@ -94,9 +94,6 @@ def _execute_wire(wire: Dict, token: str = "") -> tuple:
     every failure becomes an ERROR response.  ``token`` names the job
     on the heartbeat side channel and labels serve-worker faults."""
     obs.worker_begin()
-    # The pool reuses processes: start each job from a clean registry so
-    # the telemetry shipped back is this job's alone, not cumulative.
-    obs_metrics.registry().reset()
     obs_metrics.enable(True)
     with JobHeartbeat(worker_channel(), token):
         plan = FaultPlan.from_env()

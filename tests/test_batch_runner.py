@@ -183,3 +183,21 @@ class TestCrashHandling:
         assert by_instance["healthy"].status is SolveStatus.SAT
         assert by_instance["crasher"].status is SolveStatus.ERROR
         assert by_instance["crasher"].attempts == 2
+
+    def test_audit_exception_is_retried_then_error(self, monkeypatch):
+        # The audit runs in the worker: an exception it raises fails the
+        # attempt like any other, and never escapes run_batch.
+        from repro.reliability import audit as audit_module
+
+        def _exploding_audit(problem, outcome, **kwargs):
+            raise RuntimeError("audit exploded")
+
+        monkeypatch.setattr(audit_module, "audit_outcome", _exploding_audit)
+        jobs = [BatchJob(f"cycle{n}", ColoringProblem(cycle_graph(n), 3),
+                         Strategy("muldirect", "s1")) for n in (5, 7, 9)]
+        result = run_batch(jobs, max_workers=2, audit=True, max_attempts=2)
+        assert not result.pending and len(result.results) == len(jobs)
+        for job_result in result.results:
+            assert job_result.status is SolveStatus.ERROR
+            assert job_result.attempts == 2
+            assert "audit exploded" in job_result.error

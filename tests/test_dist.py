@@ -1,10 +1,18 @@
 """Tests for the distributed solving subsystem (repro.dist)."""
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.bench import batch as batch_module
 from repro.coloring import ColoringProblem, complete_graph, cycle_graph
 from repro.core import Strategy
 from repro.core.encodings.registry import get_encoding
@@ -369,6 +377,150 @@ class TestShardScheduler:
             run_sharded([], max_workers=0)
         with pytest.raises(ValueError):
             run_sharded([], workers_per_shard=0)
+
+
+# ----------------------------------------------------------------------
+# Worker slots: one process per slot for the whole call
+# ----------------------------------------------------------------------
+
+#: Strategy seed whose attempts wait for their cancel token.
+_WAIT_SEED = 90003
+
+
+def _pid_solve(problem, strategy, graph_time=0.0, **kwargs):
+    """Test double of the worker's solve: records the serving pid and
+    whether the attempt's cancel token was already set when it began;
+    an attempt with seed ``_WAIT_SEED`` first waits for its token."""
+    from repro.core.pipeline import solve_coloring
+    cancel = kwargs["cancel"]
+    cancelled_at_start = cancel.cancelled
+    if strategy.seed == _WAIT_SEED:
+        while not cancel.cancelled:
+            time.sleep(0.01)
+    outcome = solve_coloring(problem, strategy, graph_time=graph_time,
+                             **kwargs)
+    outcome.solver_stats.update(pid=os.getpid(),
+                                cancelled_at_start=cancelled_at_start)
+    return outcome
+
+
+def _cycles(strategy, sizes):
+    return [BatchJob(f"cycle{n}", ColoringProblem(cycle_graph(n), 3),
+                     strategy) for n in sizes]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the solve double reaches fork-start workers only")
+class TestSchedulerSlots:
+    @pytest.fixture(autouse=True)
+    def _pid_double(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "solve_coloring", _pid_solve)
+        monkeypatch.setattr(batch_module, "_CANCEL_GRACE_SECONDS", 0.5)
+
+    def test_each_slot_forks_one_worker_for_the_call(self):
+        jobs = _cycles(DIRECT, range(5, 17, 2))
+        result = run_sharded(jobs, num_shards=2, max_workers=2)
+        assert len(result.results) == 6 and not result.pending
+        assert all(r.status is SolveStatus.SAT for r in result.results)
+        pids = {r.outcome.solver_stats["pid"] for r in result.results}
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+    def test_killed_worker_is_replaced_at_the_next_launch(self):
+        jobs = (_cycles(DIRECT, [11])
+                + _cycles(Strategy("muldirect", "s1"), [5, 7, 9]))
+        start = time.perf_counter()
+        result = run_sharded(
+            jobs, num_shards=1, max_workers=1, job_timeout=0.3,
+            faults=FaultPlan.parse("seed=1; hang@worker:match=direct/*"))
+        elapsed = time.perf_counter() - start
+        by_instance = {r.job.instance: r for r in result.results}
+        assert by_instance["cycle11"].status is SolveStatus.TIMEOUT
+        rest = [by_instance[f"cycle{n}"] for n in (5, 7, 9)]
+        assert all(r.status is SolveStatus.SAT for r in rest)
+        pids = {r.outcome.solver_stats["pid"] for r in rest}
+        assert len(pids) == 1 and os.getpid() not in pids
+        assert elapsed < 3.0
+
+    def test_crash_right_after_a_report_loses_no_report(self):
+        # Every arena attempt crashes at its start, on the worker whose
+        # legacy retry of the previous job has only just reported: that
+        # report, and every later one, must still arrive.
+        jobs = _cycles(DIRECT, range(5, 17, 2))
+        result = run_sharded(
+            jobs, num_shards=1, max_workers=1, job_timeout=5,
+            faults=FaultPlan.parse("seed=1; crash@worker:match=direct/s1"))
+        assert len(result.results) == len(jobs) and not result.pending
+        for job_result in result.results:
+            assert job_result.status is SolveStatus.SAT
+            assert job_result.attempts == 2
+            assert job_result.engine == "legacy"
+
+    def test_cancel_of_one_attempt_never_reaches_the_next(self):
+        waiter = BatchJob("waiter", ColoringProblem(cycle_graph(5), 3),
+                          Strategy("direct", "s1", seed=_WAIT_SEED))
+        jobs = [waiter] + _cycles(DIRECT, [7])
+        result = run_sharded(jobs, num_shards=1, max_workers=1,
+                             job_timeout=0.3)
+        by_instance = {r.job.instance: r for r in result.results}
+        waited, after = by_instance["waiter"], by_instance["cycle7"]
+        assert waited.status is SolveStatus.TIMEOUT
+        assert after.status is SolveStatus.SAT
+        assert after.outcome.solver_stats["cancelled_at_start"] is False
+        # The waiter stopped cooperatively, so its worker served both.
+        assert (waited.outcome.solver_stats["pid"]
+                == after.outcome.solver_stats["pid"])
+
+    def test_workers_exit_when_the_scheduler_is_killed(self):
+        # A SIGKILLed scheduler never sends the stop sentinel: its
+        # workers, one idle and one mid-attempt, must still exit.
+        script = textwrap.dedent("""
+            import os, time
+            from repro.bench import BatchJob, run_batch
+            from repro.bench import batch as batch_module
+            from repro.coloring import ColoringProblem, cycle_graph
+            from repro.core import Strategy
+            from repro.core.pipeline import solve_coloring
+
+            def announcing_solve(problem, strategy, **kwargs):
+                print(os.getpid(), flush=True)
+                if strategy.seed == 2:
+                    time.sleep(1.0)
+                return solve_coloring(problem, strategy, **kwargs)
+
+            batch_module.solve_coloring = announcing_solve
+            run_batch([BatchJob(f"cycle{5 + 2 * seed}",
+                                ColoringProblem(cycle_graph(5 + 2 * seed), 3),
+                                Strategy("direct", "s1", seed=seed))
+                       for seed in (1, 2)], max_workers=2)
+            time.sleep(60)  # never reached before the kill
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        scheduler = subprocess.Popen([sys.executable, "-c", script],
+                                     stdout=subprocess.PIPE, env=env,
+                                     text=True)
+        try:
+            workers = [int(scheduler.stdout.readline()) for _ in range(2)]
+        finally:
+            scheduler.kill()
+            scheduler.wait(timeout=10)
+            scheduler.stdout.close()
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().split(")")[-1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
 
 
 # ----------------------------------------------------------------------

@@ -177,6 +177,34 @@ class TestCrossProcessPlumbing:
         assert trace.tracer().sink_path is None   # workers never write
         assert trace.tracer().enabled             # but still record
 
+    def _parent_only_counter(self):
+        obs_metrics.enable()
+        obs_metrics.registry().inc("test.parent_only")
+
+    def test_batch_workers_ship_only_their_own_metrics(self):
+        # Regression: forked workers inherited the parent's counters and
+        # shipped them back, so the parent counted them again.
+        from repro.bench import BatchJob, run_batch
+        from repro.coloring import ColoringProblem, cycle_graph
+        from repro.core import Strategy
+        self._parent_only_counter()
+        jobs = [BatchJob(f"cycle{n}", ColoringProblem(cycle_graph(n), 3),
+                         Strategy("muldirect", "s1")) for n in (5, 7, 9)]
+        run_batch(jobs, max_workers=2)
+        counters = obs_metrics.registry().snapshot()["counters"]
+        assert counters["test.parent_only"] == 1
+        assert counters["solver.solves"] == 3
+
+    def test_portfolio_members_ship_only_their_own_metrics(self):
+        from repro.coloring import ColoringProblem, cycle_graph
+        from repro.core import Strategy
+        from repro.core.portfolio import run_portfolio
+        self._parent_only_counter()
+        run_portfolio(ColoringProblem(cycle_graph(9), 3),
+                      [Strategy("muldirect", "s1"), Strategy("direct", "s1")])
+        counters = obs_metrics.registry().snapshot()["counters"]
+        assert counters["test.parent_only"] == 1
+
 
 class TestMetricsRegistry:
     def test_counter_gauge_histogram(self):
