@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke pool-dev bench bench-quick bench-smoke bench-scale bench-all perfbench-smoke examples clean
+.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke pool-dev bench bench-quick bench-smoke bench-scale bench-all perfbench-smoke proof-hints-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -146,6 +146,30 @@ perfbench-smoke:
 	sys.exit(0 if r['correct'] and r['failed'] == 0 else f'failed: {r}')" \
 			|| exit 1; \
 	done
+
+# Hinted-proof smoke: one traced pass of the unroutable workload, then
+# every UNSAT `audit` span in its trace must show no hint miss and at
+# most one unhinted proof step (the final empty clause).  Guards against
+# a solver change that silently turns hints off: every answer would
+# stay right, but the audit would replay each step in full, about 3x
+# slower.  See docs/solver.md ("Proof logging and checking").
+proof-hints-smoke:
+	python3 perfbench/run.py --workload unroutable --seed 1 --seconds 0 \
+		--trace 1
+	PYTHONPATH=src python3 -c "\
+	from repro.obs.report import parse_trace_file; \
+	records = parse_trace_file('perfbench/out/unroutable-1.trace.jsonl'); \
+	audits = [r['attrs'] for r in records if r.get('type') == 'span' \
+	          and r.get('name') == 'audit' \
+	          and r['attrs'].get('status') == 'UNSAT']; \
+	assert audits, 'trace contains no UNSAT audit span'; \
+	bad = [a for a in audits if 'proof_steps' not in a \
+	       or a.get('hint_misses') != 0 \
+	       or a['proof_steps'] - a.get('hinted_steps', 0) > 1]; \
+	assert not bad, f'hint misses or unhinted steps: {bad}'; \
+	hinted = sum(a['hinted_steps'] for a in audits); \
+	print(f'proof-hints-smoke: {len(audits)} UNSAT audits, ' \
+	      f'{hinted} hinted steps, 0 hint misses OK')"
 
 # The previous bench-quick: a scaled-down pass of every paper table.
 bench-all:

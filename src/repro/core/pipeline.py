@@ -16,7 +16,7 @@ and the solver's finish line as span events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..coloring.problem import ColoringProblem
 from ..obs import metrics as obs_metrics
@@ -60,6 +60,10 @@ class ColoringOutcome:
     #: The recorded DRUP proof of an UNSAT answer, retained only under
     #: ``proof_log=True`` (replayable with the independent RUP checker).
     proof: Optional[List[Tuple[int, ...]]] = None
+    #: The proof's ``(ids, starts)`` hints, the checker's ``hints=``
+    #: argument (see :func:`repro.sat.proof.verify_rup_proof`); None
+    #: when the engine logs none.
+    proof_hints: Optional[Tuple[Sequence[int], Sequence[int]]] = None
 
     @property
     def is_sat(self) -> bool:
@@ -249,6 +253,11 @@ def _solve_coloring_in_span(run_span, problem: ColoringProblem,
             filter(None, [str(result.stats.get("injected_faults", "")),
                           f"{injected.split(':', 1)[0]}@encode"]))
 
+    proof = proof_hints = None
+    if proof_log and result.status is SolveStatus.UNSAT:
+        proof = list(solver.proof)
+        if hasattr(solver, "hint_starts"):  # the legacy engine has none
+            proof_hints = (solver.hint_ids, solver.hint_starts)
     coloring = None
     if result.is_sat:
         try:
@@ -280,9 +289,8 @@ def _solve_coloring_in_span(run_span, problem: ColoringProblem,
         cnf_time=cnf_time,
         symmetry_time=symmetry_time,
         model=result.model if keep_model else None,
-        proof=(list(solver.proof)
-               if proof_log and result.status is SolveStatus.UNSAT
-               else None),
+        proof=proof,
+        proof_hints=proof_hints,
     )
 
 

@@ -190,13 +190,24 @@ def _check_model(report: AuditReport, cnf: CNF,
 
 
 def _check_proof(report: AuditReport, cnf: CNF,
-                 proof: Sequence[Sequence[int]]) -> None:
+                 proof: Sequence[Sequence[int]], audit_span,
+                 hints=None) -> None:
     """UNSAT-side check: replay the recorded proof through the
-    independent RUP checker."""
-    outcome = verify_rup_proof(cnf, proof)
-    detail = (f"{outcome.steps} steps verified" if outcome.ok
+    independent RUP checker, hinted when the solver logged hints (a
+    hint that reaches no conflict is a miss and its step gets the full
+    RUP check)."""
+    outcome = verify_rup_proof(cnf, proof, hints=hints)
+    detail = (f"{outcome.steps} steps verified ({outcome.hinted} hinted, "
+              f"{outcome.hint_misses} hint misses)" if outcome.ok
               else outcome.error)
     report.add("proof-replay", outcome.ok, detail)
+    audit_span.set("proof_steps", outcome.steps)
+    audit_span.set("hinted_steps", outcome.hinted)
+    audit_span.set("hint_misses", outcome.hint_misses)
+    if obs_metrics.enabled():
+        registry = obs_metrics.registry()
+        registry.inc("proof.hinted_steps", outcome.hinted)
+        registry.inc("proof.hint_misses", outcome.hint_misses)
 
 
 def _cross_check_unsat(report: AuditReport, cnf: CNF, engine: str,
@@ -247,7 +258,7 @@ def audit_solve(cnf: CNF, result: SolveResult,
             _check_model(report, cnf, result.model)
         elif result.status is SolveStatus.UNSAT:
             if proof is not None:
-                _check_proof(report, cnf, proof)
+                _check_proof(report, cnf, proof, audit_span)
             elif cross_check:
                 _cross_check_unsat(report, cnf, engine,
                                    cross_check_conflicts)
@@ -305,7 +316,9 @@ def audit_outcome(problem, outcome, *,
         elif outcome.status is SolveStatus.UNSAT:
             proof = getattr(outcome, "proof", None)
             if proof is not None:
-                _check_proof(report, _encode(problem, strategy), proof)
+                _check_proof(report, _encode(problem, strategy), proof,
+                             audit_span,
+                             getattr(outcome, "proof_hints", None))
             elif cross_check:
                 engine = getattr(strategy, "engine", "arena")
                 _cross_check_unsat(report, _encode(problem, strategy),

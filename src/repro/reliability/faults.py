@@ -41,6 +41,11 @@ wrong_model flip one deterministically chosen variable of a returned
 truncated_proof
             drop the tail (including the empty clause) of a recorded
             UNSAT proof — RUP replay must reject it.
+corrupt_hint
+            drop the last clause ID (the conflict clause) of one
+            deterministically chosen hinted step of a recorded UNSAT
+            proof — the checker must count a hint miss, fall back to
+            full RUP and still accept the (valid) step.
 corrupt_input
             flip the sign of one literal of the encoded CNF before
             solving — the answer may silently change; auditing catches
@@ -129,10 +134,10 @@ from ..errors import ParseError
 
 #: Recognised fault kinds (see module docstring).
 FAULT_KINDS = ("crash", "hang", "slowdown", "wrong_model",
-               "truncated_proof", "corrupt_input", "drop_clause",
-               "drop_resolvent", "skip_occurrence", "worker_hang",
-               "journal_torn_write", "conn_drop", "slow_client",
-               "drop_share", "corrupt_share")
+               "truncated_proof", "corrupt_hint", "corrupt_input",
+               "drop_clause", "drop_resolvent", "skip_occurrence",
+               "worker_hang", "journal_torn_write", "conn_drop",
+               "slow_client", "drop_share", "corrupt_share")
 
 #: Recognised injection sites.
 FAULT_SITES = ("*", "solver", "arena", "legacy", "packed", "inprocess",
@@ -504,6 +509,14 @@ class FaultInjector:
         if index < 0 or proof_length < 1:
             return None
         return self._rng(index).randint(0, proof_length - 1) // 2
+
+    def corrupt_hint_pick(self, hinted_steps: int) -> Optional[int]:
+        """Which hinted proof step (0-based, counting hinted steps
+        only) loses its last hint ID, or None."""
+        index = self._fire("corrupt_hint")
+        if index < 0 or hinted_steps < 1:
+            return None
+        return self._rng(index).randrange(hinted_steps)
 
     def corrupt_cnf(self, cnf) -> Optional[str]:
         """Corrupt the encoded formula in place (encode-site faults).

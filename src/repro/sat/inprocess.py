@@ -135,8 +135,10 @@ class Inprocessor:
     # ------------------------------------------------------------------
 
     def _log(self, codes: Sequence[int]) -> None:
+        """Log a derived clause as an unhinted proof step."""
         if self.solver.config.proof_log:
             self.solver.proof.append(_dimacs(codes))
+            self.solver.hint_starts.append(-1)
 
     def _attach_derived(self, codes: Sequence[int], learnt: bool = False,
                         act: float = 0.0, lbd: int = 0) -> int:
@@ -286,6 +288,7 @@ class Inprocessor:
                 for position, code in enumerate(kept):
                     arena[off + position] = code
                 clen[ref] = len(kept)
+                solver._clause_id[ref] = -1  # no longer the ID's clause
                 solver._arena_dead += length - len(kept)
                 self._log(kept)
             else:
@@ -342,6 +345,7 @@ class Inprocessor:
             # Not a watched slot: swap with the last literal and shrink.
             arena[off + position] = arena[off + length - 1]
             clen[ref] = length - 1
+            solver._clause_id[ref] = -1  # no longer the ID's clause
             solver._arena_dead += 1
             codes = arena[off:off + length - 1]
             sig = 0

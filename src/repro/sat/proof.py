@@ -15,6 +15,22 @@ solver bug cannot silently certify itself.  For the routing pipeline
 this closes the loop on the paper's headline capability: an
 "unroutable" verdict comes with a certificate a few hundred lines of
 unrelated code can validate.
+
+Hinted replay
+-------------
+
+A solver may also hand over LRAT-style *hints* (Cruz-Filipe et al.,
+"Efficient Certified RAT Verification", CADE 2017): for a step, the IDs
+of the clauses its conflict analysis used.  IDs number the formula's
+clauses ``0 .. m-1`` in iteration order and proof step ``j`` as
+``m + j``.  A hinted step is checked by assigning its negation on top
+of the root trail and propagating over the hint's clauses only — time
+linear in the hint instead of a propagation over the whole database.
+Hints are untrusted: a hint that does not reach a conflict (an ID out
+of range or naming the step itself or a later one, an empty hint, a
+wrong or incomplete chain) is a *miss*, and the step falls back to the
+full RUP check, so a bad hint can cost time but never gets a step
+accepted.
 """
 
 from __future__ import annotations
@@ -26,6 +42,8 @@ from .cnf import CNF
 from .literals import clause_to_codes, lit_to_code
 
 Clause = Tuple[int, ...]
+#: A proof's hints: ``(ids, starts)``, see :func:`verify_rup_proof`.
+Hints = Tuple[Sequence[int], Sequence[int]]
 
 _TRUE = 1
 _FALSE = -1
@@ -62,13 +80,17 @@ class _Propagator:
         self._trail.append(code)
         return True
 
-    def add_clause(self, clause: Sequence[int]) -> None:
-        """Add a clause permanently and propagate at the root level."""
-        if self.contradiction:
-            return
+    def add_clause(self, clause: Sequence[int]) -> Optional[List[int]]:
+        """Add a clause permanently and propagate at the root level.
+
+        Returns the clause's literal codes (None for a tautology), the
+        form a hint's clause IDs resolve to."""
         codes = clause_to_codes(clause)
-        if codes is None:
-            return  # tautology: irrelevant for propagation
+        if codes is not None and not self.contradiction:
+            self._add(codes)
+        return codes
+
+    def _add(self, codes: List[int]) -> None:
         # Move non-false literals to the watch positions.
         codes.sort(key=lambda c: self._values[c] == _FALSE)
         if not codes or self._values[codes[0]] == _FALSE:
@@ -138,10 +160,13 @@ class _Propagator:
             del watchers[j:]
         return None
 
-    def rup_check(self, clause: Sequence[int]) -> bool:
+    def rup_check(self, clause: Sequence[int],
+                  hint: Optional[List[List[int]]] = None) -> bool:
         """Is the clause RUP with respect to the current database?
 
-        Leaves the permanent state untouched."""
+        With ``hint`` (a list of clause code lists) propagation runs
+        over those clauses only, and False means just that the hint
+        reached no conflict.  Leaves the permanent state untouched."""
         if self.contradiction:
             return True
         mark = len(self._trail)
@@ -153,7 +178,9 @@ class _Propagator:
                     return True  # negation immediately contradictory
                 if not self._assign(code ^ 1):
                     return True
-            return self._propagate() is not None
+            if hint is None:
+                return self._propagate() is not None
+            return self._propagate_hint(hint)
         finally:
             for code in self._trail[mark:]:
                 self._values[code] = _UNDEF
@@ -161,72 +188,165 @@ class _Propagator:
             del self._trail[mark:]
             self._qhead = min(saved_qhead, mark)
 
+    def _propagate_hint(self, hint: List[List[int]]) -> bool:
+        """Unit-propagate over the hint's clauses alone, in passes over
+        the clauses not yet unit, until one is falsified (True) or a
+        pass assigns nothing (False).  A hint in propagation order
+        finishes in one pass; an ordering slip costs another pass."""
+        values = self._values
+        trail = self._trail
+        while hint:
+            assigned = len(trail)
+            pending = []
+            for codes in hint:
+                unit = -1
+                for code in codes:
+                    value = values[code]
+                    if value == _FALSE:
+                        continue
+                    if value == _TRUE or unit >= 0:
+                        break  # satisfied, or two open literals
+                    unit = code
+                else:
+                    if unit < 0:
+                        return True  # every literal false: conflict
+                    self._assign(unit)
+                    continue
+                if value != _TRUE:
+                    pending.append(codes)
+            if len(trail) == assigned:
+                return False
+            hint = pending
+        return False
 
-def check_rup_proof(cnf: CNF, proof: Iterable[Sequence[int]],
-                    require_empty_clause: bool = True) -> int:
-    """Verify a clausal UNSAT proof against ``cnf``.
 
-    Returns the number of verified steps.  Raises :class:`ProofError` on
-    the first step that is not RUP, or (when ``require_empty_clause``) if
-    the proof does not derive the empty clause.
-    """
-    propagator = _Propagator(cnf.num_vars)
-    for clause in cnf:
-        propagator.add_clause(clause)
-    derived_empty = propagator.contradiction
-    steps = 0
-    for step, clause in enumerate(proof):
-        clause = tuple(clause)
-        for lit in clause:
-            if lit == 0 or abs(lit) > cnf.num_vars:
-                raise ProofError(
-                    f"proof step {step} mentions literal {lit}, outside "
-                    f"the formula's variables 1..{cnf.num_vars}")
-        if not propagator.rup_check(clause):
-            raise ProofError(f"proof step {step} is not RUP: {clause}")
-        propagator.add_clause(clause)
-        steps += 1
-        if not clause or propagator.contradiction:
-            derived_empty = True
-    if require_empty_clause and not derived_empty:
-        raise ProofError("proof does not derive the empty clause")
-    return steps
+def _hint_ends(ids: Sequence[int], starts: Sequence[int]) -> List[int]:
+    """End offset of each step's hint: the next non-negative start
+    after it, or ``len(ids)``."""
+    ends = [0] * len(starts)
+    end = len(ids)
+    for step in range(len(starts) - 1, -1, -1):
+        ends[step] = end
+        if starts[step] >= 0:
+            end = starts[step]
+    return ends
+
+
+def _resolve_hint(clauses: List[Optional[List[int]]],
+                  ids: Sequence[int]) -> Optional[List[List[int]]]:
+    """The clauses a hint names, or None when the hint is unusable:
+    empty, or naming an ID outside the clauses known so far (negative,
+    this step, a later step) or a tautology."""
+    if not ids:
+        return None
+    known = len(clauses)
+    hint = []
+    for cid in ids:
+        codes = clauses[cid] if 0 <= cid < known else None
+        if codes is None:
+            return None
+        hint.append(codes)
+    return hint
 
 
 @dataclass(frozen=True)
 class ProofCheckResult:
-    """Outcome of a non-raising proof verification.
+    """Outcome of a proof verification.
 
     ``ok`` is True iff every step was RUP and the empty clause was
     derived; ``steps`` counts the steps verified before success or
     failure; ``error`` carries the checker's message when ``ok`` is
-    False.
+    False.  ``hinted`` counts the steps verified by their hint alone,
+    ``hint_misses`` the steps whose hint reached no conflict and which
+    fell back to the full RUP check.
     """
 
     ok: bool
     steps: int = 0
     error: str = ""
+    hinted: int = 0
+    hint_misses: int = 0
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def verify_rup_proof(cnf: CNF, proof: Iterable[Sequence[int]],
-                     require_empty_clause: bool = True) -> ProofCheckResult:
-    """Non-raising variant of :func:`check_rup_proof`.
+                     require_empty_clause: bool = True,
+                     hints: Optional[Hints] = None) -> ProofCheckResult:
+    """Verify a clausal UNSAT proof against ``cnf``, without raising.
 
     The audit layer (:mod:`repro.reliability.audit`) treats an invalid
-    proof as a *finding*, not an exception — this wrapper turns
-    :class:`ProofError` into a structured :class:`ProofCheckResult`.
+    proof as a *finding*, not an exception, so the outcome is a
+    structured :class:`ProofCheckResult`.
+
+    ``hints`` is None (every step gets the full RUP check) or an
+    ``(ids, starts)`` pair aligned with ``proof``: step ``j``'s hint is
+    ``ids[starts[j]:end]`` with ``end`` the next non-negative start
+    after ``j`` (or ``len(ids)``), and ``starts[j] == -1`` marks an
+    unhinted step.  See the module docstring for the ID numbering.
     """
-    proof = [tuple(clause) for clause in proof]
-    try:
-        steps = check_rup_proof(cnf, proof,
-                                require_empty_clause=require_empty_clause)
-    except ProofError as error:
-        return ProofCheckResult(ok=False, steps=len(proof),
-                                error=str(error))
-    return ProofCheckResult(ok=True, steps=steps)
+    propagator = _Propagator(cnf.num_vars)
+    clauses: Optional[List[Optional[List[int]]]] = None
+    if hints is None:
+        for clause in cnf:
+            propagator.add_clause(clause)
+    else:
+        # ID -> literal codes: the formula's clauses, then each step.
+        clauses = [propagator.add_clause(clause) for clause in cnf]
+        ids, starts = hints
+        ends = _hint_ends(ids, starts)
+    derived_empty = propagator.contradiction
+    steps = hinted = misses = 0
+
+    def failed(error: str) -> ProofCheckResult:
+        return ProofCheckResult(ok=False, steps=steps, error=error,
+                                hinted=hinted, hint_misses=misses)
+
+    for step, clause in enumerate(proof):
+        clause = tuple(clause)
+        for lit in clause:
+            if lit == 0 or abs(lit) > cnf.num_vars:
+                return failed(
+                    f"proof step {step} mentions literal {lit}, outside "
+                    f"the formula's variables 1..{cnf.num_vars}")
+        verified = False
+        if clauses is not None and step < len(starts) \
+                and starts[step] >= 0:
+            hint = _resolve_hint(clauses, ids[starts[step]:ends[step]])
+            if hint is not None and propagator.rup_check(clause, hint):
+                hinted += 1
+                verified = True
+            else:
+                misses += 1
+        if not verified and not propagator.rup_check(clause):
+            return failed(f"proof step {step} is not RUP: {clause}")
+        codes = propagator.add_clause(clause)
+        if clauses is not None:
+            clauses.append(codes)
+        steps += 1
+        if not clause or propagator.contradiction:
+            derived_empty = True
+    if require_empty_clause and not derived_empty:
+        return failed("proof does not derive the empty clause")
+    return ProofCheckResult(ok=True, steps=steps, hinted=hinted,
+                            hint_misses=misses)
+
+
+def check_rup_proof(cnf: CNF, proof: Iterable[Sequence[int]],
+                    require_empty_clause: bool = True,
+                    hints: Optional[Hints] = None) -> int:
+    """Verify a clausal UNSAT proof against ``cnf``.
+
+    Returns the number of verified steps.  Raises :class:`ProofError` on
+    the first step that is not RUP, or (when ``require_empty_clause``) if
+    the proof does not derive the empty clause.  ``hints`` is as in
+    :func:`verify_rup_proof`.
+    """
+    result = verify_rup_proof(cnf, proof, require_empty_clause, hints)
+    if not result.ok:
+        raise ProofError(result.error)
+    return result.steps
 
 
 def solve_with_proof(cnf: CNF, config=None):

@@ -65,6 +65,7 @@ import heapq
 import os
 import random
 import time
+from array import array
 from typing import Dict, List, Optional
 
 from ...obs import metrics as obs_metrics
@@ -191,6 +192,7 @@ class CDCLSolver:
         #: literals, in derivation order, terminated by () on UNSAT.
         #: Populated only when config.proof_log is set.
         self.proof: List[tuple] = []
+        self._init_hints(cnf)
         self.stats: Dict[str, float] = {
             "conflicts": 0, "decisions": 0, "propagations": 0,
             "restarts": 0, "learned_clauses": 0, "deleted_clauses": 0,
@@ -204,8 +206,23 @@ class CDCLSolver:
     # Construction helpers
     # ------------------------------------------------------------------
 
+    def _init_hints(self, cnf: CNF) -> None:
+        """LRAT-style hints beside ``proof`` (checked by
+        :func:`repro.sat.proof.verify_rup_proof`), kept flat:
+        ``hint_starts[j]`` is where proof step ``j``'s clause IDs begin
+        in ``hint_ids`` (they run to the next non-negative start), or
+        -1 when the step has no hint.  IDs follow the LRAT numbering:
+        input clause ``i`` is ``i`` and proof step ``j`` is ``m + j``
+        for ``m`` input clauses; ``_clause_id`` maps a clause ref to its
+        ID, -1 for clauses without one (shared imports, inprocessing
+        re-attachments, clauses inprocessing strengthened in place)."""
+        self.hint_ids = array("l")
+        self.hint_starts = array("l")
+        self._clause_id = array("l")
+        self._num_input = cnf.num_clauses
+
     def _ingest(self, cnf: CNF) -> None:
-        for clause in cnf:
+        for index, clause in enumerate(cnf):
             if not self._ok:
                 return
             codes = clause_to_codes(clause)
@@ -221,11 +238,11 @@ class CDCLSolver:
                 elif value == _UNDEF:
                     self._enqueue(codes[0], -1)
             else:
-                self._attach(codes, learnt=False)
+                self._attach(codes, learnt=False, cid=index)
         if self._ok and self._propagate() != -1:
             self._ok = False
 
-    def _attach(self, codes: List[int], learnt: bool) -> int:
+    def _attach(self, codes: List[int], learnt: bool, cid: int = -1) -> int:
         ref = len(self._coff)
         self._coff.append(len(self._arena))
         self._clen.append(len(codes))
@@ -234,6 +251,7 @@ class CDCLSolver:
         self._clause_act.append(0.0)
         self._lbd.append(0)
         self._used_at.append(0)
+        self._clause_id.append(cid)
         # Watcher records 2*ref and 2*ref + 1, each caching the other
         # watch as its blocker (kept fresh by _propagate on every move).
         self._wother.extend((codes[1], codes[0]))
@@ -522,9 +540,16 @@ class CDCLSolver:
             clause_act[i] *= _RESCALE_FACTOR
         self._clause_inc *= _RESCALE_FACTOR
 
-    def _analyze(self, conflict: int) -> (List[int], int):
+    def _analyze(self, conflict: int,
+                 hint: Optional[List[int]] = None) -> (List[int], int):
         """First-UIP analysis.  Returns (learnt clause codes, backtrack level)
-        with the asserting literal in position 0."""
+        with the asserting literal in position 0.
+
+        With ``hint`` (a list; proof logging only) the refs of the
+        clauses the derivation used are appended to it in propagation
+        order: the reasons of the minimized literals, then the resolved
+        reasons in trail order, the conflict clause last."""
+        chain = None if hint is None else []
         learnt: List[int] = [0]
         seen = self._seen
         trail = self._trail
@@ -553,6 +578,8 @@ class CDCLSolver:
         index = len(trail) - 1
         clause = conflict
         while True:
+            if chain is not None:
+                chain.append(clause)
             if learnt_flags[clause]:
                 # Inlined _bump_clause.
                 act = clause_act[clause] + clause_inc
@@ -619,11 +646,16 @@ class CDCLSolver:
                         break
                 if redundant:
                     minimized += 1
+                    if hint is not None:
+                        hint.append(ref)
                 else:
                     kept.append(q)
             learnt = kept
             if minimized:
                 self.stats["minimized_literals"] += minimized
+        if hint is not None:
+            chain.reverse()
+            hint.extend(chain)
 
         for var in to_clear:
             seen[var] = 0
@@ -907,21 +939,19 @@ class CDCLSolver:
                         f"conflict budget {config.max_conflicts} exhausted")
                 if not self._trail_lim:
                     return self._finish(SolveStatus.UNSAT, start)
+                hint = [] if config.proof_log else None
                 if timing:
                     t0 = time.perf_counter()
-                    learnt, back_level = self._analyze(conflict)
+                    learnt, back_level = self._analyze(conflict, hint)
                     self.stats["time_analyze"] += time.perf_counter() - t0
                 else:
-                    learnt, back_level = self._analyze(conflict)
-                if config.proof_log:
-                    self.proof.append(tuple(
-                        code >> 1 if not code & 1 else -(code >> 1)
-                        for code in learnt))
+                    learnt, back_level = self._analyze(conflict, hint)
+                cid = -1 if hint is None else self._log_learnt(learnt, hint)
                 self._cancel_until(back_level)
                 if len(learnt) == 1:
                     self._enqueue(learnt[0], -1)
                 else:
-                    ref = self._attach(learnt, learnt=True)
+                    ref = self._attach(learnt, learnt=True, cid=cid)
                     if self._tier_on:
                         # Conflict-time LBD: _cancel_until never
                         # rewrites _level entries, so the levels read
@@ -1014,6 +1044,39 @@ class CDCLSolver:
                     code = 2 * var if self._saved_phase[var] else 2 * var + 1
                 self._trail_lim.append(len(self._trail))
                 self._enqueue(code, -1)
+
+    def _log_learnt(self, learnt: List[int], refs: List[int]) -> int:
+        """Append a learned clause to the proof, hinted with the IDs of
+        ``refs`` unless one of them has none; returns the step's ID."""
+        ids = [self._clause_id[ref] for ref in refs]
+        if -1 in ids:
+            self.hint_starts.append(-1)
+        else:
+            self.hint_starts.append(len(self.hint_ids))
+            self.hint_ids.extend(ids)
+        self.proof.append(tuple(code >> 1 if not code & 1 else -(code >> 1)
+                                for code in learnt))
+        return self._num_input + len(self.proof) - 1
+
+    def _truncate_proof(self, length: int) -> None:
+        """Cut the proof, and its hints, to its first ``length`` steps."""
+        cut = [start for start in self.hint_starts[length:] if start >= 0]
+        if cut:
+            del self.hint_ids[cut[0]:]
+        del self.hint_starts[length:]
+        del self.proof[length:]
+
+    def _corrupt_hint(self, pick: int) -> None:
+        """Drop the last ID (the conflict clause) of hinted step number
+        ``pick`` (counting hinted steps only): the ``corrupt_hint``
+        fault."""
+        starts = self.hint_starts
+        step = [j for j, start in enumerate(starts) if start >= 0][pick]
+        later = [j for j in range(step + 1, len(starts)) if starts[j] >= 0]
+        end = starts[later[0]] if later else len(self.hint_ids)
+        del self.hint_ids[end - 1]
+        for j in later:
+            starts[j] -= 1
 
     def _share_export(self, share, learnt) -> None:
         """Offer the just-learned clause to the sharing channel.
@@ -1191,10 +1254,16 @@ class CDCLSolver:
         if status is not SolveStatus.SAT:
             if status is SolveStatus.UNSAT and self.config.proof_log:
                 self.proof.append(())
+                self.hint_starts.append(-1)
                 if injector is not None:
                     cut = injector.truncated_proof_length(len(self.proof))
                     if cut is not None:
-                        del self.proof[cut:]
+                        self._truncate_proof(cut)
+                    hinted = sum(1 for start in self.hint_starts
+                                 if start >= 0)
+                    pick = injector.corrupt_hint_pick(hinted)
+                    if pick is not None:
+                        self._corrupt_hint(pick)
             if injector is not None and injector.log:
                 self.stats["injected_faults"] = ",".join(injector.log)
             self._observe(status, elapsed)

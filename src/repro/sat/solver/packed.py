@@ -125,6 +125,7 @@ class PackedCDCLSolver(CDCLSolver):
 
         self._ok = True
         self.proof: List[tuple] = []
+        self._init_hints(cnf)
         self.stats = {
             "conflicts": 0, "decisions": 0, "propagations": 0,
             "restarts": 0, "learned_clauses": 0, "deleted_clauses": 0,
@@ -138,7 +139,7 @@ class PackedCDCLSolver(CDCLSolver):
     # Construction
     # ------------------------------------------------------------------
 
-    def _attach(self, codes: List[int], learnt: bool) -> int:
+    def _attach(self, codes: List[int], learnt: bool, cid: int = -1) -> int:
         ref = len(self._coff)
         self._coff.append(len(self._arena))
         self._clen.append(len(codes))
@@ -147,6 +148,7 @@ class PackedCDCLSolver(CDCLSolver):
         self._clause_act.append(0.0)
         self._lbd.append(0)
         self._used_at.append(0)
+        self._clause_id.append(cid)
         # Pair layout: record first, blocker (the other watch) second.
         self._watches[codes[0]].extend((2 * ref, codes[1]))
         self._watches[codes[1]].extend((2 * ref + 1, codes[0]))

@@ -5,10 +5,12 @@ pipeline, the portfolio and the batch runner, must terminate within the
 configured deadlines with a structured :class:`SolveStatus` — no hangs,
 no unhandled exceptions — and the audit layer must flag every seeded
 ``wrong_model`` / ``truncated_proof`` fault while passing all unfaulted
-answers.
+answers.  A ``corrupt_hint`` fault costs the proof checker a hint miss,
+never the verdict.
 """
 
 import os
+import re
 import time
 
 import pytest
@@ -165,6 +167,22 @@ class TestAuditDetection:
         assert report.failed
         assert any(check.name == "proof-replay"
                    for check in report.failures)
+
+    @pytest.mark.parametrize("seed",
+                             range(CHAOS_SEED, CHAOS_SEED + 8))
+    def test_corrupt_hint_costs_a_miss_not_the_verdict(self, seed):
+        outcome = solve_coloring(
+            UNSAT_PROBLEM, DIRECT, proof_log=True,
+            faults=_plan(f"seed={seed}; corrupt_hint"))
+        assert outcome.status is SolveStatus.UNSAT
+        assert "corrupt_hint" in str(
+            outcome.solver_stats.get("injected_faults", ""))
+        report = audit_outcome(UNSAT_PROBLEM, outcome)
+        assert report.verdict is AuditVerdict.PASS, report.summary()
+        replay, = [check for check in report.checks
+                   if check.name == "proof-replay"]
+        misses = re.search(r"(\d+) hint misses", replay.detail)
+        assert int(misses.group(1)) >= 1, replay.detail
 
     def test_unfaulted_sat_passes_audit(self):
         outcome = solve_coloring(SAT_PROBLEM, DIRECT, keep_model=True,
@@ -354,10 +372,11 @@ class TestBatchChaos:
 
     @pytest.mark.parametrize("spec", [
         "crash@worker", "crash@solver", "hang@worker", "slowdown:s=0.002",
-        "wrong_model", "truncated_proof", "corrupt_input",
+        "wrong_model", "truncated_proof", "corrupt_hint", "corrupt_input",
     ])
     def test_fault_kinds_terminate_in_deadline(self, spec):
-        problem = UNSAT_PROBLEM if spec == "truncated_proof" else SAT_PROBLEM
+        problem = (UNSAT_PROBLEM if spec in ("truncated_proof", "corrupt_hint")
+                   else SAT_PROBLEM)
         job = BatchJob("chaos", problem, DIRECT)
         start = time.perf_counter()
         result = self._run(job, job_timeout=DEADLINE, timeout=2 * DEADLINE,

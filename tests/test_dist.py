@@ -482,7 +482,10 @@ class TestSchedulerSlots:
             from repro.core.pipeline import solve_coloring
 
             def announcing_solve(problem, strategy, **kwargs):
-                print(os.getpid(), flush=True)
+                # One write per line: print() issues the number and the
+                # newline as two writes when stdout is unbuffered, and
+                # the two workers' lines could interleave.
+                os.write(1, f"{os.getpid()}\\n".encode())
                 if strategy.seed == 2:
                     time.sleep(1.0)
                 return solve_coloring(problem, strategy, **kwargs)

@@ -7,7 +7,10 @@ instances, under both solver presets.  Both current engines — the flat
 clause-arena engine and the retained legacy engine — must reproduce
 every pinned triple exactly: the arena is a storage/propagation-speed
 change only, and any drift in decision or conflict counts means the
-search trajectory silently changed.
+search trajectory silently changed.  The arena and packed engines must
+also hit their pins with proof logging on: recording a learned clause
+and its hint (the clauses its conflict analysis used) must not move the
+search.
 """
 
 import json
@@ -25,6 +28,9 @@ FIXTURES = json.loads(
 
 PRESETS = ("minisat_like", "siege_like")
 ENGINES = {"arena": CDCLSolver, "legacy": LegacyCDCLSolver}
+#: Proof-logging settings each engine is pinned under (the legacy engine
+#: logs no hints, so only its default run is pinned).
+PROOF_LOGS = {"arena": (False, True), "legacy": (False,)}
 
 # name -> CNF builder, mirroring exactly how the fixtures were generated.
 RANDOM_SPECS = {
@@ -34,8 +40,11 @@ RANDOM_SPECS = {
 }
 
 
-def _triple(cnf: CNF, engine: str, preset_name: str):
-    solver = ENGINES[engine](cnf.copy(), preset(preset_name))
+def _triple(cnf: CNF, engine: str, preset_name: str,
+            proof_log: bool = False):
+    solver_class = {**ENGINES, "packed": PackedCDCLSolver}[engine]
+    solver = solver_class(cnf.copy(),
+                          preset(preset_name, proof_log=proof_log))
     result = solver.solve()
     return [bool(result.is_sat), int(solver.stats["decisions"]),
             int(solver.stats["conflicts"])]
@@ -47,9 +56,11 @@ def test_random_cnf_trajectories(name, engine):
     nv, nc, seed = RANDOM_SPECS[name]
     cnf = random_3sat(nv, nc, seed)
     for preset_name in PRESETS:
-        assert _triple(cnf, engine, preset_name) \
-            == FIXTURES["random"][name][preset_name], \
-            f"{engine}/{preset_name} diverged from the seed solver on {name}"
+        for proof_log in PROOF_LOGS[engine]:
+            assert _triple(cnf, engine, preset_name, proof_log) \
+                == FIXTURES["random"][name][preset_name], \
+                f"{engine}/{preset_name} (proof_log={proof_log}) " \
+                f"diverged from the seed solver on {name}"
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -57,8 +68,9 @@ def test_random_cnf_trajectories(name, engine):
 def test_pigeonhole_trajectories(holes, engine):
     cnf = pigeonhole(holes)
     for preset_name in PRESETS:
-        assert _triple(cnf, engine, preset_name) \
-            == FIXTURES["pigeonhole"][f"php-{holes}"][preset_name]
+        for proof_log in PROOF_LOGS[engine]:
+            assert _triple(cnf, engine, preset_name, proof_log) \
+                == FIXTURES["pigeonhole"][f"php-{holes}"][preset_name]
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +94,10 @@ def routing_cnfs():
 @pytest.mark.parametrize("name", ["alu2-w8", "alu2-w7"])
 def test_routing_trajectories(routing_cnfs, name, engine):
     for preset_name in PRESETS:
-        assert _triple(routing_cnfs[name], engine, preset_name) \
-            == FIXTURES["routing"][name][preset_name]
+        for proof_log in PROOF_LOGS[engine]:
+            assert _triple(routing_cnfs[name], engine, preset_name,
+                           proof_log) \
+                == FIXTURES["routing"][name][preset_name]
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +127,12 @@ def modern_routing_cnfs():
                                   "alu2-w8-cmddirect", "alu2-w7-cmddirect"])
 def test_modern_encoding_trajectories(modern_routing_cnfs, name, engine):
     for preset_name in PRESETS:
-        assert _triple(modern_routing_cnfs[name], engine, preset_name) \
-            == FIXTURES["modern"][name][preset_name], \
-            f"{engine}/{preset_name} drifted on {name}"
+        for proof_log in PROOF_LOGS[engine]:
+            assert _triple(modern_routing_cnfs[name], engine, preset_name,
+                           proof_log) \
+                == FIXTURES["modern"][name][preset_name], \
+                f"{engine}/{preset_name} (proof_log={proof_log}) " \
+                f"drifted on {name}"
 
 
 class TestPackedTrajectories:
@@ -130,24 +147,18 @@ class TestPackedTrajectories:
         nv, nc, seed = RANDOM_SPECS[name]
         cnf = random_3sat(nv, nc, seed)
         for preset_name in PRESETS:
-            solver = PackedCDCLSolver(cnf.copy(), preset(preset_name))
-            result = solver.solve()
-            triple = [bool(result.is_sat),
-                      int(solver.stats["decisions"]),
-                      int(solver.stats["conflicts"])]
-            assert triple == FIXTURES["packed"]["random"][name][preset_name]
+            for proof_log in (False, True):
+                assert _triple(cnf, "packed", preset_name, proof_log) \
+                    == FIXTURES["packed"]["random"][name][preset_name]
 
     @pytest.mark.parametrize("holes", [5, 6])
     def test_pigeonhole_trajectories(self, holes):
         cnf = pigeonhole(holes)
         for preset_name in PRESETS:
-            solver = PackedCDCLSolver(cnf.copy(), preset(preset_name))
-            result = solver.solve()
-            triple = [bool(result.is_sat),
-                      int(solver.stats["decisions"]),
-                      int(solver.stats["conflicts"])]
-            assert triple \
-                == FIXTURES["packed"]["pigeonhole"][f"php-{holes}"][preset_name]
+            for proof_log in (False, True):
+                assert _triple(cnf, "packed", preset_name, proof_log) \
+                    == FIXTURES["packed"]["pigeonhole"][f"php-{holes}"][
+                        preset_name]
 
     def test_packed_is_deterministic(self):
         cnf = random_3sat(60, 250, 2)
