@@ -133,11 +133,17 @@ bench-scale:
 
 # The end-to-end benchmark (perfbench/, declared in BENCHMARK.json): its
 # own tests, which the tier-1 suite does not collect, then one untraced
-# pass of each workload.  Fails unless every pass exits 0 and reports
-# correct answers and no failed unit.
+# pass of each workload.  Fails unless every pass exits 0, reports
+# correct answers and no failed unit, and prints the pinned counters
+# digest: a hash of every unit's search counters (conflicts, decisions,
+# widths), so a change that moves any search trajectory fails here.  A
+# change that moves one on purpose updates the pin and says so in
+# CHANGES.md.
 perfbench-smoke:
 	python -m pytest perfbench/test_perfbench.py -q
-	for workload in unroutable flow batch; do \
+	for pinned in unroutable:b69a2755f0abb79b flow:8b524cf9460bb4ac \
+			batch:144f698f9609b4d7; do \
+		workload=$${pinned%%:*}; expected=$${pinned#*:}; \
 		out=$$(python3 perfbench/run.py --workload $$workload --seed 1 \
 			--seconds 0 --trace 0) || exit 1; \
 		echo "$$out"; \
@@ -145,6 +151,12 @@ perfbench-smoke:
 	r = json.loads(sys.stdin.readlines()[-1]); \
 	sys.exit(0 if r['correct'] and r['failed'] == 0 else f'failed: {r}')" \
 			|| exit 1; \
+		digest=$$(echo "$$out" | sed -n 's/^counters digest: //p'); \
+		if [ "$$digest" != "$$expected" ]; then \
+			echo "perfbench-smoke: $$workload counters digest" \
+				"'$$digest', pinned '$$expected'"; \
+			exit 1; \
+		fi; \
 	done
 
 # Hinted-proof smoke: one traced pass of the unroutable workload, then

@@ -191,7 +191,7 @@ def measure_instance(name: str, cnf: CNF, *, runner: Callable,
     return {
         "name": name,
         "num_vars": cnf.num_vars,
-        "num_clauses": len(cnf.clauses),
+        "num_clauses": cnf.num_clauses,
         "rounds": rounds,
         "arena": results["arena"],
         "legacy": results["legacy"],
@@ -269,7 +269,7 @@ def measure_conflict_instance(name: str, cnf: CNF, *,
     return {
         "name": name,
         "num_vars": cnf.num_vars,
-        "num_clauses": len(cnf.clauses),
+        "num_clauses": cnf.num_clauses,
         "baseline": results["baseline"],
         "tuned": results["tuned"],
         "speedup": round(base_t / tuned_t, 3) if tuned_t > 0 else None,

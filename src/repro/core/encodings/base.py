@@ -19,13 +19,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...coloring.problem import ColoringProblem
 from ...sat.cnf import CNF
+from ...sat.literals import lit_to_code
 from ...sat.model import Model
 from ..patterns import (LocalClause, Pattern, check_pattern, negate_pattern,
-                        pattern_holds, shift_clause, shift_pattern)
+                        pattern_holds, shift_pattern)
 
 
 class LevelScheme(ABC):
@@ -115,12 +118,14 @@ class VertexEncoding:
         """Check the block's internal consistency.
 
         Every pattern and every structural clause must stay inside the
-        declared ``num_vars`` block and mention no variable twice within
-        a pattern.  Auxiliary-variable schemes (sequential / commander /
+        declared ``num_vars`` block and mention no variable twice.
+        Auxiliary-variable schemes (sequential / commander /
         bimander / product at-most-one, POP-H channelling) are exactly
         where an off-by-one in allocation would silently alias two
         constraint groups — an aliased CNF is *still well-formed*, so
-        nothing downstream would catch it.  Raises ``ValueError``.
+        nothing downstream would catch it.  The encoder's clauses are
+        shifted copies of these, so this check is what lets the solvers
+        load them without deduplicating.  Raises ``ValueError``.
         """
         if len(self.patterns) != self.num_values:
             raise ValueError(
@@ -137,6 +142,10 @@ class VertexEncoding:
                         f"structural clause literal {lit} exceeds the "
                         f"vertex block size {self.num_vars} — the scheme "
                         f"references a variable it never declared")
+            if len({abs(lit) for lit in clause}) < len(clause):
+                raise ValueError(
+                    f"structural clause {tuple(clause)} mentions a "
+                    f"variable twice")
 
     def decode_value(self, values: Sequence[bool]) -> Optional[int]:
         """Return the first domain value whose pattern holds under a local
@@ -157,7 +166,9 @@ class EncodedProblem:
     """A coloring problem translated to CNF under a particular encoding.
 
     Variable layout: vertex ``v`` owns the contiguous global variables
-    ``v * vars_per_vertex + 1 .. (v + 1) * vars_per_vertex``.
+    ``v * vars_per_vertex + 1 .. (v + 1) * vars_per_vertex``.  The
+    ``vertex_encoding`` must pass :meth:`VertexEncoding.validate` (the
+    registry's and the mixed builders validate every block they build).
     """
 
     def __init__(self, problem: ColoringProblem, vertex_encoding: VertexEncoding,
@@ -166,38 +177,38 @@ class EncodedProblem:
         self.vertex_encoding = vertex_encoding
         self.encoding_name = encoding_name
         self.vars_per_vertex = vertex_encoding.num_vars
-        self.cnf = CNF(num_vars=problem.num_vertices * self.vars_per_vertex)
-        # Per-vertex cache of each color's *negated, globally shifted*
-        # indexing pattern — i.e. the clause half forbidding that color at
-        # that vertex.  A vertex's patterns are reused by every incident
-        # edge (and again by symmetry breaking via forbid_color_clause),
-        # so shifting and negating once per vertex instead of once per
-        # edge endpoint removes the dominant allocation in CNF generation.
-        self._forbid: List[List[Tuple[int, ...]]] = []
-        self._build()
+        self.cnf = self._build()
 
-    def _build(self) -> None:
+    def _build(self) -> CNF:
+        """The formula as literal codes, converted once per template.
+
+        Shifting a block by ``offset`` adds ``2 * offset`` to each code,
+        so every clause is a template plus its vertex's shift.  The
+        templates passed :meth:`VertexEncoding.validate` and edges join
+        distinct vertices, so no clause mentions a variable twice."""
         graph = self.problem.graph
-        num_colors = self.problem.num_colors
-        negated = [negate_pattern(p) for p in self.vertex_encoding.patterns]
-        # negate(shift(p)) == shift(negate(p)): both flip signs and push
-        # magnitudes up by the offset, so the cache can shift the negations.
-        self._forbid = [
-            [shift_pattern(pattern, self.vertex_offset(v))
-             for pattern in negated]
-            for v in range(graph.num_vertices)]
+        encoding = self.vertex_encoding
+        edges = list(graph.edges())
+        step = 2 * self.vars_per_vertex  # code shift between vertex blocks
+        shifts = [v * step for v in range(graph.num_vertices)]
         # Structural clauses, once per vertex.
-        for v in range(graph.num_vertices):
-            offset = self.vertex_offset(v)
-            for clause in self.vertex_encoding.clauses:
-                self.cnf.add_clause(shift_clause(clause, offset))
+        structural = [lit_to_code(lit) for clause in encoding.clauses
+                      for lit in clause]
+        codes = [code + shift for shift in shifts for code in structural]
+        # Each vertex's clause half forbidding each color (its negated,
+        # shifted pattern), shared by every incident edge.
+        negated = [tuple(lit_to_code(-lit) for lit in pattern) for pattern
+                   in encoding.patterns[:self.problem.num_colors]]
+        forbid = [[tuple(map(shift.__add__, half)) for half in negated]
+                  for shift in shifts]
         # Conflict clauses, once per edge per common domain value (§2):
         # ¬(pattern@u ∧ pattern@w) is just the two cached halves joined.
-        for u, w in graph.edges():
-            forbid_u = self._forbid[u]
-            forbid_w = self._forbid[w]
-            for color in range(num_colors):
-                self.cnf.add_clause(forbid_u[color] + forbid_w[color])
+        for u, w in edges:
+            codes.extend(chain.from_iterable(map(add, forbid[u], forbid[w])))
+        lengths = (list(map(len, encoding.clauses)) * len(shifts)
+                   + [2 * len(half) for half in negated] * len(edges))
+        return CNF.from_codes(graph.num_vertices * self.vars_per_vertex,
+                              codes, list(accumulate(lengths)))
 
     def vertex_offset(self, v: int) -> int:
         """Variable offset of vertex ``v``'s block."""
@@ -212,11 +223,8 @@ class EncodedProblem:
 
     def forbid_color_clause(self, v: int, color: int) -> Tuple[int, ...]:
         """Clause asserting vertex ``v`` does not take ``color`` (used by
-        symmetry breaking — paper §5).  Served from the per-vertex cache
-        built during CNF generation."""
-        if not 0 <= v < self.problem.num_vertices:
-            raise ValueError(f"vertex {v} out of range")
-        return self._forbid[v][color]
+        symmetry breaking — paper §5)."""
+        return negate_pattern(self.global_pattern(v, color))
 
     def add_symmetry_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
         """Append externally generated (symmetry-breaking) clauses."""

@@ -88,8 +88,10 @@ def build_mixed_vertex_encoding(num_values: int, top: Level,
                         _block_domain(scheme, width)):
                     clauses.append(shift_clause(clause, offset))
 
-    return VertexEncoding(num_values=num_values, num_vars=next_offset,
-                          patterns=patterns, clauses=clauses)
+    encoding = VertexEncoding(num_values=num_values, num_vars=next_offset,
+                              patterns=patterns, clauses=clauses)
+    encoding.validate()
+    return encoding
 
 
 def _block_domain(scheme: LevelScheme, block_vars: int) -> int:

@@ -180,11 +180,11 @@ def _check_model(report: AuditReport, cnf: CNF,
                    f"model covers {model.num_vars} of {cnf.num_vars} "
                    f"variables")
         return
-    for index, clause in enumerate(cnf):
-        if not model.satisfies_clause(clause):
-            report.add("model-satisfies-cnf", False,
-                       f"clause {index} falsified: {tuple(clause)}")
-            return
+    index = model.falsified_clause(cnf)
+    if index >= 0:
+        report.add("model-satisfies-cnf", False,
+                   f"clause {index} falsified: {cnf.clauses[index]}")
+        return
     report.add("model-satisfies-cnf", True,
                f"{cnf.num_clauses} clauses satisfied")
 

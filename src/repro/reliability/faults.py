@@ -524,9 +524,8 @@ class FaultInjector:
         Tries ``corrupt_input`` (flip the sign of one literal), then
         ``drop_clause`` (delete one clause — the injected *encoding
         bug*).  Returns a description of the corruption, or None when
-        no fault fires (or the formula has nothing to corrupt).
-        ``cnf`` is duck-typed: anything with a ``clauses`` list of
-        literal tuples works.
+        no fault fires (or the formula has nothing to corrupt).  Both
+        edit the :class:`~repro.sat.cnf.CNF`'s stored codes in place.
         """
         index = self._fire("corrupt_input")
         if index >= 0:
@@ -536,10 +535,8 @@ class FaultInjector:
                 return None
             rng = self._rng(index)
             target = candidates[rng.randrange(len(candidates))]
-            clause = list(clauses[target])
-            position = rng.randrange(len(clause))
-            clause[position] = -clause[position]
-            clauses[target] = tuple(clause)
+            position = rng.randrange(len(clauses[target]))
+            cnf.negate_literal(target, position)
             return (f"corrupt_input: flipped literal {position} of clause "
                     f"{target}")
         return self.drop_cnf_clause(cnf)
@@ -562,7 +559,5 @@ class FaultInjector:
         if not candidates:
             return None
         target = candidates[self._rng(index).randrange(len(candidates))]
-        dropped = clauses[target]
-        del clauses[target]
         return (f"drop_clause: removed clause {target} "
-                f"{tuple(dropped)}")
+                f"{cnf.remove_clause(target)}")

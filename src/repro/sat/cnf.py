@@ -2,20 +2,28 @@
 
 The :class:`CNF` class is the hand-off format between the encoding layer
 (:mod:`repro.core.encodings`) and the SAT solvers (:mod:`repro.sat.solver`).
-It stores clauses as tuples of DIMACS literals, tracks the number of
-variables, and can be serialised to and parsed from the standard DIMACS
-``p cnf`` format so instances can be inspected with external tools.
+It stores all literals back to back as *codes* (``2*v`` for ``v``,
+``2*v + 1`` for ``-v``), the form the engines and the proof checker
+propagate over, plus each clause's end offset; the DIMACS tuples of
+:attr:`CNF.clauses` are a view derived on demand.  It tracks the number
+of variables and reads and writes the standard DIMACS ``p cnf`` format.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from itertools import accumulate, chain, compress, count
+from operator import eq
+from typing import (Iterable, Iterator, List, Optional, Sequence, TextIO,
+                    Tuple)
 
 from ..errors import ParseError
-from .literals import var_of
+from .literals import clause_to_codes
 
 Clause = Tuple[int, ...]
+
+#: Maps a variable's truth byte to its negation's.
+_NEGATE = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class CNF:
@@ -37,11 +45,28 @@ class CNF:
                  num_vars: int = 0) -> None:
         if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        self._clauses: List[Clause] = []
+        # Clause i is _codes[_ends[i - 1]:_ends[i]] (from 0 for i == 0).
+        self._codes: List[int] = []
+        self._ends: List[int] = []
         self._num_vars = num_vars
+        # True while no clause mentions a variable twice (no duplicate or
+        # complementary literal), see code_clauses.
+        self._distinct = True
+        self._view: Optional[List[Clause]] = None
         if clauses is not None:
             for clause in clauses:
                 self.add_clause(clause)
+
+    @classmethod
+    def from_codes(cls, num_vars: int, codes: List[int],
+                   ends: List[int]) -> "CNF":
+        """A formula owning ``codes`` and ``ends`` as its storage.  The
+        caller guarantees each code's variable is in ``1..num_vars`` and
+        no clause mentions a variable twice (as the encoder does)."""
+        cnf = cls(num_vars=num_vars)
+        cnf._codes = codes
+        cnf._ends = ends
+        return cnf
 
     @property
     def num_vars(self) -> int:
@@ -51,12 +76,51 @@ class CNF:
     @property
     def num_clauses(self) -> int:
         """Number of clauses added so far."""
-        return len(self._clauses)
+        return len(self._ends)
 
     @property
     def clauses(self) -> List[Clause]:
-        """The clause list (shared, do not mutate)."""
-        return self._clauses
+        """The clauses as DIMACS literal tuples (shared, do not mutate):
+        a view built on first use, which :meth:`add_clause` extends."""
+        if self._view is None:
+            lits = [-(code >> 1) if code & 1 else code >> 1
+                    for code in self._codes]
+            self._view = list(map(tuple, map(lits.__getitem__,
+                                             self._slices())))
+        return self._view
+
+    def _slices(self) -> Iterator[slice]:
+        """Each clause's slice of the stored codes, in clause order."""
+        ends = self._ends
+        return map(slice, chain((0,), ends), ends)
+
+    def code_clauses(self) -> Iterator[Optional[List[int]]]:
+        """Each clause's literal codes as a fresh list, in clause order:
+        what the engines and the proof checker load.  While no clause
+        mentions a variable twice (as in encoder output) these are the
+        stored codes; otherwise each clause goes through
+        :func:`~repro.sat.literals.clause_to_codes` (duplicates dropped,
+        ``None`` for a tautology)."""
+        if self._distinct:
+            return map(self._codes.__getitem__, self._slices())
+        return map(clause_to_codes, self.clauses)
+
+    def first_falsified(self, values: Sequence[bool]) -> int:
+        """Index of the first clause the assignment falsifies, or -1 when
+        it satisfies every clause.  ``values[v]`` is variable ``v``'s
+        value for ``v`` in ``1..num_vars`` (``values[0]`` is unused)."""
+        n = self._num_vars
+        if len(values) <= n:
+            raise ValueError(f"{len(values) - 1} values for {n} variables")
+        positive = bytes(values[1:n + 1])
+        truth = bytearray(2 * n + 2)  # one truth byte per literal code
+        truth[2::2] = positive
+        truth[3::2] = positive.translate(_NEGATE)
+        # true_before[k]: true literals among the first k codes.
+        true_before = [0, *accumulate(map(truth.__getitem__, self._codes))]
+        at_ends = list(map(true_before.__getitem__, self._ends))
+        falsified = map(eq, at_ends, chain((0,), at_ends))
+        return next(compress(count(), falsified), -1)
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable id."""
@@ -81,36 +145,67 @@ class CNF:
 
         The empty clause is allowed and makes the formula trivially
         unsatisfiable.  Literal order is preserved; duplicates are kept
-        (the solver tolerates them), but a ``0`` literal is rejected.
+        (the engines load the clause normalised, see
+        :meth:`code_clauses`).  A literal that is ``0`` or not an ``int``
+        (``bool`` included) raises ``ValueError``.
         """
         clause = tuple(lits)
+        codes = []
         for lit in clause:
-            if lit == 0:
-                raise ValueError("clause contains the invalid literal 0")
-            v = var_of(lit)
-            if v > self._num_vars:
-                self._num_vars = v
-        self._clauses.append(clause)
+            if type(lit) is not int or lit == 0:
+                raise ValueError(
+                    f"clause contains the invalid literal {lit!r}")
+            codes.append(2 * lit if lit > 0 else 1 - 2 * lit)
+        if codes:
+            top = max(codes) >> 1
+            if top > self._num_vars:
+                self._num_vars = top
+            if self._distinct and \
+                    len({code >> 1 for code in codes}) < len(codes):
+                self._distinct = False
+        self._codes.extend(codes)
+        self._ends.append(len(self._codes))
+        if self._view is not None:
+            self._view.append(clause)
 
     def extend(self, clauses: Iterable[Iterable[int]]) -> None:
         """Add many clauses at once."""
         for clause in clauses:
             self.add_clause(clause)
 
+    def negate_literal(self, index: int, position: int) -> None:
+        """Flip the sign of literal ``position`` of clause ``index``."""
+        length = len(self.clauses[index])
+        if not 0 <= position < length:
+            raise IndexError(f"clause {index} has no literal {position}")
+        self._codes[self._ends[index] - length + position] ^= 1
+        self._view = None
+
+    def remove_clause(self, index: int) -> Clause:
+        """Delete clause ``index`` and return it."""
+        clause, ends = self.clauses[index], self._ends
+        if index < 0:
+            index += len(ends)
+        del self._codes[ends[index] - len(clause):ends[index]]
+        ends[index:] = [end - len(clause) for end in ends[index + 1:]]
+        self._view = None
+        return clause
+
     def copy(self) -> "CNF":
         """Return an independent copy of this formula."""
-        duplicate = CNF(num_vars=self._num_vars)
-        duplicate._clauses = list(self._clauses)
+        duplicate = CNF.from_codes(self._num_vars, list(self._codes),
+                                   list(self._ends))
+        duplicate._distinct = self._distinct
         return duplicate
 
     def __iter__(self) -> Iterator[Clause]:
-        return iter(self._clauses)
+        return iter(self.clauses)
 
     def __len__(self) -> int:
-        return len(self._clauses)
+        return len(self._ends)
 
     def __repr__(self) -> str:
-        return f"CNF(num_vars={self._num_vars}, num_clauses={len(self._clauses)})"
+        return f"CNF(num_vars={self._num_vars}, num_clauses={len(self._ends)})"
 
     # ------------------------------------------------------------------
     # DIMACS serialisation
@@ -120,8 +215,8 @@ class CNF:
         """Write the formula to ``stream`` in DIMACS CNF format."""
         for comment in comments:
             stream.write(f"c {comment}\n")
-        stream.write(f"p cnf {self._num_vars} {len(self._clauses)}\n")
-        for clause in self._clauses:
+        stream.write(f"p cnf {self._num_vars} {len(self._ends)}\n")
+        for clause in self.clauses:
             stream.write(" ".join(str(lit) for lit in clause))
             stream.write(" 0\n")
 

@@ -50,9 +50,16 @@ class Model:
         """Return True if this model satisfies the clause."""
         return any(self.satisfies_literal(lit) for lit in clause)
 
+    def falsified_clause(self, cnf: CNF) -> int:
+        """Index of the first clause of ``cnf`` this model falsifies, or
+        -1; the model must cover ``cnf``'s variables."""
+        return cnf.first_falsified(self._values)
+
     def satisfies(self, cnf: CNF) -> bool:
-        """Return True if this model satisfies every clause of ``cnf``."""
-        return all(self.satisfies_clause(clause) for clause in cnf)
+        """Return True if this model satisfies every clause of ``cnf``
+        (False for a model over fewer variables than the formula)."""
+        return self.num_vars >= cnf.num_vars and \
+            self.falsified_clause(cnf) < 0
 
     def true_vars(self) -> List[int]:
         """Return the sorted list of variables assigned True."""

@@ -80,12 +80,11 @@ class _Propagator:
         self._trail.append(code)
         return True
 
-    def add_clause(self, clause: Sequence[int]) -> Optional[List[int]]:
-        """Add a clause permanently and propagate at the root level.
-
-        Returns the clause's literal codes (None for a tautology), the
-        form a hint's clause IDs resolve to."""
-        codes = clause_to_codes(clause)
+    def add_codes(self, codes: Optional[List[int]]) -> Optional[List[int]]:
+        """Add a clause, given as its literal codes (None for a
+        tautology, which adds nothing), permanently and propagate at the
+        root level.  Returns ``codes``: the form a hint's clause IDs
+        resolve to."""
         if codes is not None and not self.contradiction:
             self._add(codes)
         return codes
@@ -287,15 +286,10 @@ def verify_rup_proof(cnf: CNF, proof: Iterable[Sequence[int]],
     unhinted step.  See the module docstring for the ID numbering.
     """
     propagator = _Propagator(cnf.num_vars)
-    clauses: Optional[List[Optional[List[int]]]] = None
-    if hints is None:
-        for clause in cnf:
-            propagator.add_clause(clause)
-    else:
-        # ID -> literal codes: the formula's clauses, then each step.
-        clauses = [propagator.add_clause(clause) for clause in cnf]
-        ids, starts = hints
-        ends = _hint_ends(ids, starts)
+    # ID -> literal codes: the formula's clauses, then each step.
+    clauses = list(map(propagator.add_codes, cnf.code_clauses()))
+    ids, starts = hints if hints is not None else ((), ())
+    ends = _hint_ends(ids, starts)
     derived_empty = propagator.contradiction
     steps = hinted = misses = 0
 
@@ -311,8 +305,7 @@ def verify_rup_proof(cnf: CNF, proof: Iterable[Sequence[int]],
                     f"proof step {step} mentions literal {lit}, outside "
                     f"the formula's variables 1..{cnf.num_vars}")
         verified = False
-        if clauses is not None and step < len(starts) \
-                and starts[step] >= 0:
+        if step < len(starts) and starts[step] >= 0:
             hint = _resolve_hint(clauses, ids[starts[step]:ends[step]])
             if hint is not None and propagator.rup_check(clause, hint):
                 hinted += 1
@@ -321,9 +314,7 @@ def verify_rup_proof(cnf: CNF, proof: Iterable[Sequence[int]],
                 misses += 1
         if not verified and not propagator.rup_check(clause):
             return failed(f"proof step {step} is not RUP: {clause}")
-        codes = propagator.add_clause(clause)
-        if clauses is not None:
-            clauses.append(codes)
+        clauses.append(propagator.add_codes(clause_to_codes(clause)))
         steps += 1
         if not clause or propagator.contradiction:
             derived_empty = True

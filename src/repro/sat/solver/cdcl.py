@@ -71,7 +71,7 @@ from typing import Dict, List, Optional
 from ...obs import metrics as obs_metrics
 from ...obs import trace as obs_trace
 from ..cnf import CNF
-from ..literals import clause_to_codes, lit_to_code, var_of
+from ..literals import lit_to_code, var_of
 from ..model import Model, SolveResult
 from ..status import CancelToken, SolveStatus
 from .config import SolverConfig
@@ -222,10 +222,9 @@ class CDCLSolver:
         self._num_input = cnf.num_clauses
 
     def _ingest(self, cnf: CNF) -> None:
-        for index, clause in enumerate(cnf):
+        for index, codes in enumerate(cnf.code_clauses()):
             if not self._ok:
                 return
-            codes = clause_to_codes(clause)
             if codes is None:  # tautology
                 continue
             if not codes:

@@ -23,7 +23,7 @@ import time
 from typing import Dict, List, Optional
 
 from ..cnf import CNF
-from ..literals import clause_to_codes, lit_to_code, var_of
+from ..literals import lit_to_code, var_of
 from ..model import Model, SolveResult
 from ..status import CancelToken, SolveStatus
 from .cdcl import BudgetExceeded, CDCLSolver
@@ -98,10 +98,9 @@ class LegacyCDCLSolver:
     # ------------------------------------------------------------------
 
     def _ingest(self, cnf: CNF) -> None:
-        for clause in cnf:
+        for codes in cnf.code_clauses():
             if not self._ok:
                 return
-            codes = clause_to_codes(clause)
             if codes is None:  # tautology
                 continue
             if not codes:

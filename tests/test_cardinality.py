@@ -28,7 +28,7 @@ from repro.core.encodings import (AuxAllocator, BIMDIRECT, CMDDIRECT,
                                   atmost_k_totalizer, build_amo,
                                   build_vertex_encoding, commander_groups,
                                   product_grid)
-from repro.core.encodings.base import Level
+from repro.core.encodings.base import Level, VertexEncoding
 
 
 def clause_holds(clause, assignment):
@@ -262,6 +262,14 @@ class TestDuplicateAuxRegression:
         broken = _UndeclaredAuxScheme("broken-decl", "sequential")
         with pytest.raises(ValueError, match="never declared"):
             build_vertex_encoding(5, [Level(broken, None)])
+
+    @pytest.mark.parametrize("clause", [(1, -1), (2, 2), (1, 3, -3)])
+    def test_structural_clause_repeating_a_variable_fails_validation(
+            self, clause):
+        encoding = VertexEncoding(num_values=2, num_vars=3,
+                                  patterns=[(1,), (2,)], clauses=[clause])
+        with pytest.raises(ValueError, match="mentions a variable twice"):
+            encoding.validate()
 
     def test_healthy_schemes_pass_validation(self):
         for scheme in (CMDDIRECT, BIMDIRECT, PRODDIRECT, SEQDIRECT):

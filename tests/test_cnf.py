@@ -75,6 +75,70 @@ class TestConstruction:
         assert original.num_clauses == 1
         assert duplicate.num_clauses == 2
 
+    @pytest.mark.parametrize("lit", [1.0, True, False, "1", None])
+    def test_non_int_literal_rejected(self, lit):
+        cnf = CNF()
+        with pytest.raises(ValueError, match=f"invalid literal {lit!r}"):
+            cnf.add_clause([2, lit])
+        assert cnf.num_clauses == 0 and cnf.num_vars == 0
+
+    def test_float_literal_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="1.0"):
+            CNF([[1.0, 2]])
+        with pytest.raises(ValueError, match="True"):
+            CNF([[True]])
+
+
+class TestCodes:
+    """The stored literal codes and the view derived from them."""
+
+    def test_code_clauses_are_the_stored_codes(self):
+        cnf = CNF([[1, -2], [3], []])
+        assert list(cnf.code_clauses()) == [[2, 5], [6], []]
+
+    def test_code_clauses_normalise_a_repeated_variable(self):
+        cnf = CNF([[1, -2], [2, 3, 2], [4, -4], [5]])
+        assert list(cnf.code_clauses()) == [[2, 5], [4, 6], None, [10]]
+        assert cnf.clauses[1] == (2, 3, 2)  # the view keeps duplicates
+
+    def test_view_follows_appends(self):
+        cnf = CNF([[1]])
+        view = cnf.clauses
+        cnf.add_clause([-1, 2])
+        assert cnf.clauses is view and view == [(1,), (-1, 2)]
+
+    def test_first_falsified(self):
+        cnf = CNF([[1, 2], [-1], [], [2]])
+        assert cnf.first_falsified([False, False, True]) == 2
+        assert cnf.first_falsified([False, True, True]) == 1
+        assert CNF([[1], [-2]]).first_falsified([False, True, False]) == -1
+
+    def test_first_falsified_needs_every_variable(self):
+        with pytest.raises(ValueError, match="1 values for 2 variables"):
+            CNF([[2]]).first_falsified([False, True])
+
+    def test_negate_literal(self):
+        cnf = CNF([[1, 2], [-3, 4]])
+        cnf.clauses  # the view must follow the edit
+        cnf.negate_literal(1, 0)
+        assert cnf.clauses == [(1, 2), (3, 4)]
+        assert list(cnf.code_clauses()) == [[2, 4], [6, 8]]
+        with pytest.raises(IndexError):
+            cnf.negate_literal(0, 2)
+
+    @pytest.mark.parametrize("index, removed, codes", [
+        (1, (2, -3), [[2], [8]]),
+        (-1, (4,), [[2], [4, 7]]),
+    ])
+    def test_remove_clause(self, index, removed, codes):
+        cnf = CNF([[1], [2, -3], [4]])
+        assert cnf.remove_clause(index) == removed
+        assert len(cnf) == 2 and list(cnf.code_clauses()) == codes
+
+    def test_copy_keeps_normalisation(self):
+        duplicate = CNF([[1, 1]]).copy()
+        assert list(duplicate.code_clauses()) == [[2]]
+
 
 class TestDimacs:
     def test_serialise(self):

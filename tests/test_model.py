@@ -46,6 +46,15 @@ class TestModel:
         assert model.satisfies(CNF([[1], [-2], [1, 2]]))
         assert not model.satisfies(CNF([[2]]))
 
+    def test_model_shorter_than_formula_does_not_satisfy(self):
+        assert not Model([True]).satisfies(CNF([[2]]))
+        assert not Model([True]).satisfies(CNF([[1]], num_vars=2))
+
+    def test_falsified_clause(self):
+        model = Model([True, False])
+        assert model.falsified_clause(CNF([[1], [2], [-1]])) == 1
+        assert model.falsified_clause(CNF([[1], [-2]])) == -1
+
     def test_equality_and_hash(self):
         assert Model([True]) == Model([True])
         assert Model([True]) != Model([False])
