@@ -90,8 +90,9 @@ serve-smoke:
 serve-chaos:
 	PYTHONPATH=src python -m repro.serve.chaos
 
-# Distributed-solving smoke: a 2-shard work-stealing run with an
-# injected worker crash (zero lost jobs, legacy-engine fallback), a
+# Distributed-solving smoke: a 2-shard work-stealing run where one of
+# two strategies crashes every attempt (its jobs end as ERROR after 2
+# attempts, the other strategy's jobs all settle correctly), a
 # clause-sharing portfolio under corrupt_share (filter must hold), and
 # a cubed run with crashing workers (every cube still closed).
 # Deterministic fault seeds; see docs/distributed.md.
@@ -117,8 +118,8 @@ bench-quick:
 	PYTHONPATH=src python -m repro.bench.throughput --quick
 
 # bench-quick plus the checked-in performance floor: fails on a >25%
-# regression of any figure pinned in benchmarks/floor.json (props/sec,
-# BCP speedup, conflict-suite speedup).  This is the CI bench gate.
+# regression of any figure pinned in benchmarks/floor.json (stress-suite
+# props/sec, conflict-suite speedup).  This is the CI bench gate.
 bench-smoke:
 	PYTHONPATH=src python -m repro.bench.throughput --quick \
 		-o bench-smoke.json --check-floor benchmarks/floor.json

@@ -1,17 +1,19 @@
-"""Solver BCP throughput — arena engine vs the retained legacy engine.
+"""Solver BCP throughput of the arena engine.
 
-Runs the same-process before/after comparison from
-:mod:`repro.bench.throughput` and writes the ``BENCH_solver.json``
-artifact at the repository root.  The acceptance bar for the arena
-rewrite is a >= 1.5x propagation-throughput speedup on the
-propagation-only stress suite, with bit-identical search trajectories.
+Runs the full :mod:`repro.bench.throughput` bench and writes the
+``BENCH_solver.json`` artifact at the repository root.  The acceptance
+bar is the floor check ``make bench-smoke`` applies to the quick bench
+(``benchmarks/floor.json``: stress-suite props/sec and the
+conflict-suite speedup, each at least 75% of its floor); the stress
+suite's deterministic counters are pinned by
+``tests/test_throughput_bench.py``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.bench.throughput import run_throughput_bench, write_report
+from repro.bench.throughput import check_floor, run_throughput_bench, write_report
 
 from .conftest import publish
 
@@ -23,16 +25,14 @@ def test_bcp_throughput(benchmark):
         lambda: run_throughput_bench(), rounds=1, iterations=1)
     write_report(str(REPO_ROOT / "BENCH_solver.json"), payload)
 
-    lines = [f"headline BCP speedup (arena over legacy): "
-             f"{payload['headline_bcp_speedup']}x",
-             f"stress suite props/sec: arena "
-             f"{payload['stress_arena_props_per_sec']:,} vs legacy "
-             f"{payload['stress_legacy_props_per_sec']:,}"]
+    lines = [f"stress suite props/sec: "
+             f"{payload['stress_arena_props_per_sec']:,}"]
     for record in payload["stress_suite"] + payload.get("context_suite", []):
-        lines.append(
-            f"  {record['name']}: {record['speedup']}x ({record['sanity']})")
+        arena = record["arena"]
+        lines.append(f"  {record['name']}: {arena['props_per_sec']:,} "
+                     f"props/sec ({arena['watch_inspections']:,} watch "
+                     f"inspections)")
     publish("solver_throughput", "\n".join(lines))
 
-    for record in payload["stress_suite"] + payload.get("context_suite", []):
-        assert record["sanity"] == "identical trajectories"
-    assert payload["headline_bcp_speedup"] >= 1.5
+    assert check_floor(payload,
+                       str(REPO_ROOT / "benchmarks" / "floor.json")) == []

@@ -34,8 +34,9 @@ Guarantees:
 * **Retry on failure** — a job whose worker dies without reporting
   (segfault, OOM kill, an injected ``crash@worker`` or
   ``crash@dist_shard``; the slot forks a fresh worker) or whose job ends
-  as ERROR goes back to the head of its home shard, up to
-  ``max_attempts`` attempts; only then is the job recorded as ERROR.
+  as ERROR goes back to the head of its home shard and runs again with
+  the same strategy, up to ``max_attempts`` attempts; only then is the
+  job recorded as ERROR.
 * **Graceful partial results** — a batch deadline or an external cancel
   token stops scheduling, winds down running jobs cooperatively, and
   returns everything finished so far, with unstarted jobs listed in
@@ -102,9 +103,6 @@ class BatchJobResult:
     #: Audit report of the final attempt's answer (``audit=True`` runs
     #: only; an :class:`repro.reliability.audit.AuditReport`).
     audit: Optional[object] = None
-    #: BCP engine of the final attempt — "legacy" when the scheduler
-    #: fell back from a failing "arena" run.
-    engine: str = "arena"
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -169,26 +167,25 @@ def shard_of(instance: str, num_shards: int) -> int:
 def _batch_worker(jobs: Sequence[BatchJob], conn, cancel_event,
                   limits: Optional[SolveLimits], faults=None,
                   audit: bool = False) -> None:
-    """A slot's worker process: for each ``(job index, strategy)``
-    task read from ``conn``, solve one attempt, audit its decided answer
-    when ``audit`` is set, and send both back; return at the ``None``
-    stop sentinel, or once the scheduler process is gone."""
+    """A slot's worker process: for each job index read from ``conn``,
+    solve one attempt, audit its decided answer when ``audit`` is set,
+    and send both back; return at the ``None`` stop sentinel, or once
+    the scheduler process is gone."""
     scheduler = os.getppid()
     while True:
         if not conn.poll(_PARENT_CHECK_SECONDS):
             if os.getppid() != scheduler:
                 return
             continue
-        task = conn.recv()
-        if task is None:
+        index = conn.recv()
+        if index is None:
             return
-        index, strategy = task
         # Fresh observability state for each attempt (fork inherits the
         # parent's buffers); spans and metrics travel back on the pipe.
         obs.worker_begin()
         try:
             job = jobs[index]
-            injector = _worker_injector(faults, strategy,
+            injector = _worker_injector(faults, job.strategy,
                                         extra_sites=("dist_shard",))
             if injector is not None:
                 injector.maybe_exit()
@@ -201,7 +198,7 @@ def _batch_worker(jobs: Sequence[BatchJob], conn, cancel_event,
                 kwargs["faults"] = faults
             if audit:
                 kwargs.update(keep_model=True, proof_log=True)
-            outcome = solve_coloring(job.problem, strategy,
+            outcome = solve_coloring(job.problem, job.strategy,
                                      graph_time=job.graph_time,
                                      limits=limits,
                                      cancel=CancelToken(cancel_event),
@@ -245,9 +242,6 @@ class _Entry:
     index: int
     job: BatchJob
     home: int
-    #: Strategy run this attempt: ``job.strategy``, or its legacy-engine
-    #: twin after an engine fallback (results stay keyed by the job).
-    strategy: Strategy
     attempt: int = 1
     #: Monotonic timestamp before which this entry may not launch
     #: (quarantine backoff of its strategy).
@@ -334,8 +328,7 @@ def _fan_out_duplicates(result: BatchResult,
             cloned.append(BatchJobResult(
                 job=dup, status=primary.status, outcome=primary.outcome,
                 wall_time=primary.wall_time, attempts=primary.attempts,
-                error=primary.error, audit=primary.audit,
-                engine=primary.engine))
+                error=primary.error, audit=primary.audit))
     if cloned:
         trace.event("batch.fanout", duplicates=len(cloned))
     result.results.extend(cloned)
@@ -365,7 +358,6 @@ def run_sharded(jobs: Sequence[BatchJob],
                 cancel: Optional[CancelToken] = None,
                 audit: bool = False, faults=None,
                 quarantine=None,
-                engine_fallback: bool = True,
                 dedup: bool = True) -> ShardedResult:
     """Run every job over ``num_shards`` work-stealing shard queues;
     always returns a full table.
@@ -379,7 +371,8 @@ def run_sharded(jobs: Sequence[BatchJob],
     for jobs that fail — workers that die without reporting as well as
     jobs that end with status ERROR (a crash degraded by the pipeline,
     or an answer that failed its audit); a failed attempt goes back to
-    the head of its home shard's queue.  No exception escapes a job:
+    the head of its home shard's queue and runs again with the same
+    strategy.  No exception escapes a job:
     every job ends as a :class:`BatchJobResult` or in ``pending``.
 
     Reliability controls:
@@ -399,10 +392,6 @@ def run_sharded(jobs: Sequence[BatchJob],
       :class:`repro.reliability.quarantine.QuarantinePolicy` (None =
       defaults): a strategy whose jobs repeatedly crash or fail audit
       sits out with capped exponential backoff before its next retry.
-    * ``engine_fallback`` retries a failed ``engine="arena"`` job on
-      ``engine="legacy"`` (same search trajectory, independent BCP
-      implementation), so an arena-specific fault cannot sink a job
-      that the legacy engine can still answer.
 
     ``dedup=True`` (the default) collapses content-identical jobs —
     same canonical graph, colors, strategy and limits by
@@ -441,7 +430,7 @@ def run_sharded(jobs: Sequence[BatchJob],
         result = _schedule_in_span(
             span, jobs, num_shards, workers_per_shard, job_timeout,
             limits, max_attempts, timeout, cancel, audit, faults,
-            quarantine, engine_fallback)
+            quarantine)
         if fanout:
             _fan_out_duplicates(result, fanout)
         span.set("settled", len(result.results))
@@ -465,11 +454,11 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                       limits: Optional[SolveLimits], max_attempts: int,
                       timeout: Optional[float],
                       cancel: Optional[CancelToken], audit: bool, faults,
-                      quarantine, engine_fallback: bool) -> ShardedResult:
+                      quarantine) -> ShardedResult:
     """:func:`run_sharded`'s scheduler loop, inside its already-open span.
 
     Job lifecycle transitions — launch, steal, settle, retry/requeue
-    (with backoff and engine fallback), per-job deadline kills,
+    (with backoff), per-job deadline kills,
     unreported worker deaths and batch-level cancellation — become span
     events, and the telemetry each worker ships back (span tree +
     metrics snapshot) is grafted under this span.  Each launch gets its
@@ -490,7 +479,7 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
     queues: List[Deque[_Entry]] = [deque() for _ in range(num_shards)]
     for index, job in enumerate(jobs):
         home = shard_of(job.instance, num_shards)
-        queues[home].append(_Entry(index, job, home, job.strategy))
+        queues[home].append(_Entry(index, job, home))
     slots = [_Slot(shard) for shard in range(num_shards)
              for _ in range(workers_per_shard)]
     running: Dict[int, _Running] = {}
@@ -561,7 +550,7 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
         running[dispatch] = _Running(dispatch, entry, slot, now, deadline)
         slot.busy = True
         try:
-            slot.conn.send((entry.index, entry.strategy))
+            slot.conn.send(entry.index)
         except OSError:
             pass  # died since the check above: _collect reports it
         stats[shard]["launched"] += 1
@@ -573,8 +562,8 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
             if obs_metrics.enabled():
                 obs_metrics.registry().inc("dist.steal")
         trace.event("job.launched", instance=job.instance,
-                    strategy=entry.strategy.label,
-                    engine=entry.strategy.engine, shard=shard,
+                    strategy=job.strategy.label,
+                    engine=job.strategy.engine, shard=shard,
                     attempt=entry.attempt)
 
     def _forget(record: _Running) -> None:
@@ -588,8 +577,7 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
         results.append(BatchJobResult(
             job=entry.job, status=status, outcome=outcome,
             wall_time=time.perf_counter() - record.started,
-            attempts=entry.attempt, error=error, audit=audit_report,
-            engine=entry.strategy.engine))
+            attempts=entry.attempt, error=error, audit=audit_report))
         stats[record.slot.shard]["completed"] += 1
         _forget(record)
         trace.event("job.settled", instance=entry.job.instance,
@@ -599,21 +587,18 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
 
     def _requeue(record: _Running) -> None:
         """A failed attempt goes back to the *head of its home shard*
-        (locality survives the crash), engine-fallen-back and delayed
-        by its strategy's quarantine backoff."""
+        (locality survives the crash), delayed by its strategy's
+        quarantine backoff."""
         entry = record.entry
-        strategy = entry.strategy
-        if engine_fallback and strategy.engine == "arena":
-            strategy = strategy.with_engine("legacy")
         not_before = tracker.release_time(entry.job.strategy.label)
         queues[entry.home].appendleft(_Entry(
-            entry.index, entry.job, entry.home, strategy, entry.attempt + 1,
+            entry.index, entry.job, entry.home, entry.attempt + 1,
             not_before))
         stats[entry.home]["requeued"] += 1
         _forget(record)
         trace.event("job.requeued", instance=entry.job.instance,
                     strategy=entry.job.strategy.label, shard=entry.home,
-                    next_attempt=entry.attempt + 1, engine=strategy.engine,
+                    next_attempt=entry.attempt + 1,
                     backoff=round(max(0.0, not_before - time.perf_counter()),
                                   3))
         if obs_metrics.enabled():

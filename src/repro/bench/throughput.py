@@ -1,18 +1,15 @@
-"""BCP throughput benchmark: arena engine vs the legacy baseline.
+"""BCP throughput benchmark of the CDCL engine.
 
-Measures raw unit-propagation speed of the CDCL engines
-(:class:`~repro.sat.solver.cdcl.CDCLSolver`, the flat clause-arena engine
-with blocker literals, and :class:`~repro.sat.solver.legacy.LegacyCDCLSolver`,
-the pre-arena clause-object engine) *in the same process and the same run*,
-so the reported speedup is an apples-to-apples before/after comparison.
-The array-packed engine (``engine="packed"``) is also registered in
-:data:`_ENGINES` for ad-hoc races, though the reported suites pit arena
-against legacy (same trajectory) and arena against itself with
-inprocessing + tiered reduction (the conflict suite).
+Measures the raw unit-propagation speed of
+:class:`~repro.sat.solver.cdcl.CDCLSolver`, the flat clause-arena engine
+with blocker literals, as absolute propagations per second, beside the
+deterministic counters behind it (propagations, watch inspections,
+blocker hits): a change in a counter is a changed search, a change in
+props/sec alone is speed or noise.
 
 Three instance families:
 
-* **Stress suite** (the headline number) — synthetic BCP workloads built
+* **Stress suite** (the BCP headline) — synthetic BCP workloads built
   by :func:`bcp_stress`: a long implication chain ``x1 -> x2 -> ... -> xn``
   decorated with ``fanout`` already-satisfied side clauses per variable.
   Asserting ``x1`` triggers a full-chain propagation wave in which almost
@@ -22,9 +19,8 @@ Three instance families:
 * **Context suite** — ordinary search workloads (pigeonhole, random
   3-SAT, an FPGA routing instance is deliberately excluded to keep the
   bench self-contained and fast).  Here conflict analysis and watch moves
-  share the profile with skips, so the engines land close to parity; the
-  numbers are reported so the headline cannot be mistaken for an
-  end-to-end search speedup.
+  share the profile with skips; the numbers are reported so the stress
+  headline cannot be mistaken for an end-to-end search rate.
 * **Conflict suite** — near-critical UNSAT coloring instances from
   :func:`repro.qa.generators.conflict_instances` (a hidden clique buried
   in noise, one color short), the analysis/reduction-dominated regime
@@ -36,10 +32,10 @@ Three instance families:
 
 Timing methodology: the container's wall clock is noisy (identical code
 can swing ~30% between runs), so each measurement uses
-``time.process_time`` and takes the **minimum over ``repeats``
-alternating runs** of each engine — the standard minimum-as-estimator
-for best-case deterministic cost.  Engines run interleaved so slow
-drifts hit both equally.
+``time.process_time`` and takes the **minimum over ``repeats`` runs** —
+the standard minimum-as-estimator for best-case deterministic cost.
+The conflict suite's two configurations run interleaved so slow drifts
+hit both equally.
 """
 
 from __future__ import annotations
@@ -52,10 +48,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..sat.cnf import CNF
-from ..sat.solver.cdcl import CDCLSolver
+from ..sat.solver.cdcl import BudgetExceeded, CDCLSolver
 from ..sat.solver.config import SolverConfig, preset
-from ..sat.solver.legacy import LegacyCDCLSolver
-from ..sat.solver.packed import PackedCDCLSolver
 
 
 # ----------------------------------------------------------------------
@@ -116,13 +110,9 @@ def pigeonhole(holes: int) -> CNF:
 # Measurement
 # ----------------------------------------------------------------------
 
-_ENGINES = {"arena": CDCLSolver, "legacy": LegacyCDCLSolver,
-            "packed": PackedCDCLSolver}
-
-
 def _stress_runner(cnf: CNF, config: SolverConfig, rounds: int):
     """Time ``rounds`` assumption-driven BCP waves on one solver."""
-    solver = _ENGINES[config.engine](cnf.copy(), config)
+    solver = CDCLSolver(cnf.copy(), config)
     start = time.process_time()
     for _ in range(rounds):
         solver.solve(assumptions=[1])
@@ -134,11 +124,11 @@ def _search_runner(cnf: CNF, config: SolverConfig, rounds: int):
     elapsed = 0.0
     solver = None
     for _ in range(rounds):
-        solver = _ENGINES[config.engine](cnf.copy(), config)
+        solver = CDCLSolver(cnf.copy(), config)
         start = time.process_time()
         try:
             solver.solve()
-        except Exception:  # budget exceeded still yields valid stats
+        except BudgetExceeded:  # a capped search still yields valid stats
             pass
         elapsed += time.process_time() - start
     return elapsed, solver
@@ -148,55 +138,40 @@ def measure_instance(name: str, cnf: CNF, *, runner: Callable,
                      rounds: int, repeats: int,
                      preset_name: str = "minisat_like",
                      max_conflicts: Optional[int] = None) -> Dict:
-    """Benchmark both engines on one CNF; min-over-``repeats`` timing.
+    """Benchmark the engine on one CNF; min-over-``repeats`` timing.
 
-    Returns a per-instance record with both engines' propagation counts,
-    times, props/sec and the arena speedup (legacy time / arena time).
+    Returns a per-instance record with the engine's time, props/sec and
+    its deterministic search and watch counters.
     """
-    results: Dict[str, Dict] = {}
-    times = {"arena": [], "legacy": []}
-    solvers: Dict[str, object] = {}
+    overrides = {}
+    if max_conflicts is not None:
+        overrides["max_conflicts"] = max_conflicts
+    config = preset(preset_name, **overrides)
+    times = []
     for _ in range(max(1, repeats)):
-        for engine in ("arena", "legacy"):  # interleaved: drift hits both
-            overrides = {"engine": engine}
-            if max_conflicts is not None:
-                overrides["max_conflicts"] = max_conflicts
-            config = preset(preset_name, **overrides)
-            elapsed, solver = runner(cnf, config, rounds)
-            times[engine].append(elapsed)
-            solvers[engine] = solver
-    for engine in ("arena", "legacy"):
-        stats = solvers[engine].stats
-        best = min(times[engine])
-        props = int(stats["propagations"])
-        record = {
-            "time": round(best, 6),
-            "propagations": props,
-            "props_per_sec": round(props / best) if best > 0 else None,
-            "decisions": int(stats["decisions"]),
-            "conflicts": int(stats["conflicts"]),
-        }
-        if engine == "arena":
-            inspections = int(stats["watch_inspections"])
-            record["watch_inspections"] = inspections
-            record["blocker_hits"] = int(stats["blocker_hits"])
-            record["blocker_hit_rate"] = round(
-                stats["blocker_hits"] / inspections, 4) if inspections else None
-        results[engine] = record
-    arena_t, legacy_t = results["arena"]["time"], results["legacy"]["time"]
-    sanity = ("identical trajectories"
-              if all(results["arena"][k] == results["legacy"][k]
-                     for k in ("propagations", "decisions", "conflicts"))
-              else "TRAJECTORY MISMATCH")
+        elapsed, solver = runner(cnf, config, rounds)
+        times.append(elapsed)
+    stats = solver.stats
+    best = min(times)
+    props = int(stats["propagations"])
+    inspections = int(stats["watch_inspections"])
     return {
         "name": name,
         "num_vars": cnf.num_vars,
         "num_clauses": cnf.num_clauses,
         "rounds": rounds,
-        "arena": results["arena"],
-        "legacy": results["legacy"],
-        "speedup": round(legacy_t / arena_t, 3) if arena_t > 0 else None,
-        "sanity": sanity,
+        "arena": {
+            "time": round(best, 6),
+            "propagations": props,
+            "props_per_sec": round(props / best) if best > 0 else None,
+            "decisions": int(stats["decisions"]),
+            "conflicts": int(stats["conflicts"]),
+            "watch_inspections": inspections,
+            "blocker_hits": int(stats["blocker_hits"]),
+            "blocker_hit_rate": round(
+                stats["blocker_hits"] / inspections, 4)
+            if inspections else None,
+        },
     }
 
 
@@ -337,8 +312,6 @@ def run_throughput_bench(*, repeats: int = 7, stress_rounds: int = 40,
             conflict_count=conflict_count,
             conflict_repeats=conflict_repeats)
         registry = obs_metrics.registry()
-        registry.set_gauge("bench.headline_bcp_speedup",
-                           payload["headline_bcp_speedup"])
         if "headline_conflict_speedup" in payload:
             registry.set_gauge("bench.headline_conflict_speedup",
                                payload["headline_conflict_speedup"])
@@ -359,26 +332,21 @@ def _run_throughput_bench(*, repeats: int, stress_rounds: int,
         for name, nv, fanout, clause_len in STRESS_SUITE
     ]
     arena_time = sum(r["arena"]["time"] for r in stress)
-    legacy_time = sum(r["legacy"]["time"] for r in stress)
     payload: Dict = {
-        "benchmark": "solver BCP throughput (arena vs legacy engine)",
+        "benchmark": "solver BCP throughput (arena engine)",
         "methodology": (
-            "both engines measured in the same process on the same CNFs, "
-            "interleaved; per-engine time is the minimum of "
+            "per-instance time is the minimum of "
             f"{repeats} process_time runs (noise-robust best-case cost); "
-            "the headline speedup is total legacy time / total arena time "
-            "over the propagation-only stress suite"),
+            "the headline is total propagations / total time over the "
+            "propagation-only stress suite, whose propagation, watch "
+            "inspection and blocker hit counts are deterministic"),
         "preset": "minisat_like",
         "stress_suite": stress,
-        "headline_bcp_speedup": round(legacy_time / arena_time, 3),
         # propagations accumulate across rounds inside one solver, so
-        # sum(propagations)/time is the true aggregate rate per engine.
+        # sum(propagations)/time is the true aggregate rate.
         "stress_arena_props_per_sec": round(
             sum(r["arena"]["propagations"] for r in stress)
             / arena_time) if arena_time else None,
-        "stress_legacy_props_per_sec": round(
-            sum(r["legacy"]["propagations"] for r in stress)
-            / legacy_time) if legacy_time else None,
     }
     if include_context:
         payload["context_suite"] = [
@@ -389,7 +357,8 @@ def _run_throughput_bench(*, repeats: int, stress_rounds: int,
         ]
         payload["context_note"] = (
             "conflict-heavy search workloads where analysis and watch "
-            "moves dominate; engines are expected near parity here")
+            "moves dominate; props/sec here is far below the stress "
+            "suite's")
     if include_conflict:
         conflict = [
             measure_conflict_instance(name, cnf, repeats=conflict_repeats)
@@ -447,7 +416,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry: ``python -m repro.bench.throughput [--quick] [-o PATH]``."""
     import argparse
     parser = argparse.ArgumentParser(
-        description="BCP throughput bench: arena vs legacy CDCL engine")
+        description="BCP throughput bench of the CDCL engine")
     parser.add_argument("--quick", action="store_true",
                         help="fewer repeats; finishes well under a minute")
     parser.add_argument("-o", "--output", default="BENCH_solver.json",
@@ -469,15 +438,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as error:
         print(f"error: cannot write {args.output}: {error}", file=sys.stderr)
         return 2
-    print(f"headline BCP speedup (arena over legacy): "
-          f"{payload['headline_bcp_speedup']}x")
+    print(f"stress suite props/sec: "
+          f"{payload['stress_arena_props_per_sec']:,}")
     for record in payload["stress_suite"]:
-        print(f"  {record['name']}: {record['speedup']}x "
-              f"(blocker hit rate {record['arena']['blocker_hit_rate']}, "
-              f"{record['sanity']})")
+        arena = record["arena"]
+        print(f"  {record['name']}: {arena['props_per_sec']:,} props/sec "
+              f"(blocker hit rate {arena['blocker_hit_rate']})")
     for record in payload.get("context_suite", []):
-        print(f"  {record['name']} [context]: {record['speedup']}x "
-              f"({record['sanity']})")
+        print(f"  {record['name']} [context]: "
+              f"{record['arena']['props_per_sec']:,} props/sec")
     if "headline_conflict_speedup" in payload:
         print(f"headline conflict-suite speedup (inprocessing + tier "
               f"over baseline arena): {payload['headline_conflict_speedup']}x")

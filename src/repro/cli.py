@@ -200,9 +200,8 @@ def _add_strategy_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0,
                         help="solver seed (default 0)")
     parser.add_argument("--engine", default="arena",
-                        choices=["arena", "legacy", "packed",
-                                 "arena+inprocess"],
-                        help="BCP engine (default arena); "
+                        choices=["arena", "arena+inprocess"],
+                        help="solver engine (default arena); "
                              "'arena+inprocess' is the arena engine "
                              "with inprocessing + tier reduction (see "
                              "docs/performance.md)")
@@ -217,7 +216,8 @@ def _print_solver_stats(stats) -> None:
             print(f"    {key:20s} {int(stats[key]):>12,}")
     if "props_per_sec" in stats:
         print(f"    {'props_per_sec':20s} {stats['props_per_sec']:>12,.0f}")
-    # Arena-engine BCP instrumentation (absent under engine="legacy").
+    # Absent when the run stopped before the search (e.g. a deadline
+    # that ran out during encoding).
     inspections = stats.get("watch_inspections")
     if inspections:
         hits = stats.get("blocker_hits", 0)
@@ -412,14 +412,8 @@ def cmd_audit(args) -> int:
     problem = ColoringProblem(graph, args.colors)
     outcome = solve_coloring(problem, _strategy(args), limits=_limits(args),
                              keep_model=True, proof_log=True)
-    from .reliability.audit import (DEFAULT_CROSS_CHECK_CONFLICTS,
-                                    audit_outcome)
-    budget = (args.cross_check_conflicts
-              if args.cross_check_conflicts is not None
-              else DEFAULT_CROSS_CHECK_CONFLICTS)
-    report = audit_outcome(problem, outcome,
-                           cross_check=not args.no_cross_check,
-                           cross_check_conflicts=budget)
+    from .reliability.audit import audit_outcome
+    report = audit_outcome(problem, outcome)
     if outcome.status is SolveStatus.SAT:
         verdict = f"SATISFIABLE ({args.colors}-coloring found)"
     elif outcome.status is SolveStatus.UNSAT:
@@ -509,7 +503,7 @@ def cmd_dist(args) -> int:
         for record in result.results:
             line = f"  {record.job.instance}: {record.status}"
             if record.attempts > 1:
-                line += f" (attempt {record.attempts}, {record.engine})"
+                line += f" (attempt {record.attempts})"
             print(line)
         for shard, stats in sorted(result.shards.items()):
             print(f"  {shard}: " + ", ".join(
@@ -795,15 +789,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit",
                        help="solve a .col instance, then independently "
-                            "re-check the answer (model check, RUP proof "
-                            "replay, or cross-engine spot-check)")
+                            "re-check the answer (model check or RUP "
+                            "proof replay)")
     p.add_argument("col_file")
     p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--no-cross-check", action="store_true",
-                   help="skip the cross-engine spot-check of an UNSAT "
-                        "answer that has no recorded proof")
-    p.add_argument("--cross-check-conflicts", type=int, metavar="N",
-                   help="conflict budget of the cross-engine spot-check")
     p.add_argument("--stats", action="store_true",
                    help="print solver performance counters")
     _add_strategy_options(p)

@@ -61,8 +61,7 @@ class ColoringOutcome:
     #: ``proof_log=True`` (replayable with the independent RUP checker).
     proof: Optional[List[Tuple[int, ...]]] = None
     #: The proof's ``(ids, starts)`` hints, the checker's ``hints=``
-    #: argument (see :func:`repro.sat.proof.verify_rup_proof`); None
-    #: when the engine logs none.
+    #: argument (see :func:`repro.sat.proof.verify_rup_proof`).
     proof_hints: Optional[Tuple[Sequence[int], Sequence[int]]] = None
 
     @property
@@ -146,9 +145,8 @@ def solve_coloring(problem: ColoringProblem, strategy: Strategy,
 
     ``clause_channel`` plugs this run into a clause-sharing channel
     (:mod:`repro.dist.sharing`) — cooperative portfolio / cube workers
-    pass their endpoint here.  Applies to the arena and packed engines
-    (the legacy engine ignores it); None keeps the solve bit-identical
-    to an unshared run.
+    pass their endpoint here.  None keeps the solve bit-identical to an
+    unshared run.
     """
     with trace.span("coloring.solve", strategy=strategy.label,
                     encoding=strategy.encoding,
@@ -256,8 +254,7 @@ def _solve_coloring_in_span(run_span, problem: ColoringProblem,
     proof = proof_hints = None
     if proof_log and result.status is SolveStatus.UNSAT:
         proof = list(solver.proof)
-        if hasattr(solver, "hint_starts"):  # the legacy engine has none
-            proof_hints = (solver.hint_ids, solver.hint_starts)
+        proof_hints = (solver.hint_ids, solver.hint_starts)
     coloring = None
     if result.is_sat:
         try:

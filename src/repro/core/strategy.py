@@ -7,7 +7,7 @@ operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..sat.solver.config import SolverConfig, preset
@@ -24,10 +24,7 @@ class Strategy:
     symmetry: str = "none"
     solver: str = "siege_like"
     seed: int = 0
-    #: BCP engine: "arena" (default), the pre-arena "legacy" engine
-    #: (same search trajectory; the batch runner falls back to it when
-    #: a job fails in an arena-specific way), the typed-array "packed"
-    #: engine, or "arena+inprocess" — the arena engine with
+    #: "arena" (default), or "arena+inprocess" — the same engine with
     #: inter-restart inprocessing and tiered DB reduction switched on
     #: (the performance configuration for conflict-heavy instances).
     engine: str = "arena"
@@ -37,8 +34,7 @@ class Strategy:
         get_heuristic(self.symmetry)
         if self.solver not in ("minisat_like", "siege_like"):
             raise ValueError(f"unknown solver preset {self.solver!r}")
-        if self.engine not in ("arena", "legacy", "packed",
-                               "arena+inprocess"):
+        if self.engine not in ("arena", "arena+inprocess"):
             raise ValueError(f"unknown solver engine {self.engine!r}")
 
     @property
@@ -60,23 +56,14 @@ class Strategy:
             label += f"!{self.engine}"
         return label
 
-    def with_engine(self, engine: str) -> "Strategy":
-        """This strategy on another BCP engine (same trajectory)."""
-        return replace(self, engine=engine)
-
     def solver_config(self,
                       limits: Optional[SolveLimits] = None) -> SolverConfig:
         """Instantiate the solver configuration for this strategy,
         optionally bounded by a :class:`SolveLimits` budget."""
         overrides = limits.as_config_kwargs() if limits is not None else {}
         if self.engine == "arena+inprocess":
-            # Not a separate engine: the arena engine with the
-            # inprocessing + tier-reduction flags on.
-            return preset(self.solver, seed=self.seed, engine="arena",
-                          inprocessing=True, reduce_policy="tier",
-                          **overrides)
-        return preset(self.solver, seed=self.seed, engine=self.engine,
-                      **overrides)
+            overrides.update(inprocessing=True, reduce_policy="tier")
+        return preset(self.solver, seed=self.seed, **overrides)
 
 
 #: The paper's single best strategy (§6).

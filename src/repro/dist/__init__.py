@@ -130,8 +130,7 @@ def run_jobs(jobs: Sequence[BatchJob], workers: int = 1,
             results.append(BatchJobResult(
                 job=job, status=cube_result.status,
                 outcome=_cube_outcome(job, cube_result),
-                wall_time=cube_result.wall_time,
-                engine=job.strategy.engine))
+                wall_time=cube_result.wall_time))
         result = BatchResult(results=results, pending=pending,
                              cancelled=cancelled,
                              wall_time=time.perf_counter() - start)

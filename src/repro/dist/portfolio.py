@@ -23,13 +23,6 @@ from .sharing import ShareConfig
 
 __all__ = ["seed_diverse_members", "run_cooperative"]
 
-#: Engines that honour ``SolverConfig.clause_channel``.  The legacy
-#: engine has its own solve loop without sharing hooks; a legacy member
-#: in a cooperative portfolio would silently free-ride (sound, but it
-#: never exports), so the member constructor skips it.
-SHARING_ENGINES = ("arena", "packed", "arena+inprocess")
-
-
 def seed_diverse_members(strategy: Strategy, count: int,
                          engines: Optional[Sequence[str]] = None
                          ) -> Sequence[Strategy]:
@@ -39,10 +32,6 @@ def seed_diverse_members(strategy: Strategy, count: int,
     if count < 1:
         raise ValueError("count must be positive")
     pool = tuple(engines) if engines else (strategy.engine,)
-    for engine in pool:
-        if engine not in SHARING_ENGINES:
-            raise ValueError(
-                f"engine {engine!r} does not support clause sharing")
     return tuple(replace(strategy, seed=strategy.seed + i,
                          engine=pool[i % len(pool)])
                  for i in range(count))

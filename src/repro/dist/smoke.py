@@ -3,10 +3,12 @@
 Run with ``python -m repro.dist.smoke`` (or ``make dist-smoke``).  Three
 asserted scenarios, all with deterministic fault seeds:
 
-1. **Shard crash, zero lost jobs** — a tiny corpus over 2 shards with an
-   injected ``crash@dist_shard`` killing every first (arena) attempt;
-   the scheduler must requeue each job to its home shard, fall back to
-   the legacy engine, and settle every job with the correct verdict.
+1. **Shard crash, zero lost jobs** — a tiny corpus over 2 shards under
+   two strategies, with an injected ``crash@dist_shard`` killing every
+   attempt of one of them; the scheduler must requeue each crashed job
+   to its home shard, settle it as ERROR once its attempts run out,
+   and still settle every job of the other strategy with the correct
+   verdict.
 2. **Cooperative sharing under corruption** — a 2-member clause-sharing
    portfolio with ``corrupt_share`` mangling clauses in transit; the
    import filter must reject them and the verdict must stand.
@@ -27,6 +29,9 @@ from ..sat.status import SolveStatus
 from . import BatchJob, run_cooperative, run_cubed, run_sharded
 
 STRATEGY = Strategy(encoding="muldirect", symmetry="s1")
+#: The same encoding under a symmetry heuristic the crash fault's
+#: ``*/s1`` match does not reach.
+UNFAULTED = Strategy(encoding="muldirect", symmetry="b1")
 
 #: Small but non-trivial planted-clique UNSAT instances (sub-second
 #: each; the point is the machinery, not the solving).
@@ -47,10 +52,12 @@ def _check(label: str, condition: bool, detail: str = "") -> None:
 
 def main() -> int:
     print("dist-smoke: shard crash recovery")
-    jobs = [BatchJob(name, problem, STRATEGY)
-            for name, problem in _corpus()]
-    # Every arena attempt at the dist_shard site crashes; the legacy
-    # fallback label escapes the match, so attempt 2 must succeed.
+    corpus = _corpus()
+    jobs = [BatchJob(name, problem, strategy)
+            for name, problem in corpus
+            for strategy in (STRATEGY, UNFAULTED)]
+    # Every s1 attempt at the dist_shard site crashes, its retry too;
+    # the b1 jobs share the workers and must lose nothing to them.
     result = run_sharded(
         jobs, num_shards=2, workers_per_shard=1,
         quarantine=QuarantinePolicy(threshold=5, base_backoff=0.05,
@@ -60,15 +67,19 @@ def main() -> int:
            len(result.results) == len(jobs) and not result.pending,
            f"({len(result.results)}/{len(jobs)}, "
            f"pending {len(result.pending)})")
-    _check("zero lost jobs: every verdict correct",
-           all(r.status is SolveStatus.UNSAT for r in result.results),
+    by_strategy = {label: [r for r in result.results
+                           if r.job.strategy.label == label]
+                   for label in (STRATEGY.label, UNFAULTED.label)}
+    _check("zero lost jobs: every unfaulted verdict correct",
+           all(r.status is SolveStatus.UNSAT
+               for r in by_strategy[UNFAULTED.label]),
            str({str(k): v for k, v in result.status_counts().items()}))
+    _check("every crashed job is ERROR after exactly 2 attempts",
+           all(r.status is SolveStatus.ERROR and r.attempts == 2
+               for r in by_strategy[STRATEGY.label]))
     requeued = sum(s["requeued"] for s in result.shards.values())
-    _check("crashes were requeued", requeued >= len(jobs),
+    _check("crashes were requeued", requeued >= len(corpus),
            f"({requeued} requeues)")
-    _check("retries fell back to the legacy engine",
-           all(r.attempts == 2 and r.engine == "legacy"
-               for r in result.results))
 
     print("dist-smoke: clause sharing under corrupt_share")
     name, problem = _corpus(1)[0]

@@ -18,8 +18,8 @@ Three cooperating pieces (see ``docs/observability.md``):
 
 Everything is **disabled by default** and the enabled/disabled check is
 a single attribute read: with observability off, solver trajectories
-are bit-identical and BCP throughput is unchanged (the solver engines
-only report at ``_finish``, never from the hot loop).  Enable with the
+are bit-identical and BCP throughput is unchanged (the solver engine
+only reports at ``_finish``, never from the hot loop).  Enable with the
 ``--trace PATH`` CLI flag, :func:`repro.obs.trace.enable`, or the
 ``REPRO_TRACE`` / ``REPRO_METRICS`` environment variables (which worker
 processes inherit).

@@ -1,9 +1,9 @@
 """repro.qa — differential testing, fuzzing and failure minimization.
 
-The paper's claim that all encodings, symmetry variants and engines are
-equivalent reformulations makes every instance self-checking: any
-SAT/UNSAT disagreement between two (encoding, symmetry, engine)
-strategies is a bug by construction.  This package turns that property
+The paper's claim that all encodings, symmetry variants and engine
+configurations are equivalent reformulations makes every instance
+self-checking: any SAT/UNSAT disagreement between two (encoding,
+symmetry, engine) strategies is a bug by construction.  This package turns that property
 into a correctness harness:
 
 * :mod:`repro.qa.generators` — seeded random / adversarial / routing

@@ -3,8 +3,8 @@
 The paper's premise makes every instance its own oracle: every
 registered CSP-to-SAT encoding (the paper's 15 plus the modern
 at-most-one and partial-order families), every symmetry-breaking
-variant and both BCP engines are equivalent reformulations of the same
-coloring problem, so
+variant and both engine configurations (plain and inprocessing) are
+equivalent reformulations of the same coloring problem, so
 *any* SAT/UNSAT disagreement between two strategies is a bug by
 construction.  This module solves one instance under a configurable
 (encoding × symmetry × engine) matrix and cross-checks:
@@ -61,7 +61,7 @@ class StrategyMatrix:
 
         encodings=registry|all|table2|extensions|modern|<name>,...;
         symmetry=none,b1,s1,c1;
-        engine=arena,legacy,packed,arena+inprocess
+        engine=arena,arena+inprocess
 
     Unspecified dimensions keep the ``full`` defaults.  ``full`` now
     means the *whole registry* — the paper's 15 plus the seqdirect,
@@ -71,7 +71,7 @@ class StrategyMatrix:
 
     encodings: Tuple[str, ...] = tuple(REGISTRY_ENCODINGS)
     symmetries: Tuple[str, ...] = ("none", "s1")
-    engines: Tuple[str, ...] = ("arena", "legacy")
+    engines: Tuple[str, ...] = ("arena", "arena+inprocess")
 
     def strategies(self) -> List[Strategy]:
         """Materialise the grid (validates every name eagerly)."""
@@ -110,8 +110,7 @@ class StrategyMatrix:
         if spec == "engines":
             # Pure engine differential: one encoding, every engine.
             return cls(encodings=("muldirect",), symmetries=("none", "s1"),
-                       engines=("arena", "legacy", "packed",
-                                "arena+inprocess"))
+                       engines=("arena", "arena+inprocess"))
         kwargs: Dict[str, Tuple[str, ...]] = {}
         for item in spec.split(";"):
             item = item.strip()

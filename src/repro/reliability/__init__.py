@@ -4,7 +4,7 @@ Two halves, designed to be used together:
 
 * :mod:`repro.reliability.faults` — deterministic, seedable fault
   injection (:class:`FaultPlan` / :class:`FaultInjector`) wired into
-  the CDCL engines, the pipeline's encode step, and the portfolio /
+  the CDCL engine, the pipeline's encode step, and the portfolio /
   batch worker processes.  Activated per-call or via the
   ``REPRO_FAULTS`` environment variable.
 * :mod:`repro.reliability.audit` — end-to-end re-verification of every

@@ -12,11 +12,11 @@ claim from first principles:
   decoded coloring must be proper, and a decoded routing must respect
   track exclusivity (via the independent verifier in
   :mod:`repro.fpga.tracks`).
-* **UNSAT** answers: when a proof was recorded (``proof_log``), replay
-  it through the independent RUP checker in :mod:`repro.sat.proof`;
-  otherwise run a budgeted *cross-engine spot-check* — re-solve with the
-  other CDCL engine, faults disabled — and fail the audit if it finds a
-  model.
+* **UNSAT** answers: replay the recorded proof (``proof_log``) through
+  the independent RUP checker in :mod:`repro.sat.proof`.  An answer
+  without a proof is *rechecked*: a budgeted re-solve with proof
+  logging on and faults disabled, whose own proof is replayed the same
+  way; the audit fails if the re-solve finds a model.
 
 Each audit produces an :class:`AuditReport`: a list of named
 :class:`AuditCheck` results and an overall verdict (FAIL if any check
@@ -42,14 +42,14 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..sat.cnf import CNF
 from ..sat.model import Model, SolveResult
-from ..sat.proof import verify_rup_proof
+from ..sat.proof import solve_with_proof, verify_rup_proof
 from ..sat.solver.config import SolverConfig
 from ..sat.status import SolveStatus
 
-#: Conflict budget of a cross-engine UNSAT spot-check.  Deliberately
-#: modest: the spot-check is a smoke detector, not a re-run of the
-#: experiment — an inconclusive check is reported as SKIPPED, never as
-#: a pass.
+#: Conflict budget of the re-solve that rechecks an UNSAT answer
+#: without a proof.  Deliberately modest: the recheck is a smoke
+#: detector, not a re-run of the experiment — an inconclusive check is
+#: reported as SKIPPED, never as a pass.
 DEFAULT_CROSS_CHECK_CONFLICTS = 20000
 
 
@@ -59,7 +59,7 @@ class AuditVerdict(Enum):
     PASS = "PASS"
     FAIL = "FAIL"
     #: Nothing checkable: an undecided status, a missing model/proof,
-    #: or an inconclusive (budget-exhausted) cross-check.
+    #: or an inconclusive (budget-exhausted) recheck.
     SKIPPED = "SKIPPED"
 
     def __str__(self) -> str:
@@ -210,30 +210,27 @@ def _check_proof(report: AuditReport, cnf: CNF,
         registry.inc("proof.hint_misses", outcome.hint_misses)
 
 
-def _cross_check_unsat(report: AuditReport, cnf: CNF, engine: str,
-                       conflict_budget: int) -> None:
-    """UNSAT-side fallback: budgeted re-solve on the *other* engine.
+def _recheck_unsat(report: AuditReport, cnf: CNF, conflict_budget: int,
+                   audit_span) -> None:
+    """UNSAT-side check of an answer that carries no proof: a budgeted
+    re-solve with proof logging on and faults off, whose new proof is
+    replayed by :func:`_check_proof`.
 
-    A found model refutes the UNSAT claim (FAIL); agreement passes; an
-    exhausted budget is recorded as SKIPPED — inconclusive is not a
+    A model that satisfies the formula refutes the UNSAT claim (FAIL);
+    an exhausted budget is recorded as SKIPPED — inconclusive is not a
     pass.
     """
-    other = "legacy" if engine != "legacy" else "arena"
-    config = SolverConfig(engine=other, conflict_budget=conflict_budget,
-                          name=f"audit-{other}", fault_plan=False)
-    from ..sat.solver.cdcl import CDCLSolver
-    result = CDCLSolver(cnf, config).solve()
-    name = "cross-engine-unsat"
-    if result.status is SolveStatus.SAT:
-        report.add(name, False,
-                   f"{other} engine found a model for the formula "
-                   f"claimed UNSAT")
-    elif result.status is SolveStatus.UNSAT:
-        report.add(name, True, f"{other} engine agrees (budget "
-                               f"{conflict_budget} conflicts)")
+    result, proof = solve_with_proof(cnf, SolverConfig(
+        conflict_budget=conflict_budget, fault_plan=False,
+        name="audit-recheck"))
+    if result.status is SolveStatus.UNSAT:
+        _check_proof(report, cnf, proof, audit_span)
+    elif result.status is SolveStatus.SAT and result.model.satisfies(cnf):
+        report.add("unsat-recheck", False,
+                   "re-solve found a model for the formula claimed UNSAT")
     else:
-        report.add(name, None,
-                   f"spot-check inconclusive: {result.status} after "
+        report.add("unsat-recheck", None,
+                   f"re-solve inconclusive: {result.status} after "
                    f"{int(result.stats.get('conflicts', 0))} conflicts")
 
 
@@ -241,13 +238,13 @@ def audit_solve(cnf: CNF, result: SolveResult,
                 proof: Optional[Sequence[Sequence[int]]] = None, *,
                 subject: str = "",
                 cross_check: bool = True,
-                cross_check_conflicts: int = DEFAULT_CROSS_CHECK_CONFLICTS,
-                engine: str = "arena") -> AuditReport:
+                cross_check_conflicts: int = DEFAULT_CROSS_CHECK_CONFLICTS
+                ) -> AuditReport:
     """Audit a raw solver answer against the CNF it was asked about.
 
     SAT → the model must satisfy the formula.  UNSAT → replay ``proof``
-    when given, else a budgeted cross-engine spot-check (``engine`` is
-    the engine that produced the answer; the check uses the other one).
+    when given, else (``cross_check``) recheck with a re-solve of at
+    most ``cross_check_conflicts`` conflicts and replay its proof.
     Undecided statuses have no claim to audit and yield SKIPPED.
     """
     start = time.perf_counter()
@@ -260,8 +257,8 @@ def audit_solve(cnf: CNF, result: SolveResult,
             if proof is not None:
                 _check_proof(report, cnf, proof, audit_span)
             elif cross_check:
-                _cross_check_unsat(report, cnf, engine,
-                                   cross_check_conflicts)
+                _recheck_unsat(report, cnf, cross_check_conflicts,
+                               audit_span)
             else:
                 report.add("unsat-claim", None,
                            "no proof recorded and cross-check disabled")
@@ -292,8 +289,8 @@ def audit_outcome(problem, outcome, *,
     SAT → the decoded coloring must be proper; when the outcome retained
     its model (``solve_coloring(..., keep_model=True)``), the model is
     additionally checked against a re-encoding of the problem.  UNSAT →
-    proof replay when the outcome carries a proof, else a cross-engine
-    spot-check of the re-encoded formula.
+    proof replay when the outcome carries a proof, else a recheck of
+    the re-encoded formula (see :func:`audit_solve`).
     """
     start = time.perf_counter()
     strategy = outcome.strategy
@@ -320,9 +317,8 @@ def audit_outcome(problem, outcome, *,
                              audit_span,
                              getattr(outcome, "proof_hints", None))
             elif cross_check:
-                engine = getattr(strategy, "engine", "arena")
-                _cross_check_unsat(report, _encode(problem, strategy),
-                                   engine, cross_check_conflicts)
+                _recheck_unsat(report, _encode(problem, strategy),
+                               cross_check_conflicts, audit_span)
             else:
                 report.add("unsat-claim", None,
                            "no proof recorded and cross-check disabled")

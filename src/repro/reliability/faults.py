@@ -98,9 +98,8 @@ corrupt_share
             database would be unsound).
 ========== ============================================================
 
-Sites: ``solver`` (all CDCL engines), ``arena`` / ``legacy`` /
-``packed`` (one specific engine — used to test the engine-fallback
-path), ``inprocess`` (the inter-restart simplification phases),
+Sites: ``solver`` (the CDCL engine), ``inprocess`` (the inter-restart
+simplification phases),
 ``encode`` (CNF generation in the pipeline), ``worker`` (a worker
 process itself: a portfolio member, a job-scheduler worker or a cube
 worker), ``serve_worker`` (the solve service's pool worker),
@@ -140,9 +139,9 @@ FAULT_KINDS = ("crash", "hang", "slowdown", "wrong_model",
                "slow_client", "drop_share", "corrupt_share")
 
 #: Recognised injection sites.
-FAULT_SITES = ("*", "solver", "arena", "legacy", "packed", "inprocess",
-               "encode", "worker", "serve_worker", "journal", "conn",
-               "dist_shard", "clause_channel")
+FAULT_SITES = ("*", "solver", "inprocess", "encode", "worker",
+               "serve_worker", "journal", "conn", "dist_shard",
+               "clause_channel")
 
 #: Environment variable consulted by the pipeline and the worker
 #: processes; its value is a :meth:`FaultPlan.parse` string.

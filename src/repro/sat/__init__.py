@@ -13,9 +13,9 @@ from .status import CancelToken, SolveLimits, SolveReport, SolveStatus
 from .proof import (ProofCheckResult, ProofError, check_rup_proof,
                     solve_with_proof, verify_rup_proof)
 from .simplify import Simplification, simplify, solve_simplified
-from .solver import (BudgetExceeded, CDCLSolver, DPLLSolver, LegacyCDCLSolver,
-                     PackedCDCLSolver, SolverConfig, minisat_like, preset,
-                     siege_like, solve, solve_by_enumeration, solve_dpll)
+from .solver import (BudgetExceeded, CDCLSolver, DPLLSolver, SolverConfig,
+                     minisat_like, preset, siege_like, solve,
+                     solve_by_enumeration, solve_dpll)
 
 __all__ = [
     "CNF", "Clause", "parse_dimacs", "parse_dimacs_file", "parse_dimacs_string",
@@ -27,7 +27,7 @@ __all__ = [
     "ProofCheckResult", "ProofError", "check_rup_proof", "solve_with_proof",
     "verify_rup_proof",
     "Simplification", "simplify", "solve_simplified",
-    "BudgetExceeded", "CDCLSolver", "DPLLSolver", "LegacyCDCLSolver",
-    "PackedCDCLSolver", "SolverConfig", "minisat_like", "preset",
-    "siege_like", "solve", "solve_by_enumeration", "solve_dpll",
+    "BudgetExceeded", "CDCLSolver", "DPLLSolver", "SolverConfig",
+    "minisat_like", "preset", "siege_like", "solve",
+    "solve_by_enumeration", "solve_dpll",
 ]

@@ -3,7 +3,7 @@
 The :class:`CNF` class is the hand-off format between the encoding layer
 (:mod:`repro.core.encodings`) and the SAT solvers (:mod:`repro.sat.solver`).
 It stores all literals back to back as *codes* (``2*v`` for ``v``,
-``2*v + 1`` for ``-v``), the form the engines and the proof checker
+``2*v + 1`` for ``-v``), the form the engine and the proof checker
 propagate over, plus each clause's end offset; the DIMACS tuples of
 :attr:`CNF.clauses` are a view derived on demand.  It tracks the number
 of variables and reads and writes the standard DIMACS ``p cnf`` format.
@@ -96,7 +96,7 @@ class CNF:
 
     def code_clauses(self) -> Iterator[Optional[List[int]]]:
         """Each clause's literal codes as a fresh list, in clause order:
-        what the engines and the proof checker load.  While no clause
+        what the engine and the proof checker load.  While no clause
         mentions a variable twice (as in encoder output) these are the
         stored codes; otherwise each clause goes through
         :func:`~repro.sat.literals.clause_to_codes` (duplicates dropped,
@@ -145,7 +145,7 @@ class CNF:
 
         The empty clause is allowed and makes the formula trivially
         unsatisfiable.  Literal order is preserved; duplicates are kept
-        (the engines load the clause normalised, see
+        (the engine loads the clause normalised, see
         :meth:`code_clauses`).  A literal that is ``0`` or not an ``int``
         (``bool`` included) raises ``ValueError``.
         """

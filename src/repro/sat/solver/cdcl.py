@@ -40,7 +40,7 @@ propagation loop rather than for object-at-a-time convenience:
   stale when the partner watch moves, the cache here is kept *fresh*:
   a watch move performs one extra write (``_wother[e ^ 1] = new``) so
   the partner record always names the current other watch.  Freshness
-  is what makes the skip exact — it fires precisely when the reference
+  is what makes the skip exact — it fires precisely when the pre-arena
   engine's "first watched literal is true" keep would, so the search
   trajectory is unchanged, and a failed test means the clause is
   genuinely unit, conflicting, deleted, or must move its watch (the
@@ -53,10 +53,9 @@ propagation loop rather than for object-at-a-time convenience:
   removal — the common case — leave the list object untouched.
 
 The arena is a representation change only: the engine visits clauses in
-the same order and picks the same watches as the pre-arena engine
-(:mod:`repro.sat.solver.legacy`, kept behind
-``SolverConfig(engine="legacy")``), so both produce identical
-decision/conflict counts — the determinism fixture suite pins this.
+the same order and picks the same watches as the pre-arena engine it
+replaced, so it reproduces that engine's decision/conflict counts —
+``tests/fixtures/solver_trajectories.json`` pins them.
 """
 
 from __future__ import annotations
@@ -97,12 +96,6 @@ class CDCLSolver:
     what makes the channel-width sweep in
     :mod:`repro.core.incremental` cheap.
 
-    Constructing with ``SolverConfig(engine="legacy")`` returns the
-    pre-arena :class:`~repro.sat.solver.legacy.LegacyCDCLSolver`
-    instead — same API, same search trajectory, original clause-object
-    storage — so the two BCP implementations can be raced against each
-    other (see :mod:`repro.bench.throughput`).
-
     Parameters
     ----------
     cnf:
@@ -118,16 +111,6 @@ class CDCLSolver:
     #: measured ~25% fewer watch inspections than Glucose's classic
     #: (2000, 300) on the conflict-heavy suite at equal conflict counts.
     _tier_cadence = (1000, 150)
-
-    def __new__(cls, cnf: CNF, config: Optional[SolverConfig] = None):
-        if cls is CDCLSolver and config is not None:
-            if config.engine == "legacy":
-                from .legacy import LegacyCDCLSolver
-                return LegacyCDCLSolver(cnf, config)
-            if config.engine == "packed":
-                from .packed import PackedCDCLSolver
-                return super().__new__(PackedCDCLSolver)
-        return super().__new__(cls)
 
     def __init__(self, cnf: CNF, config: Optional[SolverConfig] = None) -> None:
         self.config = config or SolverConfig()
@@ -262,11 +245,6 @@ class CDCLSolver:
             self._num_original += 1
         return ref
 
-    def _clause_codes(self, ref: int) -> List[int]:
-        """The literal codes of clause ``ref`` (a copy; test/debug hook)."""
-        off = self._coff[ref]
-        return self._arena[off:off + self._clen[ref]]
-
     # ------------------------------------------------------------------
     # Assignment / trail
     # ------------------------------------------------------------------
@@ -317,7 +295,7 @@ class CDCLSolver:
           ``_wother[e]`` — the clause's other watched literal, updated
           on the partner record whenever a watch moves, so it is never
           stale.  The skip test ``values[_wother[e]] == 1`` therefore
-          fires exactly when the reference engine's "first watched
+          fires exactly when the pre-arena engine's "first watched
           literal is true" keep would, and a failed test means the
           clause is genuinely unit, conflicting, deleted, or must move
           its watch — the "satisfied after dereference" case cannot
@@ -1209,13 +1187,7 @@ class CDCLSolver:
         if resolved is None or resolved.empty:
             return None
         return FaultInjector(resolved, label=self.config.name,
-                             sites=("solver", self._engine_site,
-                                    "inprocess"))
-
-    #: Site name this engine answers to for engine-specific fault specs
-    #: (``crash@arena`` vs ``crash@legacy``), used to test the batch
-    #: runner's engine-fallback path.
-    _engine_site = "arena"
+                             sites=("solver", "inprocess"))
 
     def _observe(self, status: SolveStatus, elapsed: float) -> None:
         """Report this call to the observability layer (metrics absorb
@@ -1227,12 +1199,12 @@ class CDCLSolver:
             # Stats are cumulative across calls on a reused solver, so
             # the absorb is delta-based via the returned marker.
             self._obs_prev = obs_metrics.absorb_solver_stats(
-                self.stats, engine=self._engine_site,
+                self.stats, engine="arena",
                 prev=getattr(self, "_obs_prev", None))
         if obs_trace.enabled():
             obs_trace.event(
                 "solver.finish", status=str(status),
-                engine=self._engine_site, solver=self.config.name,
+                engine="arena", solver=self.config.name,
                 conflicts=int(self.stats["conflicts"]),
                 decisions=int(self.stats["decisions"]),
                 propagations=int(self.stats["propagations"]),
@@ -1240,7 +1212,7 @@ class CDCLSolver:
             injector = getattr(self, "_injector", None)
             if injector is not None and injector.log:
                 obs_trace.event("fault.injected",
-                                site=self._engine_site,
+                                site="solver",
                                 faults=",".join(injector.log))
 
     def _finish(self, status: SolveStatus, start: float) -> SolveResult:
@@ -1286,6 +1258,5 @@ class CDCLSolver:
 
 
 def solve(cnf: CNF, config: Optional[SolverConfig] = None) -> SolveResult:
-    """Convenience wrapper: solve ``cnf`` with a fresh :class:`CDCLSolver`
-    (or the legacy engine when ``config.engine == "legacy"``)."""
+    """Convenience wrapper: solve ``cnf`` with a fresh :class:`CDCLSolver`."""
     return CDCLSolver(cnf, config).solve()

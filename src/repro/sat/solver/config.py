@@ -6,7 +6,9 @@ on the (hard) unsatisfiable instances while MiniSat had a small edge on the
 (easy) satisfiable ones.  We reproduce the *two-solver* methodology with two
 presets of our own CDCL core that differ in restart policy, polarity policy
 and randomisation — the axes along which siege and MiniSat actually
-differed — rather than shipping two separate engines.
+differed — rather than shipping two separate engines.  The core is one
+engine, the clause-arena :class:`~repro.sat.solver.cdcl.CDCLSolver`;
+inprocessing and tiered clause-DB reduction are flags on it.
 """
 
 from __future__ import annotations
@@ -89,17 +91,6 @@ class SolverConfig:
         empty clause, can be independently verified with
         :func:`repro.sat.proof.check_rup_proof` — turning "provably
         unroutable" into a checkable certificate.
-    engine:
-        ``"arena"`` (default) selects the flat clause-arena BCP engine;
-        ``"legacy"`` selects the pre-arena clause-object engine kept as a
-        performance baseline; ``"packed"`` selects the array-packed
-        variant of the arena engine (typed-array trail/reason/value
-        state, watch lists as flat ``array`` pairs with the blocker
-        literal inline).  ``arena`` and ``legacy`` follow the exact
-        same search trajectory (identical decision/conflict counts);
-        ``packed`` is deterministic and answer-equivalent but its
-        inline blockers may go stale (MiniSat-style), so its
-        trajectory — pinned by its own fixtures — can diverge.
     inprocessing:
         Master switch for inter-restart inprocessing (off by default so
         unflagged trajectories stay bit-identical).  When on, the solver
@@ -169,7 +160,6 @@ class SolverConfig:
     propagation_budget: Optional[int] = None
     wall_clock_limit: Optional[float] = None
     proof_log: bool = False
-    engine: str = "arena"
     inprocessing: bool = False
     inprocess_subsume: bool = True
     inprocess_vivify: bool = True
@@ -184,7 +174,7 @@ class SolverConfig:
     #: None = env-configured faults only; FaultPlan = add these faults;
     #: False = injection disabled (audit re-solves).  ``object`` rather
     #: than an Optional[FaultPlan] annotation keeps this module free of
-    #: reliability imports (the engines resolve it lazily).
+    #: reliability imports (the engine resolves it lazily).
     fault_plan: object = None
     #: None = no clause sharing (the default, trajectory-neutral);
     #: otherwise a channel endpoint from :mod:`repro.dist.sharing`.
@@ -193,8 +183,6 @@ class SolverConfig:
     clause_channel: object = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ("arena", "legacy", "packed"):
-            raise ValueError(f"unknown solver engine {self.engine!r}")
         if self.reduce_policy not in ("activity", "tier"):
             raise ValueError(f"unknown reduce policy {self.reduce_policy!r}")
         if self.inprocess_interval < 1:

@@ -1,6 +1,6 @@
 """The shared result contract: statuses, budgets, reports, cancellation.
 
-Every layer that runs a solver — the raw CDCL engines, the coloring
+Every layer that runs a solver — the raw CDCL engine, the coloring
 pipeline, the incremental width search, the portfolio race, the batch
 runner and the CLI — answers with the same vocabulary defined here:
 

@@ -5,7 +5,7 @@ The contract under test (docs/api.md):
 * ``SolveConfig.conflict_budget`` / ``propagation_budget`` /
   ``wall_clock_limit`` stop the search *cooperatively* at conflict or
   decision boundaries, returning BUDGET_EXHAUSTED / TIMEOUT with valid
-  partial stats — identical semantics on both engines.
+  partial stats.
 * A :class:`CancelToken` stops a solve from outside (status TIMEOUT).
 * With no budget set, the search takes the exact unbudgeted code path
   (pinned bit-exactly by tests/test_solver_trajectories.py).
@@ -24,20 +24,20 @@ from repro.sat import CancelToken, SolveLimits, SolveStatus
 from repro.sat.solver import CDCLSolver, SolverConfig
 from repro.sat.solver.cdcl import BudgetExceeded
 
-ENGINES = ["arena", "legacy"]
+#: The CDCL engine under test, by test ID.
+ENGINES = {"arena": CDCLSolver}
 
 
 @pytest.fixture(params=ENGINES)
 def engine(request):
-    return request.param
+    return ENGINES[request.param]
 
 
 class TestConflictBudget:
     def test_stops_within_budget_with_partial_stats(self, engine):
         budget = 50
-        solver = CDCLSolver(pigeonhole(7),
-                            SolverConfig(seed=1, engine=engine,
-                                         conflict_budget=budget))
+        solver = engine(pigeonhole(7),
+                        SolverConfig(seed=1, conflict_budget=budget))
         result = solver.solve()
         assert result.status is SolveStatus.BUDGET_EXHAUSTED
         assert not result.is_sat and result.model is None
@@ -48,14 +48,14 @@ class TestConflictBudget:
         assert result.stats["solve_time"] >= 0.0
 
     def test_budget_larger_than_needed_solves_normally(self, engine):
-        config = SolverConfig(seed=1, engine=engine, conflict_budget=10**9)
-        result = CDCLSolver(pigeonhole(4), config).solve()
+        config = SolverConfig(seed=1, conflict_budget=10**9)
+        result = engine(pigeonhole(4), config).solve()
         assert result.status is SolveStatus.UNSAT
         assert "stop_reason" not in result.stats
 
     def test_report_carries_status_and_reason(self, engine):
-        config = SolverConfig(seed=1, engine=engine, conflict_budget=5)
-        report = CDCLSolver(pigeonhole(7), config).solve().report()
+        config = SolverConfig(seed=1, conflict_budget=5)
+        report = engine(pigeonhole(7), config).solve().report()
         assert report.status is SolveStatus.BUDGET_EXHAUSTED
         assert report.conflicts == 5
         assert "conflict budget" in report.detail
@@ -64,9 +64,8 @@ class TestConflictBudget:
 class TestPropagationBudget:
     def test_stops_soon_after_budget(self, engine):
         budget = 1000
-        config = SolverConfig(seed=1, engine=engine,
-                              propagation_budget=budget)
-        result = CDCLSolver(pigeonhole(7), config).solve()
+        config = SolverConfig(seed=1, propagation_budget=budget)
+        result = engine(pigeonhole(7), config).solve()
         assert result.status is SolveStatus.BUDGET_EXHAUSTED
         assert result.stats["propagations"] >= budget
         assert result.stats["stop_reason"] == f"propagation budget {budget}"
@@ -78,9 +77,9 @@ class TestWallClock:
         # Acceptance criterion: pigeonhole(9) runs for minutes
         # unbudgeted; with wall_clock_limit=1.0 the call must come back
         # promptly with TIMEOUT and consistent partial stats.
-        config = SolverConfig(seed=1, engine=engine, wall_clock_limit=1.0)
+        config = SolverConfig(seed=1, wall_clock_limit=1.0)
         start = time.perf_counter()
-        result = CDCLSolver(pigeonhole(9), config).solve()
+        result = engine(pigeonhole(9), config).solve()
         elapsed = time.perf_counter() - start
         assert result.status is SolveStatus.TIMEOUT
         assert elapsed < 2.0  # ~1.2s nominal; headroom for slow CI
@@ -93,16 +92,16 @@ class TestCancelToken:
     def test_pre_cancelled_token_stops_immediately(self, engine):
         token = CancelToken()
         token.cancel()
-        config = SolverConfig(seed=1, engine=engine)
-        result = CDCLSolver(pigeonhole(8), config).solve(cancel=token)
+        config = SolverConfig(seed=1)
+        result = engine(pigeonhole(8), config).solve(cancel=token)
         assert result.status is SolveStatus.TIMEOUT
         assert result.stats["stop_reason"] == "cancelled"
         assert result.stats["conflicts"] <= 1
 
     def test_cancel_from_another_thread(self, engine):
         token = CancelToken()
-        config = SolverConfig(seed=1, engine=engine)
-        solver = CDCLSolver(pigeonhole(9), config)
+        config = SolverConfig(seed=1)
+        solver = engine(pigeonhole(9), config)
         timer = threading.Timer(0.2, token.cancel)
         timer.start()
         try:

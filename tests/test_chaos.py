@@ -197,10 +197,13 @@ class TestAuditDetection:
         assert report.verdict is AuditVerdict.PASS, report.summary()
 
     def test_unfaulted_unsat_cross_check_passes_audit(self):
+        # No proof on the outcome: the audit re-solves with proof
+        # logging on and replays the new proof.
         outcome = solve_coloring(UNSAT_PROBLEM, DIRECT, faults=False)
         report = audit_outcome(UNSAT_PROBLEM, outcome)
         assert report.verdict is AuditVerdict.PASS
-        assert any(check.name == "cross-engine-unsat"
+        assert any(check.name == "proof-replay"
+                   and check.verdict is AuditVerdict.PASS
                    for check in report.checks)
 
     def test_undecided_outcome_is_skipped_not_passed(self):
@@ -225,6 +228,20 @@ class TestAuditDetection:
         bad = SolveResult(SolveStatus.SAT, Model(values),
                           dict(result.stats))
         assert audit_solve(cnf, bad).failed
+
+    def test_unsat_claim_without_proof_is_rechecked(self):
+        from repro.bench.throughput import pigeonhole
+        from repro.sat.model import SolveResult
+        claim = SolveResult(SolveStatus.UNSAT, stats={})
+        # A satisfiable formula claimed UNSAT: the re-solve's model
+        # refutes the claim.
+        lie = audit_solve(CNF([(1, 2), (-1,)]), claim)
+        assert [(c.name, c.verdict) for c in lie.checks] == [
+            ("unsat-recheck", AuditVerdict.FAIL)]
+        # A re-solve that runs out of budget proves nothing either way.
+        unknown = audit_solve(pigeonhole(8), claim, cross_check_conflicts=5)
+        assert [(c.name, c.verdict) for c in unknown.checks] == [
+            ("unsat-recheck", AuditVerdict.SKIPPED)]
 
 
 class TestInprocessFaultAudit:
@@ -381,7 +398,7 @@ class TestBatchChaos:
         start = time.perf_counter()
         result = self._run(job, job_timeout=DEADLINE, timeout=2 * DEADLINE,
                            faults=_plan(f"seed={CHAOS_SEED}; {spec}"), audit=True,
-                           max_attempts=1, engine_fallback=False)
+                           max_attempts=1)
         elapsed = time.perf_counter() - start
         assert elapsed < 2 * (2 * DEADLINE), f"{spec} overran: {elapsed:.1f}s"
         assert len(result.results) == 1
@@ -401,21 +418,10 @@ class TestBatchChaos:
         assert elapsed < 3.0
         assert not result.pending
 
-    def test_arena_fault_falls_back_to_legacy_engine(self):
-        job = BatchJob("fallback", SAT_PROBLEM, DIRECT)
-        result = self._run(job, faults=_plan(f"seed={CHAOS_SEED}; crash@arena"),
-                           audit=True)
-        record = result.results[0]
-        assert record.status is SolveStatus.SAT
-        assert record.attempts == 2
-        assert record.engine == "legacy"
-        assert record.audit is not None and record.audit.passed
-
     def test_audit_failure_is_retried_then_error(self):
         job = BatchJob("liar", SAT_PROBLEM, DIRECT)
         result = self._run(job, faults=_plan(f"seed={CHAOS_SEED + 5}; wrong_model"),
-                           audit=True, max_attempts=2,
-                           engine_fallback=False)
+                           audit=True, max_attempts=2)
         record = result.results[0]
         assert record.status is SolveStatus.ERROR
         assert record.attempts == 2
@@ -426,12 +432,12 @@ class TestBatchChaos:
         job = BatchJob("backoff", SAT_PROBLEM, DIRECT)
         start = time.perf_counter()
         result = self._run(
-            job, faults=_plan(f"seed={CHAOS_SEED}; crash@arena"),
+            job, faults=_plan(f"seed={CHAOS_SEED}; crash@solver"),
             quarantine=QuarantinePolicy(threshold=1, base_backoff=0.3,
                                         max_backoff=1.0))
         elapsed = time.perf_counter() - start
         record = result.results[0]
-        assert record.status is SolveStatus.SAT and record.attempts == 2
+        assert record.status is SolveStatus.ERROR and record.attempts == 2
         assert elapsed >= 0.3  # the retry waited out the backoff
 
     def test_faults_false_disables_env_plan(self, monkeypatch):

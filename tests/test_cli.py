@@ -260,5 +260,5 @@ class TestAudit:
 
     def test_color_with_engine_flag(self, cycle5, capsys):
         assert main(["color", cycle5, "--colors", "3",
-                     "--engine", "legacy"]) == 10
+                     "--engine", "arena+inprocess"]) == 10
         assert "SATISFIABLE" in capsys.readouterr().out

@@ -25,11 +25,13 @@ from repro.dist.sharing import ClauseHub
 from repro.qa.generators import conflict_instances
 from repro.reliability.faults import FaultPlan
 from repro.reliability.quarantine import QuarantinePolicy
-from repro.sat import CDCLSolver, PackedCDCLSolver
+from repro.sat import CDCLSolver
 from repro.sat.solver.config import preset
 from repro.sat.status import SolveStatus
 
 DIRECT = Strategy("direct", "s1")
+#: Not matched by the ``match=direct/s1`` faults that crash DIRECT jobs.
+MULDIRECT = Strategy("muldirect", "s1")
 FAST_QUARANTINE = QuarantinePolicy(threshold=3, base_backoff=0.05,
                                    max_backoff=0.2)
 
@@ -116,7 +118,7 @@ class TestSolverSharing:
     def _unsat_problem(self):
         return ColoringProblem(complete_graph(6), 5)
 
-    @pytest.mark.parametrize("engine_cls", [CDCLSolver, PackedCDCLSolver])
+    @pytest.mark.parametrize("engine_cls", [CDCLSolver])
     def test_sharing_disabled_is_trajectory_neutral(self, engine_cls):
         cnf = _encoded_cnf(self._unsat_problem())
         plain = engine_cls(cnf.copy(), preset("siege_like"))
@@ -335,16 +337,20 @@ class TestShardScheduler:
         assert len(result.results) == len(jobs) and not result.pending
 
     def test_crashed_shard_worker_requeues_zero_lost(self):
-        jobs = _jobs(3)
+        # Every DIRECT attempt crashes its worker, the retry too; the
+        # MULDIRECT jobs share those workers and must lose nothing.
+        jobs = _jobs(3) + _jobs(3, MULDIRECT)
         result = run_sharded(
             jobs, num_shards=2, workers_per_shard=1,
             quarantine=FAST_QUARANTINE,
-            faults=FaultPlan.parse("seed=3; crash@dist_shard:match=*/s1"))
+            faults=FaultPlan.parse("seed=3; crash@dist_shard:match=direct/s1"))
         assert len(result.results) == len(jobs) and not result.pending
-        assert all(r.status is SolveStatus.UNSAT for r in result.results)
-        assert sum(s["requeued"] for s in result.shards.values()) >= 1
-        assert all(r.attempts == 2 and r.engine == "legacy"
-                   for r in result.results)
+        for r in result.results:
+            if r.job.strategy == MULDIRECT:
+                assert r.status is SolveStatus.UNSAT and r.attempts == 1
+            else:
+                assert r.status is SolveStatus.ERROR and r.attempts == 2
+        assert sum(s["requeued"] for s in result.shards.values()) >= 3
 
     def test_single_shard_degenerates_to_flat_batch(self):
         from repro.bench.batch import run_batch
@@ -442,18 +448,24 @@ class TestSchedulerSlots:
         assert elapsed < 3.0
 
     def test_crash_right_after_a_report_loses_no_report(self):
-        # Every arena attempt crashes at its start, on the worker whose
-        # legacy retry of the previous job has only just reported: that
-        # report, and every later one, must still arrive.
-        jobs = _cycles(DIRECT, range(5, 17, 2))
+        # DIRECT and MULDIRECT cycles alternate on one worker, and every
+        # DIRECT attempt crashes at its start, on the worker whose
+        # MULDIRECT job has only just reported: that report, and every
+        # later one, must still arrive.
+        jobs = [job for n in range(5, 17, 2)
+                for job in _cycles(DIRECT, [n]) + _cycles(MULDIRECT, [n])]
         result = run_sharded(
             jobs, num_shards=1, max_workers=1, job_timeout=5,
+            quarantine=FAST_QUARANTINE,
             faults=FaultPlan.parse("seed=1; crash@worker:match=direct/s1"))
         assert len(result.results) == len(jobs) and not result.pending
         for job_result in result.results:
-            assert job_result.status is SolveStatus.SAT
-            assert job_result.attempts == 2
-            assert job_result.engine == "legacy"
+            if job_result.job.strategy == MULDIRECT:
+                assert job_result.status is SolveStatus.SAT
+                assert job_result.attempts == 1
+            else:
+                assert job_result.status is SolveStatus.ERROR
+                assert job_result.attempts == 2
 
     def test_cancel_of_one_attempt_never_reaches_the_next(self):
         waiter = BatchJob("waiter", ColoringProblem(cycle_graph(5), 3),

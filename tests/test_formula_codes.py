@@ -3,7 +3,7 @@
 A :class:`~repro.sat.cnf.CNF` built by the encoder, the same formula
 parsed back from its DIMACS text, and that text with one literal
 duplicated (which sends the formula load through the normalising branch
-of ``CNF.code_clauses``) must give every engine the same search: equal
+of ``CNF.code_clauses``) must give the engine the same search: equal
 counters, an equal proof and equal hints.  The DIMACS text itself is
 pinned by hash, and the input faults must edit the stored codes so that
 the clause view shows the edit.
@@ -30,6 +30,9 @@ DIMACS_SHA256 = {
     "ITE-log": "2072805c68a97693",
     "ITE-linear-2+muldirect": "fc9b7fd1b7b1f249",
 }
+
+#: The CDCL engine under test, by test ID.
+ENGINES = {"arena": CDCLSolver}
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +64,7 @@ def _with_duplicate(text: str) -> str:
 
 
 def _trajectory(cnf: CNF, engine: str):
-    solver = CDCLSolver(cnf, SolverConfig(engine=engine, proof_log=True))
+    solver = ENGINES[engine](cnf, SolverConfig(proof_log=True))
     result = solver.solve()
     stats = result.stats
     return (result.status, stats["conflicts"], stats["decisions"],
@@ -78,7 +81,7 @@ class TestOnePath:
         duplicated = _with_duplicate(text)
         assert parse_dimacs_string(duplicated).to_dimacs() == duplicated
 
-    @pytest.mark.parametrize("engine", ["arena", "packed"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_same_trajectory_for_every_input_kind(self, problem, encoding,
                                                   engine):
         built = _encode(problem, encoding)

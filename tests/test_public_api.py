@@ -124,14 +124,6 @@ class TestCompatibilityShims:
         with pytest.warns(DeprecationWarning, match="from_bool"):
             assert SolveStatus.from_bool(True) is SolveStatus.SAT
 
-    def test_legacy_budget_exceeded_is_same_class(self):
-        # legacy.py used to define its own duplicate exception; both
-        # import paths must now name one class.
-        from repro.sat.solver.cdcl import BudgetExceeded as arena_exc
-        from repro.sat.solver.legacy import BudgetExceeded as legacy_exc
-        import repro
-        assert arena_exc is legacy_exc is repro.BudgetExceeded
-
     def test_old_import_paths_still_resolve(self):
         # Names reachable both from their home modules and the curated
         # top-level __all__.

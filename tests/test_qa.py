@@ -114,7 +114,7 @@ class TestStrategyMatrix:
 
     def test_engines_preset_races_engines(self):
         assert StrategyMatrix.parse("engines").engines == \
-            ("arena", "legacy", "packed", "arena+inprocess")
+            ("arena", "arena+inprocess")
 
     def test_full_default_covers_whole_registry(self):
         assert set(StrategyMatrix().encodings) == set(REGISTRY_ENCODINGS)
@@ -135,7 +135,7 @@ class TestStrategyMatrix:
 
     def test_custom_spec(self):
         matrix = StrategyMatrix.parse(
-            "encodings=direct,log;symmetry=none;engine=legacy")
+            "encodings=direct,log;symmetry=none;engine=arena+inprocess")
         assert matrix.encodings == ("direct", "log")
         assert matrix.size == 2
 

@@ -3,13 +3,12 @@
 ``tests/fixtures/solver_trajectories.json`` pins the
 ``(answer, decisions, conflicts)`` triple of the *pre-arena* seed solver
 on seeded random CNFs, pigeonhole formulas and two FPGA routing
-instances, under both solver presets.  Both current engines — the flat
-clause-arena engine and the retained legacy engine — must reproduce
-every pinned triple exactly: the arena is a storage/propagation-speed
-change only, and any drift in decision or conflict counts means the
-search trajectory silently changed.  The arena and packed engines must
-also hit their pins with proof logging on: recording a learned clause
-and its hint (the clauses its conflict analysis used) must not move the
+instances, under both solver presets.  The flat clause-arena engine must
+reproduce every pinned triple exactly: the arena is a
+storage/propagation-speed change only, and any drift in decision or
+conflict counts means the search trajectory silently changed.  It must
+also hit its pins with proof logging on: recording a learned clause and
+its hint (the clauses its conflict analysis used) must not move the
 search.
 """
 
@@ -19,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.throughput import pigeonhole, random_3sat
-from repro.sat import CNF, CDCLSolver, LegacyCDCLSolver, PackedCDCLSolver
+from repro.sat import CNF, CDCLSolver
 from repro.sat.solver.config import preset
 
 FIXTURES = json.loads(
@@ -27,10 +26,9 @@ FIXTURES = json.loads(
     .read_text(encoding="utf-8"))
 
 PRESETS = ("minisat_like", "siege_like")
-ENGINES = {"arena": CDCLSolver, "legacy": LegacyCDCLSolver}
-#: Proof-logging settings each engine is pinned under (the legacy engine
-#: logs no hints, so only its default run is pinned).
-PROOF_LOGS = {"arena": (False, True), "legacy": (False,)}
+ENGINES = {"arena": CDCLSolver}
+#: Proof-logging settings each engine is pinned under.
+PROOF_LOGS = {"arena": (False, True)}
 
 # name -> CNF builder, mirroring exactly how the fixtures were generated.
 RANDOM_SPECS = {
@@ -42,9 +40,8 @@ RANDOM_SPECS = {
 
 def _triple(cnf: CNF, engine: str, preset_name: str,
             proof_log: bool = False):
-    solver_class = {**ENGINES, "packed": PackedCDCLSolver}[engine]
-    solver = solver_class(cnf.copy(),
-                          preset(preset_name, proof_log=proof_log))
+    solver = ENGINES[engine](cnf.copy(),
+                             preset(preset_name, proof_log=proof_log))
     result = solver.solve()
     return [bool(result.is_sat), int(solver.stats["decisions"]),
             int(solver.stats["conflicts"])]
@@ -135,64 +132,24 @@ def test_modern_encoding_trajectories(modern_routing_cnfs, name, engine):
                 f"drifted on {name}"
 
 
-class TestPackedTrajectories:
-    """The packed engine keeps MiniSat-style *stale* inline blockers,
-    so its search trajectory legitimately differs from arena/legacy —
-    it gets its own pinned fixtures instead of sharing theirs.  What
-    must hold unconditionally: determinism (same seed, same run) and
-    answer agreement with the arena engine."""
-
-    @pytest.mark.parametrize("name", RANDOM_SPECS)
-    def test_random_cnf_trajectories(self, name):
-        nv, nc, seed = RANDOM_SPECS[name]
-        cnf = random_3sat(nv, nc, seed)
-        for preset_name in PRESETS:
-            for proof_log in (False, True):
-                assert _triple(cnf, "packed", preset_name, proof_log) \
-                    == FIXTURES["packed"]["random"][name][preset_name]
-
-    @pytest.mark.parametrize("holes", [5, 6])
-    def test_pigeonhole_trajectories(self, holes):
-        cnf = pigeonhole(holes)
-        for preset_name in PRESETS:
-            for proof_log in (False, True):
-                assert _triple(cnf, "packed", preset_name, proof_log) \
-                    == FIXTURES["packed"]["pigeonhole"][f"php-{holes}"][
-                        preset_name]
-
-    def test_packed_is_deterministic(self):
-        cnf = random_3sat(60, 250, 2)
-        runs = []
-        for _ in range(2):
-            solver = PackedCDCLSolver(cnf.copy(), preset("minisat_like"))
-            solver.solve()
-            runs.append({key: solver.stats[key]
-                         for key in ("decisions", "conflicts",
-                                     "propagations", "watch_inspections",
-                                     "learned_clauses", "restarts")})
-        assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("name", RANDOM_SPECS)
-    def test_packed_agrees_with_arena(self, name):
-        nv, nc, seed = RANDOM_SPECS[name]
-        cnf = random_3sat(nv, nc, seed)
-        arena = CDCLSolver(cnf.copy(), preset("minisat_like")).solve()
-        packed_solver = PackedCDCLSolver(cnf.copy(), preset("minisat_like"))
-        packed = packed_solver.solve()
-        assert packed.is_sat == arena.is_sat
-        if packed.is_sat:
-            assert packed.model.satisfies(cnf)
+#: Counters of ``random_3sat(60, 250, 2)`` per preset, taken when the
+#: arena engine and the pre-arena engine it replaced both still ran and
+#: agreed on every one of them.
+PRE_ARENA_COUNTS = {
+    "minisat_like": {"decisions": 191, "conflicts": 158,
+                     "propagations": 2495, "learned_clauses": 157,
+                     "restarts": 1},
+    "siege_like": {"decisions": 242, "conflicts": 204,
+                   "propagations": 3476, "learned_clauses": 203,
+                   "restarts": 1},
+}
 
 
 @pytest.mark.parametrize("preset_name", PRESETS)
 def test_engines_agree_on_propagation_counts(preset_name):
     """Beyond the pinned triples: propagation counts match too."""
-    cnf = random_3sat(60, 250, 2)
-    stats = {}
-    for engine, cls in ENGINES.items():
-        solver = cls(cnf.copy(), preset(preset_name))
-        solver.solve()
-        stats[engine] = solver.stats
-    for key in ("decisions", "conflicts", "propagations",
-                "learned_clauses", "restarts"):
-        assert stats["arena"][key] == stats["legacy"][key]
+    solver = CDCLSolver(random_3sat(60, 250, 2), preset(preset_name))
+    solver.solve()
+    assert {key: int(solver.stats[key])
+            for key in PRE_ARENA_COUNTS[preset_name]} \
+        == PRE_ARENA_COUNTS[preset_name]

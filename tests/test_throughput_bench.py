@@ -1,9 +1,10 @@
 """Smoke tests for the BCP throughput bench (repro.bench.throughput).
 
 Tier-1 safe: runs the bench at a tiny setting and checks the artifact is
-valid JSON with the expected shape — no timing assertions, so the test
-cannot flake on a loaded machine.  The real >= 1.5x acceptance assertion
-lives in benchmarks/test_bench_solver_throughput.py.
+valid JSON with the expected shape and the stress suite's deterministic
+counters — no timing assertions, so the test cannot flake on a loaded
+machine.  The props/sec floor is checked by ``make bench-smoke`` and
+benchmarks/test_bench_solver_throughput.py.
 """
 
 import json
@@ -14,7 +15,7 @@ from repro.bench.throughput import (bcp_stress, check_floor, conflict_configs,
                                     main, measure_conflict_instance,
                                     measure_instance, pigeonhole,
                                     run_throughput_bench, write_report,
-                                    _ENGINES, _stress_runner)
+                                    _search_runner, _stress_runner)
 from repro.sat import CDCLSolver
 from repro.sat.solver.config import minisat_like
 
@@ -32,13 +33,31 @@ def test_bcp_stress_is_propagation_only():
     assert solver.stats["blocker_hits"] > 0
 
 
-def test_measure_instance_reports_both_engines():
+def test_measure_instance_reports_the_engine():
     record = measure_instance("tiny", bcp_stress(40, 2, 4),
                               runner=_stress_runner, rounds=2, repeats=1)
-    assert record["sanity"] == "identical trajectories"
-    assert record["arena"]["propagations"] == record["legacy"]["propagations"]
+    assert record["arena"]["propagations"] == 80
     assert record["arena"]["blocker_hit_rate"] is not None
-    assert record["speedup"] is not None
+    assert record["arena"]["props_per_sec"] > 0
+
+
+def test_search_runner_counts_a_capped_search():
+    record = measure_instance("php-5", pigeonhole(5), runner=_search_runner,
+                              rounds=1, repeats=1, max_conflicts=100)
+    # The hard budget raises BudgetExceeded past conflict 100; the
+    # runner keeps the capped search's stats.
+    assert record["arena"]["conflicts"] == 101
+
+
+def test_search_runner_does_not_time_a_crash(monkeypatch):
+    # Only BudgetExceeded ends a timed search normally: a crashed engine
+    # must not be recorded as a fast run.
+    def crash(self, *args, **kwargs):
+        raise RuntimeError("engine crashed")
+    monkeypatch.setattr(CDCLSolver, "solve", crash)
+    with pytest.raises(RuntimeError, match="engine crashed"):
+        measure_instance("php-5", pigeonhole(5), runner=_search_runner,
+                         rounds=1, repeats=1, max_conflicts=100)
 
 
 def test_bench_payload_is_valid_json(tmp_path):
@@ -48,12 +67,24 @@ def test_bench_payload_is_valid_json(tmp_path):
     out = tmp_path / "BENCH_solver.json"
     write_report(str(out), payload)
     loaded = json.loads(out.read_text(encoding="utf-8"))
-    assert loaded["headline_bcp_speedup"] is not None
     assert loaded["stress_arena_props_per_sec"] > 0
-    assert loaded["stress_legacy_props_per_sec"] > 0
     for record in loaded["stress_suite"]:
-        assert record["sanity"] == "identical trajectories"
         assert record["arena"]["props_per_sec"] > 0
+
+
+def test_stress_counters_are_pinned():
+    """The stress suite's counters are deterministic: a drift means the
+    propagation loop visits watches differently, whatever props/sec
+    says."""
+    payload = run_throughput_bench(repeats=1, stress_rounds=2,
+                                   include_context=False,
+                                   include_conflict=False)
+    counters = {record["name"]: (record["arena"]["propagations"],
+                                 record["arena"]["watch_inspections"],
+                                 record["arena"]["blocker_hits"])
+                for record in payload["stress_suite"]}
+    assert counters == {"chain-300x32": (600, 19670, 19072),
+                        "chain-400x16": (800, 13534, 12736)}
 
 
 @pytest.mark.slow
@@ -64,15 +95,11 @@ def test_bench_cli_quick(tmp_path, capsys):
     # coverage for exactly what CI's bench-smoke job executes.
     assert main(["--quick", "-o", str(out)]) == 0
     loaded = json.loads(out.read_text(encoding="utf-8"))
-    assert "headline_bcp_speedup" in loaded
+    assert "stress_arena_props_per_sec" in loaded
     assert "context_suite" in loaded
     assert "conflict_suite" in loaded
     assert "headline_conflict_speedup" in loaded
-    assert "headline BCP speedup" in capsys.readouterr().out
-
-
-def test_all_three_engines_registered():
-    assert set(_ENGINES) == {"arena", "legacy", "packed"}
+    assert "stress suite props/sec" in capsys.readouterr().out
 
 
 def test_conflict_configs_flags():
@@ -102,12 +129,12 @@ def test_check_floor_pass_and_fail(tmp_path):
     floor = tmp_path / "floor.json"
     floor.write_text(json.dumps({
         "_comment": "ignored",
-        "headline_bcp_speedup": 2.0,
+        "headline_conflict_speedup": 2.0,
         "absent_key": 1.0,
     }), encoding="utf-8")
     # 1.6 >= 75% of the 2.0 floor: passes; the missing key fails.
-    failures = check_floor({"headline_bcp_speedup": 1.6}, str(floor))
+    failures = check_floor({"headline_conflict_speedup": 1.6}, str(floor))
     assert failures == ["absent_key: missing from bench payload"]
-    failures = check_floor({"headline_bcp_speedup": 1.4,
+    failures = check_floor({"headline_conflict_speedup": 1.4,
                             "absent_key": 5.0}, str(floor))
-    assert failures == ["headline_bcp_speedup: 1.4 < 75% of floor 2.0"]
+    assert failures == ["headline_conflict_speedup: 1.4 < 75% of floor 2.0"]
