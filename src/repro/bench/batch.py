@@ -17,11 +17,9 @@ where the owner's locality lives, the tail is where the coldest work
 sits.  :func:`run_batch` is the same scheduler with one shard;
 :mod:`repro.dist.scheduler` re-exports it for the distributed layer.
 
-Each worker slot of each shard keeps one worker process for the whole
-call: forked at the slot's first launch, sent one attempt at a time on
-the slot's own pipe, and stopped when the call returns.  With
-``audit=True`` the worker also audits its own decided answer, so audits
-run on every worker at once rather than one by one in the scheduler.
+The shards' worker slots are one :class:`~repro.core.pool.WorkerPool`:
+each keeps one worker process for the whole call, and with
+``audit=True`` each worker audits its own decided answers.
 
 Guarantees:
 
@@ -45,34 +43,25 @@ Guarantees:
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing as mp
-import os
 import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .. import obs
 from ..coloring.problem import ColoringProblem
 from ..core.pipeline import ColoringOutcome, solve_coloring
-from ..core.portfolio import _worker_injector
+from ..core.pool import (CANCEL_GRACE_SECONDS, Finished, WorkerPool,
+                         solve_attempt)
 from ..core.strategy import Strategy
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..sat.status import CancelToken, SolveLimits, SolveStatus
 
-#: Report-wait interval of the scheduler loop.
-_POLL_SECONDS = 0.05
-
-#: Grace given to a cancelled job to wind down and report before it is
-#: hard-terminated (covers time spent outside the solver, e.g. encoding).
-_CANCEL_GRACE_SECONDS = 2.0
-
-#: How often an idle worker checks that its scheduler still exists: a
-#: scheduler that is killed never sends the stop sentinel.
-_PARENT_CHECK_SECONDS = 1.0
+#: Grace a cancelled job gets to wind down and report before its worker
+#: is killed (a module attribute, so tests can shorten it).
+_CANCEL_GRACE_SECONDS = CANCEL_GRACE_SECONDS
 
 
 @dataclass(frozen=True)
@@ -164,74 +153,14 @@ def shard_of(instance: str, num_shards: int) -> int:
     return zlib.crc32(instance.encode("utf-8")) % num_shards
 
 
-def _batch_worker(jobs: Sequence[BatchJob], conn, cancel_event,
-                  limits: Optional[SolveLimits], faults=None,
-                  audit: bool = False) -> None:
-    """A slot's worker process: for each job index read from ``conn``,
-    solve one attempt, audit its decided answer when ``audit`` is set,
-    and send both back; return at the ``None`` stop sentinel, or once
-    the scheduler process is gone."""
-    scheduler = os.getppid()
-    while True:
-        if not conn.poll(_PARENT_CHECK_SECONDS):
-            if os.getppid() != scheduler:
-                return
-            continue
-        index = conn.recv()
-        if index is None:
-            return
-        # Fresh observability state for each attempt (fork inherits the
-        # parent's buffers); spans and metrics travel back on the pipe.
-        obs.worker_begin()
-        try:
-            job = jobs[index]
-            injector = _worker_injector(faults, job.strategy,
-                                        extra_sites=("dist_shard",))
-            if injector is not None:
-                injector.maybe_exit()
-                injector.maybe_hang()
-            # Reliability kwargs only when they deviate from the
-            # defaults, so test doubles with the historical signature
-            # keep working.
-            kwargs = {}
-            if faults is not None:
-                kwargs["faults"] = faults
-            if audit:
-                kwargs.update(keep_model=True, proof_log=True)
-            outcome = solve_coloring(job.problem, job.strategy,
-                                     graph_time=job.graph_time,
-                                     limits=limits,
-                                     cancel=CancelToken(cancel_event),
-                                     **kwargs)
-            report = None
-            if audit and outcome.status.decided:
-                from ..reliability.audit import audit_outcome
-                report = audit_outcome(job.problem, outcome)
-            conn.send((outcome, None, report, obs.drain_telemetry()))
-        except Exception as error:  # report, never hang the scheduler
-            conn.send((None, repr(error), None, obs.drain_telemetry()))
-
-
-@dataclass
-class _Slot:
-    """One worker slot of a shard and the worker process serving it.
-
-    The process is forked at the slot's first launch and serves every
-    attempt launched on the slot until the call ends.  Tasks go out and
-    reports come back on the slot's own pipe, so no lock is shared
-    between workers, and a worker that dies at any point cannot hold up
-    another's report.  A worker killed past its grace period or found
-    dead is replaced, with its pipe and cancel event, at the slot's
-    next launch: a process killed inside ``Event.is_set`` can leave the
-    event's lock held.
-    """
-
-    shard: int
-    process: Optional["mp.Process"] = None
-    #: The scheduler's end of the slot's pipe.
-    conn: object = None
-    cancel_event: object = None
-    busy: bool = False
+def _run_job(index: int, cancel: CancelToken, jobs: Sequence[BatchJob],
+             limits: Optional[SolveLimits], faults, audit: bool):
+    """A slot's task: one attempt at ``jobs[index]``, audited when
+    ``audit`` is set; returns ``(outcome, audit report or None)``."""
+    job = jobs[index]
+    return solve_attempt(job.strategy, cancel, solve_coloring, job.problem,
+                         limits, faults, audit, graph_time=job.graph_time,
+                         sites=("dist_shard",))
 
 
 @dataclass
@@ -246,21 +175,6 @@ class _Entry:
     #: Monotonic timestamp before which this entry may not launch
     #: (quarantine backoff of its strategy).
     not_before: float = 0.0
-
-
-@dataclass
-class _Running:
-    """Scheduler-side state of one launched attempt."""
-
-    #: Launch number, the key of the attempt among those running.
-    dispatch: int
-    entry: _Entry
-    #: Worker slot this attempt occupies (the thief's shard, on a stolen
-    #: launch — the home shard stays on the entry).
-    slot: _Slot
-    started: float
-    deadline: Optional[float]
-    hard_deadline: Optional[float] = None
 
 
 def jobs_for(instances: Sequence, strategies: Sequence[Strategy],
@@ -399,10 +313,8 @@ def run_sharded(jobs: Sequence[BatchJob],
     fans its result back out to every duplicate, so a corpus with
     repeated instances no longer pays for redundant solves.
 
-    Each of the ``num_shards * workers_per_shard`` worker slots forks
-    its process at its first launch and keeps it for the whole call;
-    only a worker killed past its grace period or found dead is
-    replaced.  No worker outlives the call.
+    The ``num_shards * workers_per_shard`` slots are one
+    :class:`~repro.core.pool.WorkerPool`; no worker outlives the call.
 
     The result carries per-shard counters (``launched``, ``stolen``,
     ``requeued``, ``completed``) and the steal total.
@@ -455,24 +367,21 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                       timeout: Optional[float],
                       cancel: Optional[CancelToken], audit: bool, faults,
                       quarantine) -> ShardedResult:
-    """:func:`run_sharded`'s scheduler loop, inside its already-open span.
+    """:func:`run_sharded`'s scheduler loop, inside its already-open span:
+    a work-stealing policy over a :class:`WorkerPool` whose shard ``s``
+    owns slots ``s * workers_per_shard`` onwards.
 
     Job lifecycle transitions — launch, steal, settle, retry/requeue
     (with backoff), per-job deadline kills,
     unreported worker deaths and batch-level cancellation — become span
     events, and the telemetry each worker ships back (span tree +
-    metrics snapshot) is grafted under this span.  Each launch gets its
-    own dispatch number, so jobs sharing an (instance, strategy) key
+    metrics snapshot) is grafted under this span.  The pool tracks each
+    attempt by its slot, so jobs sharing an (instance, strategy) key
     never collide in flight.
     """
-    # Imported here: multiprocessing.connection costs every importer
-    # of repro.api about 0.6 MB of resident memory.
-    from multiprocessing.connection import wait
     from ..reliability.quarantine import QuarantineTracker
     tracker = QuarantineTracker(quarantine)
     job_limits = (limits or SolveLimits()).with_wall_clock(job_timeout)
-    context = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
-                             else "spawn")
     start = time.perf_counter()
     batch_deadline = None if timeout is None else start + timeout
 
@@ -480,10 +389,9 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
     for index, job in enumerate(jobs):
         home = shard_of(job.instance, num_shards)
         queues[home].append(_Entry(index, job, home))
-    slots = [_Slot(shard) for shard in range(num_shards)
-             for _ in range(workers_per_shard)]
-    running: Dict[int, _Running] = {}
-    dispatches = itertools.count()
+    pool = WorkerPool(num_shards * workers_per_shard, _run_job,
+                      args=(jobs, job_limits, faults, audit),
+                      grace=_CANCEL_GRACE_SECONDS, span_id=span.span_id)
     results: List[BatchJobResult] = []
     stats = [{"queued": len(queue), "launched": 0, "stolen": 0,
               "completed": 0, "requeued": 0} for queue in queues]
@@ -519,40 +427,11 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                 return entry, True
         return None, False
 
-    def _close(slot: _Slot) -> None:
-        """Reap a slot's stopped or killed worker and close its pipe."""
-        slot.process.join(timeout=5)
-        slot.conn.close()
-
-    def _launch(entry: _Entry, slot: _Slot, stolen: bool) -> None:
+    def _launch(entry: _Entry, slot: int, stolen: bool) -> None:
         nonlocal steals
         job = entry.job
-        shard = slot.shard
-        if slot.process is None or not slot.process.is_alive():
-            if slot.process is not None:
-                _close(slot)
-            slot.conn, worker_end = context.Pipe()
-            slot.cancel_event = context.Event()
-            slot.process = context.Process(
-                target=_batch_worker,
-                args=(jobs, worker_end, slot.cancel_event, job_limits,
-                      faults, audit),
-                daemon=True)
-            slot.process.start()
-            worker_end.close()
-        # The worker is idle between attempts, so clearing here cannot
-        # race with it: a cancel meant for the slot's previous attempt
-        # never reaches this one.
-        slot.cancel_event.clear()
-        dispatch = next(dispatches)
-        now = time.perf_counter()
-        deadline = None if job_timeout is None else now + job_timeout
-        running[dispatch] = _Running(dispatch, entry, slot, now, deadline)
-        slot.busy = True
-        try:
-            slot.conn.send(entry.index)
-        except OSError:
-            pass  # died since the check above: _collect reports it
+        shard = slot // workers_per_shard
+        pool.submit(slot, entry.index, tag=entry, timeout=job_timeout)
         stats[shard]["launched"] += 1
         if stolen:
             steals += 1
@@ -566,36 +445,30 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                     engine=job.strategy.engine, shard=shard,
                     attempt=entry.attempt)
 
-    def _forget(record: _Running) -> None:
-        del running[record.dispatch]
-        record.slot.busy = False
-
-    def _settle(record: _Running, status: SolveStatus,
+    def _settle(done: Finished, status: SolveStatus,
                 outcome: Optional[ColoringOutcome] = None,
                 error: Optional[str] = None, audit_report=None) -> None:
-        entry = record.entry
+        # The slot's shard: the thief's, on a stolen launch.
+        entry, shard = done.tag, done.slot // workers_per_shard
         results.append(BatchJobResult(
             job=entry.job, status=status, outcome=outcome,
-            wall_time=time.perf_counter() - record.started,
-            attempts=entry.attempt, error=error, audit=audit_report))
-        stats[record.slot.shard]["completed"] += 1
-        _forget(record)
+            wall_time=done.elapsed, attempts=entry.attempt, error=error,
+            audit=audit_report))
+        stats[shard]["completed"] += 1
         trace.event("job.settled", instance=entry.job.instance,
                     strategy=entry.job.strategy.label, status=str(status),
-                    shard=record.slot.shard, attempts=entry.attempt,
+                    shard=shard, attempts=entry.attempt,
                     **({"error": error} if error else {}))
 
-    def _requeue(record: _Running) -> None:
+    def _requeue(entry: _Entry) -> None:
         """A failed attempt goes back to the *head of its home shard*
         (locality survives the crash), delayed by its strategy's
         quarantine backoff."""
-        entry = record.entry
         not_before = tracker.release_time(entry.job.strategy.label)
         queues[entry.home].appendleft(_Entry(
             entry.index, entry.job, entry.home, entry.attempt + 1,
             not_before))
         stats[entry.home]["requeued"] += 1
-        _forget(record)
         trace.event("job.requeued", instance=entry.job.instance,
                     strategy=entry.job.strategy.label, shard=entry.home,
                     next_attempt=entry.attempt + 1,
@@ -604,65 +477,57 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
         if obs_metrics.enabled():
             obs_metrics.registry().inc("dist.requeues")
 
-    def _fail(record: _Running, detail: str,
+    def _fail(done: Finished, detail: str,
               outcome: Optional[ColoringOutcome] = None,
               audit_report=None) -> None:
         """Charge a failed attempt to its strategy, then retry the job
         or, with no attempts left (or the batch stopping), settle it as
         ERROR."""
-        tracker.record_offence(record.entry.job.strategy.label, detail,
+        entry = done.tag
+        tracker.record_offence(entry.job.strategy.label, detail,
                                time.perf_counter())
-        if record.entry.attempt < max_attempts and not stopping:
-            _requeue(record)
+        if entry.attempt < max_attempts and not stopping:
+            _requeue(entry)
         else:
-            _settle(record, SolveStatus.ERROR, outcome, detail,
-                    audit_report)
+            _settle(done, SolveStatus.ERROR, outcome, detail, audit_report)
 
-    def _report(record: _Running, outcome: Optional[ColoringOutcome],
-                error: Optional[str], audit_report) -> None:
-        """Consume one worker report and the worker's audit of it:
-        settle, or retry a failed attempt."""
-        if error is not None:
-            _fail(record, error)
+    def _finish(done: Finished) -> None:
+        """Act on an attempt that left its slot: settle it, or retry a
+        failed one — a worker that died without reporting (the slot's
+        next launch forks a fresh one), an exception, an ERROR outcome
+        or a failed audit.  A kill past the grace period is TIMEOUT."""
+        job = done.tag.job
+        if done.killed:
+            trace.event("job.terminated", instance=job.instance,
+                        strategy=job.strategy.label,
+                        reason="ignored cancel past grace")
+            _settle(done, SolveStatus.TIMEOUT)
             return
+        if done.exit_code is not None:
+            trace.event("job.died", instance=job.instance,
+                        strategy=job.strategy.label,
+                        shard=done.slot // workers_per_shard,
+                        exit_code=done.exit_code)
+        if done.error is not None:
+            _fail(done, done.error)
+            return
+        outcome, audit_report = done.result
         if audit_report is not None and audit_report.failed:
-            _fail(record, "audit failed: " + "; ".join(
+            _fail(done, "audit failed: " + "; ".join(
                 f"{check.name} ({check.detail})"
                 for check in audit_report.failures),
                 outcome, audit_report)
-            return
-        if outcome.status is SolveStatus.ERROR:
-            _fail(record, str(outcome.solver_stats.get("stop_reason", ""))
+        elif outcome.status is SolveStatus.ERROR:
+            _fail(done, str(outcome.solver_stats.get("stop_reason", ""))
                   or "job failed", outcome)
-            return
-        if outcome.status.decided:
-            tracker.record_success(record.entry.job.strategy.label)
-        _settle(record, outcome.status, outcome, audit_report=audit_report)
-
-    def _collect(record: _Running) -> None:
-        """Read the report on a running attempt's pipe.  A worker that
-        died without a complete report can never answer: retry its job
-        or record ERROR; the slot's next launch forks a fresh worker."""
-        slot = record.slot
-        try:
-            item = slot.conn.recv() if slot.conn.poll() else None
-        except (EOFError, OSError):  # died before or while reporting
-            item = None
-        if item is not None:
-            outcome, error, audit_report, telemetry = item
-            obs.ingest_telemetry(telemetry, span.span_id)
-            _report(record, outcome, error, audit_report)
-            return
-        slot.process.join()
-        exit_code = slot.process.exitcode
-        trace.event("job.died", instance=record.entry.job.instance,
-                    strategy=record.entry.job.strategy.label,
-                    shard=slot.shard, exit_code=exit_code)
-        _fail(record, f"worker died without reporting "
-                      f"(exit code {exit_code})")
+        else:
+            if outcome.status.decided:
+                tracker.record_success(job.strategy.label)
+            _settle(done, outcome.status, outcome,
+                    audit_report=audit_report)
 
     try:
-        while running or (any(queues) and not stopping):
+        while pool.busy or (any(queues) and not stopping):
             now = time.perf_counter()
             if batch_deadline is not None and now >= batch_deadline:
                 reason = "deadline"
@@ -674,88 +539,20 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                 # Stop scheduling; ask every running job to wind down.
                 stopping = True
                 trace.event("dist.stopping", reason=reason,
-                            running=len(running),
+                            running=pool.busy,
                             waiting=sum(len(queue) for queue in queues))
-                for record in running.values():
-                    record.slot.cancel_event.set()
-                    if record.hard_deadline is None:
-                        record.hard_deadline = now + _CANCEL_GRACE_SECONDS
+                pool.cancel()
             if not stopping:
-                for slot in slots:
-                    if not slot.busy:
-                        entry, stolen = _next(slot.shard, now)
-                        if entry is not None:
-                            _launch(entry, slot, stolen)
-            for record in list(running.values()):
-                if record.deadline is not None and now >= record.deadline \
-                        and record.hard_deadline is None:
-                    # Per-job deadline: cooperative stop, then backstop.
-                    record.slot.cancel_event.set()
-                    record.hard_deadline = now + _CANCEL_GRACE_SECONDS
-                if record.hard_deadline is not None \
-                        and now >= record.hard_deadline:
-                    process = record.slot.process
-                    if process.is_alive():
-                        process.terminate()
-                        process.join(timeout=5)
-                        trace.event("job.terminated",
-                                    instance=record.entry.job.instance,
-                                    strategy=record.entry.job.strategy.label,
-                                    reason="ignored cancel past grace")
-                    _settle(record, SolveStatus.TIMEOUT)
-            if not running:
-                if any(queues) and not stopping:
-                    # Everything launchable is backoff-blocked: wait the
-                    # poll interval out instead of spinning.
-                    time.sleep(_POLL_SECONDS)
-                continue
-            # A pipe turns ready on a report, and a process sentinel
-            # when its worker exits.
-            ready = set(wait(
-                [record.slot.conn for record in running.values()]
-                + [record.slot.process.sentinel
-                   for record in running.values()],
-                timeout=_POLL_SECONDS))
-            for record in list(running.values()):
-                if record.slot.conn in ready \
-                        or record.slot.process.sentinel in ready:
-                    _collect(record)
+                for slot in pool.idle():
+                    entry, stolen = _next(slot // workers_per_shard, now)
+                    if entry is not None:
+                        _launch(entry, slot, stolen)
+            # With nothing running, everything launchable is
+            # backoff-blocked: this waits the poll interval out.
+            for done in pool.wait():
+                _finish(done)
     finally:
-        # Attempts still running here were interrupted by an exception:
-        # ask them to stop.  Every live worker gets the stop sentinel,
-        # and none outlives the call.
-        for record in running.values():
-            record.slot.cancel_event.set()
-        started = [slot for slot in slots if slot.process is not None]
-        for slot in started:
-            try:
-                slot.conn.send(None)
-            except OSError:
-                pass  # already dead
-        grace_until = time.perf_counter() + _CANCEL_GRACE_SECONDS
-        for slot in started:
-            slot.process.join(
-                timeout=max(0.0, grace_until - time.perf_counter()))
-        for record in list(running.values()):
-            if record.slot.process.is_alive():
-                trace.event("job.terminated",
-                            instance=record.entry.job.instance,
-                            strategy=record.entry.job.strategy.label,
-                            reason="straggler after batch end")
-            _settle(record, SolveStatus.TIMEOUT)
-        for slot in started:
-            if slot.process.is_alive():
-                slot.process.terminate()
-            # Cancelled jobs that wound down cooperatively may still
-            # have telemetry in the pipe: drain it so their spans are
-            # not lost.
-            try:
-                while slot.conn.poll():
-                    obs.ingest_telemetry(slot.conn.recv()[-1],
-                                         span.span_id)
-            except (EOFError, OSError):
-                pass
-            _close(slot)
+        pool.close()
 
     return ShardedResult(
         results=results,

@@ -284,7 +284,7 @@ CONTEXT_SUITE = [
 ]
 
 
-def run_throughput_bench(*, repeats: int = 7, stress_rounds: int = 40,
+def run_throughput_bench(*, repeats: int = 200, stress_rounds: int = 25,
                          include_context: bool = True,
                          context_repeats: int = 2,
                          include_conflict: bool = True,
@@ -427,9 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "regression of any pinned figure")
     args = parser.parse_args(argv)
     if args.quick:
-        payload = run_throughput_bench(repeats=3, stress_rounds=25,
-                                       context_repeats=1,
-                                       conflict_count=2,
+        payload = run_throughput_bench(context_repeats=1, conflict_count=2,
                                        conflict_repeats=1)
     else:
         payload = run_throughput_bench()

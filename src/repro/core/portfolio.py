@@ -3,15 +3,17 @@
 Each strategy — an (encoding, symmetry heuristic) pair — runs on its own
 core; the first to answer wins and the rest are terminated.  Two flavours:
 
-* :func:`run_portfolio` — real ``multiprocessing`` execution, one process
-  per strategy, first *decided* answer wins.  Losers are stopped
-  cooperatively: every worker shares a :class:`CancelToken`, which its
-  solver observes at conflict boundaries, so a beaten member winds down
-  and reports instead of being killed mid-propagation (hard termination
-  remains as a backstop for workers stuck outside the solver, e.g. in
-  encoding).  Deadlines are first-class: a portfolio where *every*
-  member times out returns ``status=SolveStatus.TIMEOUT`` with each
-  member's individual status, rather than raising.
+* :func:`run_portfolio` — real ``multiprocessing`` execution: a race
+  policy over the package's one :class:`~repro.core.pool.WorkerPool`,
+  one slot (one process) per strategy, first *decided* answer wins.
+  Losers are stopped cooperatively: each slot's :class:`CancelToken` is
+  observed by its solver at conflict boundaries, so a beaten member
+  winds down and reports instead of being killed mid-propagation (the
+  pool's kill after a grace period remains as a backstop for workers
+  stuck outside the solver, e.g. in encoding).  Deadlines are
+  first-class: a portfolio where *every* member times out returns
+  ``status=SolveStatus.TIMEOUT`` with each member's individual status,
+  rather than raising.
 * :func:`virtual_portfolio_time` — the analytical model: on an ideal
   multicore machine the portfolio's time on an instance is the *minimum*
   of the member strategies' times.  The paper's 1.84× / 2.30× figures are
@@ -21,18 +23,16 @@ core; the first to answer wins and the rest are terminated.  Two flavours:
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import queue as queue_module
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
-from .. import obs
 from ..coloring.problem import ColoringProblem
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from ..sat.status import CancelToken, SolveLimits, SolveReport, SolveStatus
+from ..sat.status import SolveLimits, SolveReport, SolveStatus
 from .pipeline import ColoringOutcome, solve_coloring
+from .pool import CANCEL_GRACE_SECONDS, Finished, WorkerPool, solve_attempt
 from .strategy import Strategy
 
 
@@ -78,79 +78,10 @@ class PortfolioResult:
         return report
 
 
-def _worker_injector(faults, strategy: Strategy, extra_sites=()):
-    """The worker-site fault injector for this process, or None.
-
-    Worker-site faults (``crash@worker``, ``hang@worker``) fire *in the
-    worker process, outside the solver* — a crash kills the process
-    without a report, a hang ignores the cancel token — exercising the
-    parent's liveness polling and hard-termination backstops.
-    ``extra_sites`` lets other process-pool layers reuse this resolution
-    (the job scheduler's and the cube workers answer to ``dist_shard``
-    as well).
-    """
-    import os
-    if faults is None and not os.environ.get("REPRO_FAULTS"):
-        return None
-    from ..reliability.faults import FaultInjector, FaultPlan
-    plan = FaultPlan.resolve(faults)
-    if plan is None:
-        return None
-    plan = plan.narrow(strategy.label)
-    if plan.empty:
-        return None
-    return FaultInjector(plan, label=strategy.label,
-                         sites=("worker",) + tuple(extra_sites))
-
-
-def _worker(problem: ColoringProblem, strategy: Strategy, queue: "mp.Queue",
-            cancel_event, limits: Optional[SolveLimits],
-            faults=None, audit: bool = False, channel=None) -> None:
-    # Fresh observability state for this process (fork inherits the
-    # parent's buffers); the worker's spans and metrics travel back on
-    # the result queue rather than being written here.
-    obs.worker_begin()
-    try:
-        injector = _worker_injector(faults, strategy)
-        if injector is not None:
-            injector.maybe_exit()
-            injector.maybe_hang()
-        cancel = CancelToken(cancel_event) if cancel_event is not None else None
-        # Only pass the reliability kwargs when they deviate from the
-        # defaults, so test doubles with the historical solve_coloring
-        # signature keep working.
-        kwargs = {}
-        if faults is not None:
-            kwargs["faults"] = faults
-        if audit:
-            kwargs.update(keep_model=True, proof_log=True)
-        if channel is not None:
-            # Chaos faults on the channel itself (drop_share /
-            # corrupt_share) activate on the worker's own endpoint.
-            channel.bind_faults(faults, strategy.label)
-            kwargs["clause_channel"] = channel
-        outcome = solve_coloring(problem, strategy, limits=limits,
-                                 cancel=cancel, **kwargs)
-        queue.put((strategy, outcome, None, obs.drain_telemetry()))
-    except Exception as error:  # surface failures instead of hanging
-        queue.put((strategy, None, repr(error), obs.drain_telemetry()))
-
-
-#: Queue-wait interval for the race loop: short enough that a crashed
-#: worker is noticed promptly, long enough not to busy-wait.
-_POLL_SECONDS = 0.05
-
-#: Grace period granted to in-flight results after the last live worker
-#: exits, before the race is declared lost (a child's queue feeder may
-#: still be flushing its answer through the pipe when it dies).
-_DRAIN_SECONDS = 0.5
-
-#: After the cancel token is set (a winner emerged or the deadline
-#: passed), how long cooperative members get to wind down and report
-#: before the stragglers are hard-terminated.  Covers workers stuck
-#: outside the solver loop (e.g. still encoding), which cannot observe
-#: the token.
-_CANCEL_GRACE_SECONDS = 2.0
+#: How long members still running after the race is decided or its
+#: deadline passes get to report before they are killed (a module
+#: attribute, so tests can shorten it).
+_CANCEL_GRACE_SECONDS = CANCEL_GRACE_SECONDS
 
 
 def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
@@ -162,28 +93,32 @@ def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
 
     ``timeout`` is the race deadline in seconds (shorthand for — and
     merged into — ``limits.wall_clock_limit``); ``limits`` bounds every
-    member individually.  On a winner, the shared cancel token is set
-    and the losers stop at their next conflict boundary; a worker that
-    ignores the token past a grace period is terminated.
+    member individually.  On a winner, the losers' cancel tokens are
+    set and they stop at their next conflict boundary; a worker that
+    ignores its token past a grace period is killed.
 
     The race is robust to sick members: a strategy that raises is
     recorded with status ERROR (its failure cannot win the race while
     healthy members are still solving), and a worker that dies without
-    reporting — killed, crashed interpreter, out-of-memory — is detected
-    by liveness polling rather than waited on forever.  Every outcome is
-    representable: all members timing out yields ``status=TIMEOUT``, all
-    failing yields ``status=ERROR`` (with per-member details in
-    ``failures``) — no exception is raised either way.
+    reporting — killed, crashed interpreter, out-of-memory — is seen the
+    moment its process exits rather than waited on forever.  Every
+    outcome is representable: all members timing out yields
+    ``status=TIMEOUT``, all failing yields ``status=ERROR`` (with
+    per-member details in ``failures``) — no exception is raised either
+    way.
 
-    With ``audit=True`` every decided answer is re-verified in the
-    parent (:func:`repro.reliability.audit.audit_outcome` — the model
-    against a re-encoding, the coloring against the problem, UNSAT via
-    proof replay) before it may win; an answer that fails its audit is
-    demoted to ERROR and the race continues with the remaining members.
+    With ``audit=True`` each member's worker re-verifies its own
+    decided answer right after the solve
+    (:func:`repro.reliability.audit.audit_outcome` — the model against
+    a re-encoding, the coloring against the problem, UNSAT via proof
+    replay), so the first decided answer that *passes* its audit wins;
+    an answer that fails its audit is demoted to ERROR and the race
+    continues with the remaining members.
     ``faults`` injects faults into the members (see
     :mod:`repro.reliability.faults`): None activates only the
     ``REPRO_FAULTS`` environment plan, a ``FaultPlan`` is used as
-    given, ``False`` disables injection.
+    given, ``False`` disables injection.  Worker-site faults fire once
+    per member attempt.
 
     ``share`` upgrades the race to a *cooperative* portfolio: members
     exchange short learned clauses through a bounded channel
@@ -234,157 +169,98 @@ def _race_in_span(race_span, problem: ColoringProblem,
                   strategies: Sequence[Strategy],
                   timeout: Optional[float], limits: Optional[SolveLimits],
                   audit: bool, faults, hub=None) -> PortfolioResult:
-    """:func:`run_portfolio` body, inside its already-open race span.
+    """:func:`run_portfolio` body, inside its already-open race span: a
+    race policy over a :class:`WorkerPool` with one slot per member.
 
     Every lifecycle transition of the race — members launched, answers
     reported, the winner emerging, audit demotions, deadline expiry,
-    cooperative cancellation and hard termination of stragglers —
-    becomes a span event, and the telemetry each worker ships back on
-    the result queue (its own span tree plus a metrics snapshot) is
-    grafted under this span, so ``repro trace`` renders the whole race
-    as one tree.
+    cooperative cancellation and killed stragglers — becomes a span
+    event, and the telemetry each worker ships back (its own span tree
+    plus a metrics snapshot) is grafted under this span, so ``repro
+    trace`` renders the whole race as one tree.
     """
     member_limits = (limits or SolveLimits()).with_wall_clock(timeout)
-    context = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
-                             else "spawn")
-    queue: "mp.Queue" = context.Queue()
-    cancel_event = context.Event()
     start = time.perf_counter()
     deadline = None if timeout is None else start + timeout
-    hard_deadline: Optional[float] = None
-    processes: Dict[str, "mp.Process"] = {}
-    for strategy in strategies:
-        channel = hub.endpoint(strategy.label) if hub is not None else None
-        processes[strategy.label] = context.Process(
-            target=_worker,
-            args=(problem, strategy, queue, cancel_event, member_limits,
-                  faults, audit, channel),
-            daemon=True)
-    for process in processes.values():
-        process.start()
-    trace.event("race.started", members=len(processes))
+    # The task is the member's strategy; its clause endpoint reaches its
+    # worker at fork, and so does this module's solve_coloring binding.
+    pool = WorkerPool(
+        len(strategies), solve_attempt,
+        args=(solve_coloring, problem, member_limits, faults, audit),
+        slot_args=[(hub.endpoint(s.label) if hub is not None else None,)
+                   for s in strategies],
+        grace=_CANCEL_GRACE_SECONDS, span_id=race_span.span_id)
 
     member_status: Dict[str, SolveStatus] = {}
     failures: Dict[str, str] = {}
     audits: Dict[str, object] = {}
     winner: Optional[Strategy] = None
     outcome: Optional[ColoringOutcome] = None
+    wall_time: Optional[float] = None
+    timed_out = False
 
-    def _record(strategy: Strategy, result: Optional[ColoringOutcome],
-                error: Optional[str], telemetry=None) -> None:
-        nonlocal winner, outcome
-        label = strategy.label
-        obs.ingest_telemetry(telemetry, race_span.span_id)
-        if error is not None:
-            member_status[label] = SolveStatus.ERROR
-            failures[label] = error
-            trace.event("member.failed", label=label, error=error)
+    def _record(done: Finished) -> None:
+        nonlocal winner, outcome, wall_time
+        label = done.tag.label
+        if done.killed:
+            trace.event("member.terminated", label=label,
+                        reason="ignored cancel past grace" if winner is None
+                        else "straggler after race end")
+            if winner is None:
+                member_status[label] = SolveStatus.TIMEOUT
             return
-        if audit and result.status.decided:
-            from ..reliability.audit import audit_outcome
-            report = audit_outcome(problem, result)
+        result, report = done.result or (None, None)
+        if report is not None:
             audits[label] = report
-            if report.failed:
-                # A wrong answer must not win: demote the member and
-                # let the rest of the race continue.
-                member_status[label] = SolveStatus.ERROR
-                failures[label] = "audit failed: " + "; ".join(
-                    f"{check.name} ({check.detail})"
-                    for check in report.failures)
-                trace.event("member.demoted", label=label,
-                            reason=failures[label])
-                return
-        if result.status.decided and winner is None:
-            winner, outcome = strategy, result
-            trace.event("member.won", label=label,
-                        status=str(result.status))
+        if done.error is not None:
+            failures[label] = done.error
+        if done.exit_code is not None:
+            # A worker that died before reporting can never answer.
+            trace.event("member.died", label=label, exit_code=done.exit_code)
+        elif done.error is not None:
+            trace.event("member.failed", label=label, error=done.error)
+        elif report is not None and report.failed:
+            # A wrong answer must not win: demote the member and let the
+            # rest of the race continue.
+            failures[label] = "audit failed: " + "; ".join(
+                f"{check.name} ({check.detail})" for check in report.failures)
+            trace.event("member.demoted", label=label, reason=failures[label])
+        elif result.status.decided and winner is None:
+            winner, outcome = done.tag, result
+            wall_time = time.perf_counter() - start
+            trace.event("member.won", label=label, status=str(result.status))
+            # The losers stop cooperatively, or are killed past grace.
+            trace.event("race.cancel_losers", winner=label)
+            pool.cancel()
         else:
             trace.event("member.reported", label=label,
                         status=str(result.status))
-        member_status[label] = result.status
+        member_status[label] = (SolveStatus.ERROR if label in failures
+                                else result.status)
 
     try:
-        while winner is None and len(member_status) < len(processes):
+        for slot, strategy in enumerate(strategies):
+            pool.submit(slot, strategy, tag=strategy)
+        trace.event("race.started", members=len(strategies))
+        while pool.busy:
             if hub is not None:
                 # Fan exported clauses out to peer inboxes; bounded per
                 # iteration so the poll cadence is unaffected.
                 hub.pump()
-            now = time.perf_counter()
-            if deadline is not None and now >= deadline \
-                    and not cancel_event.is_set():
+            if deadline is not None and winner is None and not timed_out \
+                    and time.perf_counter() >= deadline:
                 # Deadline: ask everyone still running to wind down and
                 # report (cooperatively — their TIMEOUT results carry
-                # partial stats), with a hard stop as backstop.
-                cancel_event.set()
-                hard_deadline = now + _CANCEL_GRACE_SECONDS
+                # partial stats), with a kill as backstop.
+                timed_out = True
                 trace.event("race.deadline", timeout=timeout)
-            if hard_deadline is not None and now >= hard_deadline:
-                for label, process in processes.items():
-                    if label not in member_status:
-                        if process.is_alive():
-                            process.terminate()
-                            trace.event("member.terminated", label=label,
-                                        reason="ignored cancel past grace")
-                        member_status[label] = SolveStatus.TIMEOUT
-                break
-            try:
-                item = queue.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                # A worker that died before reporting can never answer;
-                # record it so the race is not held hostage by a corpse.
-                for label, process in processes.items():
-                    if label not in member_status and not process.is_alive():
-                        process.join()
-                        # One last drain: its answer may still be in
-                        # the pipe from the child's queue feeder.
-                        try:
-                            item = queue.get(timeout=_DRAIN_SECONDS)
-                        except queue_module.Empty:
-                            member_status[label] = SolveStatus.ERROR
-                            failures[label] = (
-                                f"worker died without reporting "
-                                f"(exit code {process.exitcode})")
-                            trace.event("member.died", label=label,
-                                        exit_code=process.exitcode)
-                        else:
-                            _record(*_unpack(item))
-                        break
-                continue
-            _record(*_unpack(item))
-        wall_time = time.perf_counter() - start
+                pool.cancel()
+            for done in pool.wait():
+                _record(done)
     finally:
-        # Stop the losers: cooperative first, terminate stragglers.
-        if winner is not None:
-            trace.event("race.cancel_losers", winner=winner.label)
-        cancel_event.set()
-        grace_until = time.perf_counter() + _CANCEL_GRACE_SECONDS
-        for process in processes.values():
-            remaining = grace_until - time.perf_counter()
-            if remaining > 0:
-                process.join(timeout=remaining)
-        for label, process in processes.items():
-            if process.is_alive():
-                process.terminate()
-                trace.event("member.terminated", label=label,
-                            reason="straggler after race end")
-        for process in processes.values():
-            process.join(timeout=5)
-        # Losers that wound down cooperatively after the winner emerged
-        # may still have telemetry (and results) in the pipe: drain it
-        # so their spans are not lost, without changing the verdict.
-        while True:
-            try:
-                item = queue.get_nowait()
-            except queue_module.Empty:
-                break
-            strategy, result, error, telemetry = _unpack(item)
-            obs.ingest_telemetry(telemetry, race_span.span_id)
-            label = strategy.label
-            if label not in member_status and error is None \
-                    and result is not None:
-                member_status[label] = result.status
-                trace.event("member.reported", label=label,
-                            status=str(result.status))
+        pool.close()
+    if wall_time is None:
+        wall_time = time.perf_counter() - start
 
     if winner is not None:
         status = outcome.status
@@ -400,15 +276,6 @@ def _race_in_span(race_span, problem: ColoringProblem,
                            num_strategies=len(strategies),
                            member_status=member_status, failures=failures,
                            audits=audits)
-
-
-def _unpack(item):
-    """Unpack a result-queue item: ``(strategy, outcome, error)`` from
-    historical senders (test doubles), plus the telemetry slot the
-    current workers append."""
-    strategy, result, error = item[0], item[1], item[2]
-    telemetry = item[3] if len(item) > 3 else None
-    return strategy, result, error, telemetry
 
 
 def virtual_portfolio_time(

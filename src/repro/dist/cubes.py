@@ -33,16 +33,15 @@ tree, which the determinism tests pin.
 
 from __future__ import annotations
 
-import queue as queue_module
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import obs
 from ..coloring.problem import ColoringProblem
 from ..core.encodings.registry import get_encoding
 from ..core.incremental import AssumptionJobSolver
-from ..core.portfolio import _worker_injector
+from ..core.pool import WorkerPool, fire_worker_faults
 from ..core.strategy import Strategy
 from ..core.symmetry.clauses import apply_symmetry
 from ..core.symmetry.heuristics import _sort_key, get_heuristic
@@ -52,10 +51,6 @@ from ..sat.status import CancelToken, SolveLimits, SolveStatus
 
 __all__ = ["Cube", "CubePlan", "CubeResult", "cube_tree", "generate_cubes",
            "run_cubed"]
-
-#: Poll cadence of the parent loop, matching the portfolio racer.
-_POLL_SECONDS = 0.05
-_CANCEL_GRACE_SECONDS = 2.0
 
 
 def _count(name: str, amount: int = 1) -> None:
@@ -189,15 +184,20 @@ def run_cubed(problem: ColoringProblem, strategy: Strategy, *,
               share=None, cancel=None) -> CubeResult:
     """Solve one instance by cube-and-conquer.
 
-    ``max_workers`` processes draw cubes from a shared queue (one
-    persistent :class:`AssumptionJobSolver` each, so refutations
-    accumulate within a worker); ``min_cubes`` defaults to
-    ``2 * max_workers`` so every worker has a second cube to steal the
+    ``max_workers`` worker slots of a
+    :class:`~repro.core.pool.WorkerPool` solve the cubes, each idle slot
+    taking the next cube in tree order; each worker process keeps one
+    persistent :class:`AssumptionJobSolver` across its cubes, so
+    refutations accumulate within a worker.  ``min_cubes`` defaults to
+    ``2 * max_workers`` so every worker has a second cube to take the
     moment its first closes.  With one worker (or a single-cube tree)
     everything runs in-process — same plan, same order, no fork — which
     is also the deterministic path the tests pin.  On a SAT cube the
-    siblings are cancelled early; cubes lost to a crashed worker are
-    re-solved in the parent, so no cube is ever silently dropped.
+    siblings are cancelled early.  Each cube task is one attempt
+    (worker-site faults fire per attempt); a cube whose attempt fails —
+    its worker died or raised — is re-solved in the parent, so no cube
+    is ever silently dropped.  ``timeout`` and ``cancel`` stop the run:
+    running cubes are cancelled, then killed past a grace period.
     ``share`` (True or a :class:`~repro.dist.sharing.ShareConfig`)
     connects the workers in a clause-sharing hub, exactly as in the
     cooperative portfolio.
@@ -220,13 +220,22 @@ def run_cubed(problem: ColoringProblem, strategy: Strategy, *,
         _count("opened", len(plan.cubes))
         _count("pruned", plan.pruned)
         member_limits = (limits or SolveLimits()).with_wall_clock(timeout)
+        cube_status: Dict[int, SolveStatus] = {}
+        failures: Dict[int, str] = {}
         if max_workers == 1 or len(plan.cubes) <= 1:
-            result = _run_serial(problem, strategy, encoded, plan,
-                                 assumptions, member_limits, cancel, start)
+            winner, coloring = _sweep(problem, strategy, encoded, plan.cubes,
+                                      assumptions, member_limits, cancel,
+                                      cube_status)
         else:
-            result = _run_parallel(problem, strategy, encoded, plan,
-                                   assumptions, member_limits, timeout,
-                                   faults, share, max_workers, start)
+            winner, coloring = _run_parallel(
+                span, problem, strategy, encoded, plan, assumptions,
+                member_limits, None if timeout is None else start + timeout,
+                cancel, faults, share, max_workers, cube_status, failures)
+        result = CubeResult(status=_aggregate(plan, cube_status, winner),
+                            coloring=coloring,
+                            wall_time=time.perf_counter() - start,
+                            plan=plan, winner=winner,
+                            cube_status=cube_status, failures=failures)
         span.set("status", str(result.status))
         _count("closed", result.cubes_closed)
         return result
@@ -253,177 +262,128 @@ def _aggregate(plan: CubePlan, cube_status: Dict[int, SolveStatus],
     return SolveStatus.ERROR
 
 
-def _run_serial(problem, strategy, encoded, plan, assumptions, limits,
-                cancel, start) -> CubeResult:
+def _sweep(problem, strategy, encoded, cubes, assumptions, limits, cancel,
+           cube_status: Dict[int, SolveStatus]):
+    """Solve ``cubes`` in order on one in-process solver, recording each
+    verdict, until a SAT cube (returns its index and coloring) or an
+    undecided one (budget / deadline / cancellation stops the sweep)."""
     solver = AssumptionJobSolver(problem, strategy, limits=limits,
                                  cancel=cancel, encoded=encoded)
-    cube_status: Dict[int, SolveStatus] = {}
-    winner: Optional[int] = None
-    coloring = None
-    for cube in plan.cubes:
+    for cube in cubes:
         report = solver.solve_cube(assumptions[cube.index])
         cube_status[cube.index] = report.status
         trace.event("cube.closed", index=cube.index,
-                    status=str(report.status))
+                    status=str(report.status), member="parent")
         if report.status is SolveStatus.SAT:
-            winner = cube.index
-            coloring = solver.decode()
-            break
+            return cube.index, solver.decode()
         if not report.status.decided:
-            break  # budget / deadline / cancellation: stop the sweep
-    return CubeResult(status=_aggregate(plan, cube_status, winner),
-                      coloring=coloring,
-                      wall_time=time.perf_counter() - start,
-                      plan=plan, winner=winner, cube_status=cube_status)
+            break
+    return None, None
 
 
-def _cube_worker(member: str, problem, strategy, encoded, assumptions,
-                 index_queue, result_queue, cancel_event, limits,
-                 faults, channel) -> None:
-    obs.worker_begin()
-    try:
-        injector = _worker_injector(faults, strategy,
-                                    extra_sites=("dist_shard",))
-        if injector is not None:
-            injector.maybe_exit()
-            injector.maybe_hang()
-        if channel is not None:
-            channel.bind_faults(faults, f"{strategy.label}:{member}")
-        cancel = CancelToken(cancel_event)
-        solver = AssumptionJobSolver(problem, strategy, limits=limits,
-                                     cancel=cancel, clause_channel=channel,
-                                     encoded=encoded)
-        while not cancel_event.is_set():
-            try:
-                index = index_queue.get_nowait()
-            except queue_module.Empty:
-                break
-            report = solver.solve_cube(assumptions[index])
-            coloring = (solver.decode()
-                        if report.status is SolveStatus.SAT else None)
-            result_queue.put((member, index, report.status, coloring, None))
-        result_queue.put((member, None, None, None, obs.drain_telemetry()))
-    except Exception as error:  # surface instead of hanging the parent
-        result_queue.put((member, None, repr(error), None,
-                          obs.drain_telemetry()))
+@dataclass
+class _CubeSlot:
+    """Worker-side state of one cube slot: its member name, its clause
+    endpoint, and the persistent solver its process builds at its first
+    cube (a fresh process starts over with a fresh solver)."""
+
+    member: str
+    channel: object = None
+    solver: Optional[AssumptionJobSolver] = None
 
 
-def _run_parallel(problem, strategy, encoded, plan, assumptions, limits,
-                  timeout, faults, share, max_workers, start) -> CubeResult:
-    import multiprocessing as mp
-    context = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
-                             else "spawn")
-    index_queue = context.Queue()
-    for cube in plan.cubes:
-        index_queue.put(cube.index)
-    result_queue = context.Queue()
-    cancel_event = context.Event()
+def _solve_cube(index: int, cancel: CancelToken, problem, strategy,
+                encoded, assumptions, limits, faults, slot: _CubeSlot):
+    """A cube slot's task: one attempt at cube ``index`` on the worker's
+    persistent solver; returns ``(status, coloring or None)``."""
+    fire_worker_faults(faults, strategy, ("dist_shard",))
+    if slot.solver is None:
+        if slot.channel is not None:
+            slot.channel.bind_faults(faults, f"{strategy.label}:{slot.member}")
+        # The slot's cancel token is the same object for every task of
+        # this process, so the solver can keep the first one.
+        slot.solver = AssumptionJobSolver(problem, strategy, limits=limits,
+                                          cancel=cancel,
+                                          clause_channel=slot.channel,
+                                          encoded=encoded)
+    report = slot.solver.solve_cube(assumptions[index])
+    coloring = (slot.solver.decode()
+                if report.status is SolveStatus.SAT else None)
+    return report.status, coloring
+
+
+def _run_parallel(span, problem, strategy, encoded, plan, assumptions,
+                  limits, deadline, cancel, faults, share, max_workers,
+                  cube_status: Dict[int, SolveStatus],
+                  failures: Dict[int, str]):
+    """The cube policy over a :class:`WorkerPool`, filling
+    ``cube_status`` and ``failures``; returns the SAT cube's index and
+    coloring, or ``(None, None)``.  Idle slots take the next cube; a SAT
+    cube, the deadline or ``cancel`` cancels the cubes still running; a
+    cube whose worker attempt fails is re-solved here afterwards."""
+    members = [f"cube-w{i}" for i in range(max_workers)]
     hub = None
     if share is not None and share is not False:
         from .sharing import ClauseHub, ShareConfig
         config = share if isinstance(share, ShareConfig) else None
-        hub = ClauseHub([f"cube-w{i}" for i in range(max_workers)],
-                        num_vars=encoded.cnf.num_vars, config=config,
-                        context=context)
-    workers: Dict[str, "mp.Process"] = {}
-    for i in range(max_workers):
-        member = f"cube-w{i}"
-        channel = hub.endpoint(member) if hub is not None else None
-        workers[member] = context.Process(
-            target=_cube_worker,
-            args=(member, problem, strategy, encoded, assumptions,
-                  index_queue, result_queue, cancel_event, limits,
-                  faults, channel),
-            daemon=True)
-    for worker in workers.values():
-        worker.start()
+        hub = ClauseHub(members, num_vars=encoded.cnf.num_vars,
+                        config=config)
+    pool = WorkerPool(
+        max_workers, _solve_cube,
+        args=(problem, strategy, encoded, assumptions, limits, faults),
+        slot_args=[(_CubeSlot(member, hub.endpoint(member)
+                              if hub is not None else None),)
+                   for member in members],
+        span_id=span.span_id)
 
-    deadline = None if timeout is None else start + timeout
-    cube_status: Dict[int, SolveStatus] = {}
-    failures: Dict[int, str] = {}
+    def _stopped() -> bool:
+        return ((deadline is not None and time.perf_counter() >= deadline)
+                or (cancel is not None and cancel.cancelled))
+
+    waiting = deque(plan.cubes)
     winner: Optional[int] = None
     coloring = None
-    finished: set = set()
+    stopping = False
     try:
-        while len(finished) < len(workers) and winner is None:
+        while pool.busy or (waiting and not stopping):
             if hub is not None:
                 hub.pump()
-            if deadline is not None and time.perf_counter() >= deadline:
-                cancel_event.set()
-            try:
-                member, index, status, payload, telemetry = \
-                    result_queue.get(timeout=_POLL_SECONDS)
-            except queue_module.Empty:
-                for member, worker in workers.items():
-                    if member not in finished and not worker.is_alive():
-                        worker.join()
-                        finished.add(member)  # died; lost cubes re-solved below
-                        trace.event("cube.worker_died", member=member,
-                                    exit_code=worker.exitcode)
-                continue
-            if index is None:
-                finished.add(member)
-                if isinstance(status, str):  # worker raised: repr in slot
+            if not stopping and _stopped():
+                stopping = True
+                pool.cancel()
+            if not stopping:
+                for slot in pool.idle()[:len(waiting)]:
+                    index = waiting.popleft().index
+                    pool.submit(slot, index, tag=index)
+            for done in pool.wait():
+                index, member = done.tag, members[done.slot]
+                if done.error is not None:
+                    failures[index] = done.error
+                if done.exit_code is not None:
+                    trace.event("cube.worker_died", member=member,
+                                exit_code=done.exit_code, index=index)
+                elif done.error is not None:
                     trace.event("cube.worker_failed", member=member,
-                                error=status)
-                obs.ingest_telemetry(telemetry, None)
-                continue
-            cube_status[index] = status
-            trace.event("cube.closed", index=index, status=str(status),
-                        member=member)
-            if status is SolveStatus.SAT:
-                winner = index
-                coloring = payload
-                cancel_event.set()
+                                error=done.error, index=index)
+                elif not done.killed:  # a killed cube stays unsolved
+                    status, payload = done.result
+                    cube_status[index] = status
+                    trace.event("cube.closed", index=index,
+                                status=str(status), member=member)
+                    if status is SolveStatus.SAT and winner is None:
+                        winner, coloring = index, payload
+                        stopping = True
+                        pool.cancel()
     finally:
-        cancel_event.set()
-        grace_until = time.perf_counter() + _CANCEL_GRACE_SECONDS
-        for worker in workers.values():
-            remaining = grace_until - time.perf_counter()
-            if remaining > 0:
-                worker.join(timeout=remaining)
-        for worker in workers.values():
-            if worker.is_alive():
-                worker.terminate()
-        for worker in workers.values():
-            worker.join(timeout=5)
-        while True:  # drain late results so no closed cube is dropped
-            try:
-                member, index, status, payload, telemetry = \
-                    result_queue.get_nowait()
-            except queue_module.Empty:
-                break
-            obs.ingest_telemetry(telemetry, None)
-            if index is not None and index not in cube_status \
-                    and not isinstance(status, str):
-                cube_status[index] = status
-                if status is SolveStatus.SAT and winner is None:
-                    winner, coloring = index, payload
+        pool.close()
         if hub is not None:
             hub.close()
 
-    # Crash tolerance: any cube no worker answered (crashed workers take
-    # their claimed index with them) is re-solved here, serially —
-    # unless a winner or the deadline already settled the run.
+    # Crash tolerance: a cube no worker answered is re-solved here,
+    # serially, unless a winner, the deadline or a cancel settled the run.
     missing = [cube for cube in plan.cubes if cube.index not in cube_status]
-    if missing and winner is None \
-            and (deadline is None or time.perf_counter() < deadline):
+    if missing and winner is None and not _stopped():
         trace.event("cube.requeue", count=len(missing))
-        solver = AssumptionJobSolver(problem, strategy, limits=limits,
-                                     encoded=encoded)
-        for cube in missing:
-            report = solver.solve_cube(assumptions[cube.index])
-            cube_status[cube.index] = report.status
-            trace.event("cube.closed", index=cube.index,
-                        status=str(report.status), member="parent")
-            if report.status is SolveStatus.SAT:
-                winner = cube.index
-                coloring = solver.decode()
-                break
-            if not report.status.decided:
-                break
-    return CubeResult(status=_aggregate(plan, cube_status, winner),
-                      coloring=coloring,
-                      wall_time=time.perf_counter() - start,
-                      plan=plan, winner=winner, cube_status=cube_status,
-                      failures=failures)
+        return _sweep(problem, strategy, encoded, missing, assumptions,
+                      limits, cancel, cube_status)
+    return winner, coloring

@@ -5,8 +5,8 @@ Three cooperating pieces (see ``docs/observability.md``):
 * :mod:`repro.obs.trace` — structured tracing: :class:`TraceSpan` trees
   with wall/CPU time, attributes, point-in-time events and a stable run
   id, buffered in-process and written as JSON Lines.  Worker processes
-  ship their spans back over the existing result queues; the scheduler
-  grafts them under its own span so one file describes the whole run.
+  ship their spans back with their reports; the pool's owner grafts
+  them under its own span so one file describes the whole run.
 * :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges and histograms that absorbs the solver stat counters
   (``watch_inspections``, ``blocker_hits``, ``props_per_sec``, …) and
@@ -54,10 +54,10 @@ def worker_begin() -> None:
 
 
 def drain_telemetry():
-    """Everything a worker ships back over its result queue: its
+    """Everything a worker ships back with its report: its
     finished spans and (when metrics are on) its registry snapshot.
-    Returns None when there is nothing to ship, so the queue payload
-    stays untouched on the disabled path."""
+    Returns None when there is nothing to ship, so the report stays
+    small on the disabled path."""
     spans = trace.tracer().drain_spans() if trace.tracer().enabled else []
     snap = (metrics.registry().snapshot()
             if metrics.enabled() and not metrics.registry().empty else None)

@@ -14,9 +14,9 @@ snapshot describes a whole run.
   per-run aggregates, not quantile estimation.
 
 **Cross-process aggregation.**  Worker processes (portfolio members,
-batch jobs) record into their own registry, ship
-``registry().snapshot()`` back over the existing result queues, and the
-scheduler folds it in with :meth:`MetricsRegistry.merge` — counters
+batch jobs, cubes) record into their own registry, ship
+``registry().snapshot()`` back with each report, and the pool's
+owner folds it in with :meth:`MetricsRegistry.merge` — counters
 add, histograms combine their summaries, gauges take the incoming
 value.  No shared memory, no extra channels.
 

@@ -25,9 +25,9 @@ Design constraints, in order:
 3. **Workers ship, parents write.**  Worker processes never write the
    sink file themselves: :func:`worker_begin` resets inherited buffers
    (fork) or enables from the environment (spawn), and
-   :func:`drain_spans` hands the finished spans back to the scheduler
-   over the existing result queue, where :func:`ingest_spans` grafts
-   them under the scheduler's span.  One writer, no interleaving.
+   :func:`drain_spans` hands the finished spans back to the pool's
+   owner with each report, where :func:`ingest_spans` grafts them
+   under the owner's span.  One writer, no interleaving.
 
 Activation: call :func:`enable` (the CLI's ``--trace PATH`` does), or
 set ``REPRO_TRACE=path`` in the environment — the latter is checked
@@ -218,7 +218,7 @@ class Tracer:
 
     def drain_spans(self) -> List[Dict[str, Any]]:
         """Hand over (and clear) the finished-span records — what a
-        worker ships back over its result queue."""
+        worker ships back with its report."""
         records, self._records = self._records, []
         return records
 

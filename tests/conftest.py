@@ -7,6 +7,8 @@ The instance builders and hypothesis strategies live in
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.coloring import Graph
@@ -16,6 +18,19 @@ from .strategies import (make_random_cnf, make_random_graph, small_cnfs,
 
 __all__ = ["make_random_cnf", "make_random_graph", "small_cnfs",
            "small_graphs", "triangle", "square", "pentagon"]
+
+
+@pytest.fixture
+def no_live_workers():
+    """Fail the test if a worker process it started is still alive after
+    it: every pool must stop all its workers before its call returns.
+    Survivors are killed, so one leak does not fail the tests after it."""
+    yield
+    survivors = multiprocessing.active_children()
+    for child in survivors:
+        child.kill()
+        child.join(timeout=5)
+    assert not survivors, f"worker processes outlived the test: {survivors}"
 
 
 @pytest.fixture

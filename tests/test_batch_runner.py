@@ -13,6 +13,11 @@ from repro.core import Strategy
 from repro.sat import CancelToken, SolveLimits, SolveStatus
 
 
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_a_test(no_live_workers):
+    """No worker process of any pool outlives a test (see conftest)."""
+
+
 def _easy_jobs(count=4):
     strategies = [Strategy("muldirect", "s1"), Strategy("direct", "s1")]
     jobs = []

@@ -28,6 +28,12 @@ from repro.reliability import (CRASH_EXIT_CODE, AuditVerdict, FaultInjector,
 from repro.sat import CNF, SolveStatus, solve
 from repro.sat.solver.config import SolverConfig
 
+
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_a_test(no_live_workers):
+    """No worker process of any pool outlives a test (see conftest)."""
+
+
 #: Quick SAT instance: 5-cycle, 3 colors.
 SAT_PROBLEM = ColoringProblem(cycle_graph(5), 3)
 #: Quick UNSAT instance that still requires search (non-trivial proof).

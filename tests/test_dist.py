@@ -29,6 +29,12 @@ from repro.sat import CDCLSolver
 from repro.sat.solver.config import preset
 from repro.sat.status import SolveStatus
 
+
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_a_test(no_live_workers):
+    """No worker process of any pool outlives a test (see conftest)."""
+
+
 DIRECT = Strategy("direct", "s1")
 #: Not matched by the ``match=direct/s1`` faults that crash DIRECT jobs.
 MULDIRECT = Strategy("muldirect", "s1")
@@ -308,6 +314,55 @@ class TestCubes:
         assert result.status is SolveStatus.UNSAT
         assert result.cubes_closed == len(result.plan.cubes)
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the solve_cube double reaches fork-start workers only")
+    def test_worker_killed_right_after_a_report_loses_no_report(
+            self, monkeypatch, tmp_path):
+        # Every worker process dies at the start of its second cube,
+        # right after reporting its first: only the cube in flight at a
+        # crash may be solved again, and each report sent before a
+        # crash keeps its verdict.
+        from repro.core.incremental import AssumptionJobSolver
+        solve_cube = AssumptionJobSolver.solve_cube
+        parent = os.getpid()
+        log = str(tmp_path / "solved")
+        calls = []  # per process: each fork starts from the parent's []
+
+        def crash_on_second_call(solver, assumptions):
+            if os.getpid() != parent:
+                calls.append(assumptions)
+                if len(calls) == 2:
+                    os._exit(3)
+            report = solve_cube(solver, assumptions)
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{sorted(assumptions)}\n".encode())
+            finally:
+                os.close(fd)
+            return report
+
+        monkeypatch.setattr(AssumptionJobSolver, "solve_cube",
+                            crash_on_second_call)
+        inst = _conflict_suite(1)[0]
+        result = run_cubed(inst.problem, DIRECT, max_workers=2, timeout=120)
+        assert result.status is SolveStatus.UNSAT
+        assert result.cubes_closed == len(result.plan.cubes)
+        solved = Path(log).read_text().splitlines()
+        assert sorted(solved) == sorted(set(solved))
+        assert len(solved) == len(result.plan.cubes)
+
+    def test_hung_cube_workers_are_killed_after_the_deadline(self):
+        inst = _conflict_suite(1)[0]
+        start = time.perf_counter()
+        result = run_cubed(inst.problem, DIRECT, max_workers=2, timeout=0.5,
+                           faults=FaultPlan.parse("seed=5; hang@dist_shard"))
+        # Deadline, then the grace period, then the kill: no parent
+        # re-solve past the deadline.
+        assert time.perf_counter() - start < 10.0
+        assert result.status is SolveStatus.TIMEOUT
+        assert result.cubes_closed == 0
+
 
 # ----------------------------------------------------------------------
 # Work-stealing shard scheduler
@@ -530,6 +585,65 @@ class TestSchedulerSlots:
                 return False
 
         deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
+
+    def test_workers_exit_when_the_scheduler_is_killed_mid_send(self):
+        # A worker blocked sending a report larger than the pipe buffer
+        # to a scheduler that stopped reading, then is SIGKILLed, must
+        # still exit, as must its idle sibling.
+        script = textwrap.dedent("""
+            import os, time
+            from repro.bench import BatchJob, run_batch
+            from repro.bench import batch as batch_module
+            from repro.coloring import ColoringProblem, cycle_graph
+            from repro.core import Strategy
+            from repro.core.pipeline import solve_coloring
+
+            def announcing_solve(problem, strategy, **kwargs):
+                os.write(1, f"{os.getpid()}\\n".encode())
+                outcome = solve_coloring(problem, strategy, **kwargs)
+                if strategy.seed == 2:
+                    time.sleep(0.3)
+                    outcome.solver_stats["ballast"] = "x" * (4 << 20)
+                return outcome
+
+            batch_module.solve_coloring = announcing_solve
+            run_batch([BatchJob(f"cycle{5 + 2 * seed}",
+                                ColoringProblem(cycle_graph(5 + 2 * seed), 3),
+                                Strategy("direct", "s1", seed=seed))
+                       for seed in (1, 2)], max_workers=2)
+            time.sleep(60)  # never reached before the kill
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        scheduler = subprocess.Popen([sys.executable, "-c", script],
+                                     stdout=subprocess.PIPE, env=env,
+                                     text=True)
+        try:
+            workers = [int(scheduler.stdout.readline()) for _ in range(2)]
+            # Stop reading, so the 4 MB report fills the pipe buffer and
+            # its sender blocks mid-send; then kill the scheduler.
+            scheduler.send_signal(signal.SIGSTOP)
+            time.sleep(1.0)
+        finally:
+            scheduler.kill()
+            scheduler.wait(timeout=10)
+            scheduler.stdout.close()
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().split(")")[-1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 3
         while any(map(running, workers)) and time.monotonic() < deadline:
             time.sleep(0.1)
         survivors = [pid for pid in workers if running(pid)]

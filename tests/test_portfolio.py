@@ -14,6 +14,11 @@ from repro.core.pipeline import solve_coloring
 from repro.sat import SolveLimits, SolveStatus
 
 
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_a_test(no_live_workers):
+    """No worker process of any pool outlives a test (see conftest)."""
+
+
 class TestPaperPortfolios:
     def test_members(self):
         assert len(PORTFOLIO_2) == 2
