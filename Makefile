@@ -35,11 +35,11 @@ encodings-matrix:
 		-k "cmddirect or bimdirect or proddirect or seqdirect or pop"
 
 # Differential-fuzzing smoke: a 60-second budgeted campaign on the
-# quick matrix — which races the stock arena engine against
-# arena+inprocess (inprocessing + tier reduction) and includes one
+# quick matrix — which races the paper's two solver presets
+# (siege_like and minisat_like) on every strategy and includes one
 # strategy from each new encoding family (cmddirect, pop, pop-h), so
-# every new solver flag and encoding code path is differentially
-# fuzzed on each CI push.  Any disagreement between strategies fails
+# both search configurations and every encoding code path are
+# differentially fuzzed on each CI push.  Any disagreement between strategies fails
 # the target and leaves a minimized reproducer bundle under
 # fuzz-bundles/.  See docs/testing.md.
 fuzz-smoke:
@@ -47,7 +47,7 @@ fuzz-smoke:
 		--budget-seconds 60 --out fuzz-bundles
 
 # The nightly campaign: the full registry matrix (25 encodings x 2
-# symmetry x 2 engines), rotating seed base (CI passes FUZZ_SEED_BASE
+# symmetry x 2 solver presets), rotating seed base (CI passes FUZZ_SEED_BASE
 # from the run number), fixed wall budget.
 FUZZ_SEED_BASE ?= 1
 fuzz-nightly:
@@ -119,7 +119,7 @@ bench-quick:
 
 # bench-quick plus the checked-in performance floor: fails on a >25%
 # regression of any figure pinned in benchmarks/floor.json (stress-suite
-# props/sec, conflict-suite speedup).  This is the CI bench gate.
+# props/sec, conflict-suite conflicts/sec).  This is the CI bench gate.
 bench-smoke:
 	PYTHONPATH=src python -m repro.bench.throughput --quick \
 		-o bench-smoke.json --check-floor benchmarks/floor.json
@@ -142,7 +142,7 @@ bench-scale:
 # CHANGES.md.
 perfbench-smoke:
 	python -m pytest perfbench/test_perfbench.py -q
-	for pinned in unroutable:b69a2755f0abb79b flow:8b524cf9460bb4ac \
+	for pinned in unroutable:23b575684b7bac46 flow:8b524cf9460bb4ac \
 			batch:144f698f9609b4d7; do \
 		workload=$${pinned%%:*}; expected=$${pinned#*:}; \
 		out=$$(python3 perfbench/run.py --workload $$workload --seed 1 \

@@ -38,8 +38,8 @@ def test_preprocessing_shrinks_routing_formulas(benchmark,
             preprocessed = solve_simplified(
                 encoded.cnf, Strategy(name, "s1").solver_config())
             preprocessed_time = time.perf_counter() - start
-            assert not plain.satisfiable
-            assert not preprocessed.satisfiable
+            assert not plain.is_sat
+            assert not preprocessed.is_sat
             rows.append([name,
                          str(result.stats["original_clauses"]),
                          str(result.stats["final_clauses"]),

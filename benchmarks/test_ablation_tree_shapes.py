@@ -48,7 +48,7 @@ def test_random_tree_shapes(benchmark, unroutable_instances):
                   ("ITE-log (balanced)", "ITE-log")]
         for label, name in shapes:
             outcome = solve_coloring(problem, Strategy(name, "s1"))
-            assert not outcome.satisfiable
+            assert not outcome.is_sat
             rows.append([label, str(outcome.num_vars),
                          f"{outcome.solve_time:.3f}"])
         for seed in range(4):
@@ -63,7 +63,7 @@ def test_random_tree_shapes(benchmark, unroutable_instances):
             start = time.perf_counter()
             result = solve(encoded.cnf)
             elapsed = time.perf_counter() - start
-            assert not result.satisfiable
+            assert not result.is_sat
             rows.append([scheme.name, str(encoded.cnf.num_vars),
                          f"{elapsed:.3f}"])
         return rows

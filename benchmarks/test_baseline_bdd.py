@@ -33,7 +33,7 @@ def test_bdd_vs_cdcl_scaling(benchmark):
                 bdd_result = solve_bdd(encoded.cnf, node_limit=NODE_LIMIT)
                 bdd_cell = (f"{time.perf_counter() - start:.3f}s "
                             f"({int(bdd_result.stats['bdd_nodes'])} nodes)")
-                bdd_answer = bdd_result.satisfiable
+                bdd_answer = bdd_result.is_sat
             except BDDLimitExceeded:
                 bdd_cell = (f"blown up (> {NODE_LIMIT} nodes after "
                             f"{time.perf_counter() - start:.3f}s)")
@@ -43,7 +43,7 @@ def test_bdd_vs_cdcl_scaling(benchmark):
             outcome = solve_coloring(csp.problem, Strategy("log", "s1"))
             cdcl_cell = f"{time.perf_counter() - start:.3f}s"
             if bdd_answer is not None:
-                assert bdd_answer == outcome.satisfiable
+                assert bdd_answer == outcome.is_sat
             rows.append([f"alu2 x{scale:.2f}",
                          str(encoded.cnf.num_vars),
                          str(encoded.cnf.num_clauses),

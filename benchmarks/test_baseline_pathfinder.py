@@ -43,7 +43,7 @@ def test_pathfinder_vs_sat_routable(benchmark):
                       "yes" if negotiated.success else "no",
                       f"{negotiation_time:.3f}",
                       f"{outcome.total_time:.3f}"])
-        assert outcome.satisfiable
+        assert outcome.is_sat
     publish("baseline_routable", render_simple_table(
         "Routable configs: negotiation vs SAT",
         ["circuit", "width", "negotiated?", "negotiation [s]", "SAT [s]"],
@@ -75,7 +75,7 @@ def test_pathfinder_cannot_prove_unroutability(benchmark,
         # The configurations are provably unroutable: negotiation must
         # fail, and its failure carries no certificate.
         assert not negotiated.success
-        assert not outcome.satisfiable
+        assert not outcome.is_sat
         table.append([name,
                       f"gave up after {negotiated.iterations} iters "
                       f"({negotiation_time:.3f}s)",

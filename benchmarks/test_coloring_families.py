@@ -45,7 +45,7 @@ def test_coloring_families_unsat(benchmark):
             cells[name] = {}
             for strategy in STRATEGIES:
                 outcome = solve_coloring(problem, strategy)
-                assert not outcome.satisfiable, (name, strategy.label)
+                assert not outcome.is_sat, (name, strategy.label)
                 cells[name][strategy.label] = outcome.total_time
         return cells
 
@@ -73,7 +73,7 @@ def test_coloring_families_sat(benchmark):
             problem = ColoringProblem(graph, colors)
             outcome = solve_coloring(problem,
                                      Strategy("ITE-linear-2+muldirect", "s1"))
-            assert outcome.satisfiable
+            assert outcome.is_sat
             assert problem.is_valid_coloring(outcome.coloring)
             results[name] = outcome.total_time
         return results

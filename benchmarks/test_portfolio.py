@@ -66,5 +66,5 @@ def test_real_portfolio_execution(benchmark, unroutable_instances):
             f"{instance.name} @ W={instance.width}: winner "
             f"{result.winner.label} in {result.wall_time:.2f}s wall time "
             f"({result.num_strategies} processes)")
-    assert not result.outcome.satisfiable
+    assert not result.outcome.is_sat
     assert result.winner in MEMBERS

@@ -28,10 +28,10 @@ def test_width_sweep(benchmark):
             problem = build_routing_csp(routing, width).problem
             best = solve_coloring(problem, STRATEGY)
             base = solve_coloring(problem, BASELINE)
-            assert best.satisfiable == base.satisfiable
-            assert best.satisfiable == (width >= width_min)
+            assert best.is_sat == base.is_sat
+            assert best.is_sat == (width >= width_min)
             rows.append([f"W={width}",
-                         "SAT" if best.satisfiable else "UNSAT",
+                         "SAT" if best.is_sat else "UNSAT",
                          f"{base.total_time:.3f}",
                          f"{best.total_time:.3f}",
                          str(int(base.solver_stats["conflicts"]))])

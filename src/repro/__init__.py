@@ -67,7 +67,7 @@ from .reliability import (AuditReport, AuditVerdict, FaultPlan,
                           audit_result)
 from .sat.solver.cdcl import BudgetExceeded
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "api", "SolveRequest", "SolveResponse",

@@ -29,9 +29,8 @@ request shape must cross the wire.  This module defines that shape:
   ``to_wire``/``from_wire``.
 
 The pre-1.6 entrypoints remain importable (they are the engines this
-module routes through); the *boolean* compatibility shims from the 1.1
-status migration (``satisfiable`` properties, ``SolveResult(bool)``,
-``SolveStatus.from_bool``) are deprecated — ``docs/api.md`` has the
+module routes through).  The *boolean* compatibility shims of the 1.1
+status migration were removed in 2.0 — ``docs/api.md`` has the
 migration table.
 """
 
@@ -54,17 +53,22 @@ def strategy_to_wire(strategy: Strategy) -> Dict[str, object]:
     """A strategy as a JSON-ready dict (the label alone is ambiguous —
     defaults are elided from labels)."""
     return {"encoding": strategy.encoding, "symmetry": strategy.symmetry,
-            "solver": strategy.solver, "seed": strategy.seed,
-            "engine": strategy.engine}
+            "solver": strategy.solver, "seed": strategy.seed}
 
 
 def strategy_from_wire(wire: Dict[str, object]) -> Strategy:
-    """Rebuild a strategy from its wire dict (validates eagerly)."""
+    """Rebuild a strategy from its wire dict (validates eagerly).
+
+    Dicts written before 2.0 (journal entries, cached requests) name an
+    ``engine``: ``"arena"``, the one engine there is, is accepted and
+    any other name refused."""
+    engine = wire.get("engine", "arena")
+    if engine != "arena":
+        raise ValueError(f"unknown solver engine {engine!r}")
     return Strategy(encoding=str(wire["encoding"]),
                     symmetry=str(wire.get("symmetry", "none")),
                     solver=str(wire.get("solver", "siege_like")),
-                    seed=int(wire.get("seed", 0)),
-                    engine=str(wire.get("engine", "arena")))
+                    seed=int(wire.get("seed", 0)))
 
 
 def limits_to_wire(limits: Optional[SolveLimits]) -> Optional[Dict[str, object]]:

@@ -441,8 +441,7 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
             if obs_metrics.enabled():
                 obs_metrics.registry().inc("dist.steal")
         trace.event("job.launched", instance=job.instance,
-                    strategy=job.strategy.label,
-                    engine=job.strategy.engine, shard=shard,
+                    strategy=job.strategy.label, shard=shard,
                     attempt=entry.attempt)
 
     def _settle(done: Finished, status: SolveStatus,

@@ -24,18 +24,16 @@ Three instance families:
 * **Conflict suite** — near-critical UNSAT coloring instances from
   :func:`repro.qa.generators.conflict_instances` (a hidden clique buried
   in noise, one color short), the analysis/reduction-dominated regime
-  the BCP suites deliberately avoid.  This suite races the arena engine
-  against *itself* with inprocessing and tier-based clause-DB reduction
-  enabled, and reports a per-phase time split
-  (propagate / analyze / reduce / inprocess) for both configurations —
-  ``headline_conflict_speedup`` is where the inprocessing work pays off.
+  the BCP suites deliberately avoid.  It times the solver's one search
+  configuration (``minisat_like``, seed 1) and reports a per-phase time
+  split (propagate / analyze / reduce); its headline
+  ``conflict_suite_conflicts_per_sec`` is total conflicts over total
+  time, and its per-instance conflict counts are deterministic.
 
 Timing methodology: the container's wall clock is noisy (identical code
 can swing ~30% between runs), so each measurement uses
 ``time.process_time`` and takes the **minimum over ``repeats`` runs** —
 the standard minimum-as-estimator for best-case deterministic cost.
-The conflict suite's two configurations run interleaved so slow drifts
-hit both equally.
 """
 
 from __future__ import annotations
@@ -110,28 +108,50 @@ def pigeonhole(holes: int) -> CNF:
 # Measurement
 # ----------------------------------------------------------------------
 
-def _stress_runner(cnf: CNF, config: SolverConfig, rounds: int):
-    """Time ``rounds`` assumption-driven BCP waves on one solver."""
+#: Solver counters a timed region reports.
+_COUNTER_KEYS = ("propagations", "decisions", "conflicts",
+                 "watch_inspections", "blocker_hits")
+
+
+def _stress_runner(cnf: CNF, config: SolverConfig) -> Callable:
+    """One solver for every timed region of an instance.
+
+    Returns ``region(rounds)``, which times ``rounds`` assumption-driven
+    BCP waves on that solver and returns the time with the counters
+    those waves added (the same in every region: each wave re-derives
+    the whole chain from the root).
+    """
     solver = CDCLSolver(cnf.copy(), config)
-    start = time.process_time()
-    for _ in range(rounds):
-        solver.solve(assumptions=[1])
-    return time.process_time() - start, solver
+    stats = solver.stats
 
-
-def _search_runner(cnf: CNF, config: SolverConfig, rounds: int):
-    """Time a full (possibly budget-capped) search from scratch."""
-    elapsed = 0.0
-    solver = None
-    for _ in range(rounds):
-        solver = CDCLSolver(cnf.copy(), config)
+    def region(rounds: int):
+        before = [stats[key] for key in _COUNTER_KEYS]
         start = time.process_time()
-        try:
-            solver.solve()
-        except BudgetExceeded:  # a capped search still yields valid stats
-            pass
-        elapsed += time.process_time() - start
-    return elapsed, solver
+        for _ in range(rounds):
+            solver.solve(assumptions=[1])
+        elapsed = time.process_time() - start
+        return elapsed, {key: stats[key] - old
+                         for key, old in zip(_COUNTER_KEYS, before)}
+    return region
+
+
+def _search_runner(cnf: CNF, config: SolverConfig) -> Callable:
+    """Returns ``region(rounds)``, which times ``rounds`` full (possibly
+    budget-capped) searches, each on a fresh solver, and returns the
+    time with the last search's counters."""
+    def region(rounds: int):
+        elapsed = 0.0
+        solver = None
+        for _ in range(rounds):
+            solver = CDCLSolver(cnf.copy(), config)
+            start = time.process_time()
+            try:
+                solver.solve()
+            except BudgetExceeded:  # a capped search still yields stats
+                pass
+            elapsed += time.process_time() - start
+        return elapsed, {key: solver.stats[key] for key in _COUNTER_KEYS}
+    return region
 
 
 def measure_instance(name: str, cnf: CNF, *, runner: Callable,
@@ -141,17 +161,16 @@ def measure_instance(name: str, cnf: CNF, *, runner: Callable,
     """Benchmark the engine on one CNF; min-over-``repeats`` timing.
 
     Returns a per-instance record with the engine's time, props/sec and
-    its deterministic search and watch counters.
+    the deterministic search and watch counters of one timed region.
     """
     overrides = {}
     if max_conflicts is not None:
         overrides["max_conflicts"] = max_conflicts
-    config = preset(preset_name, **overrides)
+    region = runner(cnf, preset(preset_name, **overrides))
     times = []
     for _ in range(max(1, repeats)):
-        elapsed, solver = runner(cnf, config, rounds)
+        elapsed, stats = region(rounds)
         times.append(elapsed)
-    stats = solver.stats
     best = min(times)
     props = int(stats["propagations"])
     inspections = int(stats["watch_inspections"])
@@ -176,78 +195,42 @@ def measure_instance(name: str, cnf: CNF, *, runner: Callable,
 
 
 #: Phase-timing stat keys, in reporting order.
-_PHASE_KEYS = ("time_propagate", "time_analyze", "time_reduce",
-               "time_inprocess")
-
-#: Inprocessing counters reported for the tuned configuration.
-_INPROCESS_KEYS = ("inprocess_passes", "subsumed_clauses",
-                   "strengthened_clauses", "vivified_clauses",
-                   "eliminated_vars", "bve_resolvents")
-
-
-def conflict_configs(seed: int = 1) -> Dict[str, SolverConfig]:
-    """The two configurations the conflict suite races.
-
-    ``baseline`` is the stock arena engine; ``tuned`` is the same engine
-    with inter-restart inprocessing and tier-based clause-DB reduction
-    — the configuration the ``arena+inprocess`` strategy engine maps to.
-    Both carry ``phase_timing`` so the payload can show *where* the
-    time went, not just how much.
-    """
-    return {
-        "baseline": preset("minisat_like", seed=seed, phase_timing=True),
-        "tuned": preset("minisat_like", seed=seed, phase_timing=True,
-                        inprocessing=True, reduce_policy="tier"),
-    }
+_PHASE_KEYS = ("time_propagate", "time_analyze", "time_reduce")
 
 
 def measure_conflict_instance(name: str, cnf: CNF, *,
                               repeats: int) -> Dict:
-    """Race baseline vs tuned arena configs on one conflict-heavy CNF.
+    """Time the solver on one conflict-heavy CNF.
 
-    Same methodology as :func:`measure_instance` (interleaved,
-    min-over-repeats ``process_time``), plus a per-phase time split
-    taken from each configuration's fastest run.
+    Same methodology as :func:`measure_instance` (min-over-repeats
+    ``process_time``), plus the per-phase time split of the fastest run.
+    The configuration carries ``phase_timing``, which never moves the
+    search, so the payload shows *where* the time went.
     """
-    times: Dict[str, List[float]] = {"baseline": [], "tuned": []}
-    solvers: Dict[str, object] = {}
+    config = preset("minisat_like", seed=1, phase_timing=True)
+    best = None
+    fastest = None
     for _ in range(max(1, repeats)):
-        for label, config in conflict_configs().items():
-            solver = CDCLSolver(cnf.copy(), config)
-            start = time.process_time()
-            solver.solve()
-            elapsed = time.process_time() - start
-            if not times[label] or elapsed <= min(times[label]):
-                solvers[label] = solver
-            times[label].append(elapsed)
-    results: Dict[str, Dict] = {}
-    for label, solver in solvers.items():
-        stats = solver.stats
-        best = min(times[label])
-        record = {
-            "time": round(best, 6),
-            "conflicts": int(stats["conflicts"]),
-            "decisions": int(stats["decisions"]),
-            "propagations": int(stats["propagations"]),
-            "watch_inspections": int(stats["watch_inspections"]),
-            "learned_clauses": int(stats["learned_clauses"]),
-            "deleted_clauses": int(stats["deleted_clauses"]),
-            "phase_split": {key[len("time_"):]: round(stats.get(key, 0.0), 6)
-                            for key in _PHASE_KEYS},
-        }
-        if label == "tuned":
-            record["inprocessing"] = {
-                key: int(stats.get(key, 0)) for key in _INPROCESS_KEYS}
-        results[label] = record
-    base_t = results["baseline"]["time"]
-    tuned_t = results["tuned"]["time"]
+        solver = CDCLSolver(cnf.copy(), config)
+        start = time.process_time()
+        solver.solve()
+        elapsed = time.process_time() - start
+        if best is None or elapsed <= best:
+            best, fastest = elapsed, solver
+    stats = fastest.stats
     return {
         "name": name,
         "num_vars": cnf.num_vars,
         "num_clauses": cnf.num_clauses,
-        "baseline": results["baseline"],
-        "tuned": results["tuned"],
-        "speedup": round(base_t / tuned_t, 3) if tuned_t > 0 else None,
+        "time": round(best, 6),
+        "conflicts": int(stats["conflicts"]),
+        "decisions": int(stats["decisions"]),
+        "propagations": int(stats["propagations"]),
+        "watch_inspections": int(stats["watch_inspections"]),
+        "learned_clauses": int(stats["learned_clauses"]),
+        "deleted_clauses": int(stats["deleted_clauses"]),
+        "phase_split": {key[len("time_"):]: round(stats[key], 6)
+                        for key in _PHASE_KEYS},
     }
 
 
@@ -255,9 +238,9 @@ def conflict_suite_instances(*, count: int = 4) -> List[Tuple[str, CNF]]:
     """The conflict-heavy suite: planted-clique UNSAT coloring CNFs.
 
     Deterministic (fixed generator seed), by-construction UNSAT, sized
-    so the baseline spends a few seconds per instance in conflict
-    analysis — large enough that clause-DB growth dominates, which is
-    the regime tier reduction and inprocessing target.
+    so the solver spends seconds per instance in conflict analysis —
+    large enough that clause-DB growth dominates, which is the regime
+    the tiered reduction targets.
     """
     from ..core.encodings.registry import get_encoding
     from ..qa.generators import conflict_instances
@@ -311,11 +294,7 @@ def run_throughput_bench(*, repeats: int = 200, stress_rounds: int = 25,
             include_conflict=include_conflict,
             conflict_count=conflict_count,
             conflict_repeats=conflict_repeats)
-        registry = obs_metrics.registry()
-        if "headline_conflict_speedup" in payload:
-            registry.set_gauge("bench.headline_conflict_speedup",
-                               payload["headline_conflict_speedup"])
-        payload["metrics"] = registry.snapshot()
+        payload["metrics"] = obs_metrics.registry().snapshot()
         return payload
     finally:
         obs_metrics.enable(previously_enabled)
@@ -335,15 +314,17 @@ def _run_throughput_bench(*, repeats: int, stress_rounds: int,
     payload: Dict = {
         "benchmark": "solver BCP throughput (arena engine)",
         "methodology": (
-            "per-instance time is the minimum of "
-            f"{repeats} process_time runs (noise-robust best-case cost); "
-            "the headline is total propagations / total time over the "
-            "propagation-only stress suite, whose propagation, watch "
-            "inspection and blocker hit counts are deterministic"),
+            "per-instance time is the minimum over "
+            f"{repeats} process_time regions of {stress_rounds} rounds, "
+            "all on one solver (noise-robust best-case cost); the "
+            "headline is total propagations / total time over the "
+            "propagation-only stress suite, whose per-region "
+            "propagation, watch inspection and blocker hit counts are "
+            "deterministic"),
         "preset": "minisat_like",
         "stress_suite": stress,
-        # propagations accumulate across rounds inside one solver, so
-        # sum(propagations)/time is the true aggregate rate.
+        # Each record counts the propagations of one region, so
+        # sum(propagations)/sum(time) is the true aggregate rate.
         "stress_arena_props_per_sec": round(
             sum(r["arena"]["propagations"] for r in stress)
             / arena_time) if arena_time else None,
@@ -364,17 +345,16 @@ def _run_throughput_bench(*, repeats: int, stress_rounds: int,
             measure_conflict_instance(name, cnf, repeats=conflict_repeats)
             for name, cnf in conflict_suite_instances(count=conflict_count)
         ]
-        base_time = sum(r["baseline"]["time"] for r in conflict)
-        tuned_time = sum(r["tuned"]["time"] for r in conflict)
+        conflict_time = sum(r["time"] for r in conflict)
         payload["conflict_suite"] = conflict
-        payload["headline_conflict_speedup"] = round(
-            base_time / tuned_time, 3) if tuned_time else None
+        payload["conflict_suite_conflicts_per_sec"] = round(
+            sum(r["conflicts"] for r in conflict)
+            / conflict_time) if conflict_time else None
         payload["conflict_note"] = (
             "planted-clique UNSAT coloring instances (muldirect "
-            "encoding): arena baseline vs arena with inprocessing + "
-            "tier reduction; both trajectories legitimately differ, so "
-            "the speedup is end-to-end refutation time, with phase "
-            "splits showing where it comes from")
+            "encoding), minisat_like seed 1: conflicts per second of "
+            "process time over the suite, with phase splits showing "
+            "where the time goes; conflict counts are deterministic")
     return payload
 
 
@@ -445,15 +425,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for record in payload.get("context_suite", []):
         print(f"  {record['name']} [context]: "
               f"{record['arena']['props_per_sec']:,} props/sec")
-    if "headline_conflict_speedup" in payload:
-        print(f"headline conflict-suite speedup (inprocessing + tier "
-              f"over baseline arena): {payload['headline_conflict_speedup']}x")
+    if "conflict_suite" in payload:
+        print(f"conflict suite conflicts/sec: "
+              f"{payload['conflict_suite_conflicts_per_sec']:,}")
         for record in payload["conflict_suite"]:
-            tuned = record["tuned"]
-            print(f"  {record['name']} [conflict]: {record['speedup']}x "
-                  f"(conflicts {record['baseline']['conflicts']} -> "
-                  f"{tuned['conflicts']}, deleted {tuned['deleted_clauses']}, "
-                  f"inprocess {tuned['phase_split']['inprocess']}s)")
+            print(f"  {record['name']} [conflict]: {record['time']}s "
+                  f"({record['conflicts']} conflicts, deleted "
+                  f"{record['deleted_clauses']}, propagate "
+                  f"{record['phase_split']['propagate']}s)")
     print(f"wrote {args.output}")
     if args.check_floor:
         failures = check_floor(payload, args.check_floor)

@@ -54,8 +54,7 @@ DEFAULT_SYMMETRY = "s1"
 
 def _strategy(args) -> Strategy:
     return Strategy(args.encoding, args.symmetry, solver=args.solver,
-                    seed=args.seed,
-                    engine=getattr(args, "engine", "arena"))
+                    seed=args.seed)
 
 
 def _add_budget_options(parser: argparse.ArgumentParser) -> None:
@@ -199,12 +198,6 @@ def _add_strategy_options(parser: argparse.ArgumentParser) -> None:
                         help="CDCL preset (default siege_like)")
     parser.add_argument("--seed", type=int, default=0,
                         help="solver seed (default 0)")
-    parser.add_argument("--engine", default="arena",
-                        choices=["arena", "arena+inprocess"],
-                        help="solver engine (default arena); "
-                             "'arena+inprocess' is the arena engine "
-                             "with inprocessing + tier reduction (see "
-                             "docs/performance.md)")
 
 
 def _print_solver_stats(stats) -> None:
@@ -843,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz",
                        help="differential fuzzing: race seeded instances "
-                            "through an encoding x symmetry x engine "
+                            "through an encoding x symmetry x solver "
                             "matrix, cross-check every answer, shrink "
                             "and bundle any disagreement")
     p.add_argument("--seeds", type=int, default=5, metavar="N",
@@ -855,8 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop the campaign after this much wall time "
                         "(instances are never cut mid-matrix)")
     p.add_argument("--matrix", default="full",
-                   help="strategy matrix: 'full', 'quick', 'engines', or "
-                        "'encodings=...;symmetry=...;engine=...' "
+                   help="strategy matrix: 'full', 'quick', 'solvers', or "
+                        "'encodings=...;symmetry=...;solver=...' "
                         "(default full)")
     p.add_argument("--out", metavar="DIR",
                    help="write minimized reproducer bundles under DIR")

@@ -160,12 +160,9 @@ class AssumptionJobSolver:
     carries over — that work reduction, not core count, is where
     cube-and-conquer wins on hard UNSAT instances).
 
-    Cube assumptions land on arbitrary encoding variables, so
-    inprocessing BVE is disabled (the solver refuses assumptions on
-    eliminated variables); the rest of the strategy's solver config —
-    engine, restarts, tier reduction — applies unchanged.  A clause
-    channel plugs the worker into cross-process sharing with its
-    sibling cube workers.
+    The strategy's solver config applies unchanged.  A clause channel
+    plugs the worker into cross-process sharing with its sibling cube
+    workers.
     """
 
     def __init__(self, problem: ColoringProblem, strategy: Strategy,
@@ -179,8 +176,6 @@ class AssumptionJobSolver:
             apply_symmetry(encoded, strategy.symmetry)
         self.encoded = encoded
         config = strategy.solver_config(limits)
-        if config.inprocessing:
-            config.inprocess_bve = False
         if clause_channel is not None:
             config.clause_channel = clause_channel
         self._solver = CDCLSolver(self.encoded.cnf, config)

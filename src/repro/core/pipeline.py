@@ -36,8 +36,7 @@ class ColoringOutcome:
     ``status`` is the five-way :class:`SolveStatus`; :attr:`is_sat` is
     the boolean shorthand (check ``status.decided`` before treating
     False as a proof of uncolorability — a budgeted run may be TIMEOUT
-    or BUDGET_EXHAUSTED instead).  The historical ``satisfiable``
-    property is deprecated since 1.6 (see ``docs/api.md``).
+    or BUDGET_EXHAUSTED instead).
     """
 
     strategy: Strategy
@@ -67,16 +66,6 @@ class ColoringOutcome:
     @property
     def is_sat(self) -> bool:
         """True iff ``status is SolveStatus.SAT``."""
-        return self.status is SolveStatus.SAT
-
-    @property
-    def satisfiable(self) -> bool:
-        """Deprecated alias of :attr:`is_sat` (since 1.6)."""
-        import warnings
-        warnings.warn(
-            "ColoringOutcome.satisfiable is deprecated; check `status is "
-            "SolveStatus.SAT` or the `is_sat` shorthand (docs/api.md has "
-            "the migration table)", DeprecationWarning, stacklevel=2)
         return self.status is SolveStatus.SAT
 
     @property
@@ -150,8 +139,7 @@ def solve_coloring(problem: ColoringProblem, strategy: Strategy,
     """
     with trace.span("coloring.solve", strategy=strategy.label,
                     encoding=strategy.encoding,
-                    symmetry=strategy.symmetry,
-                    engine=getattr(strategy, "engine", "arena")) as run_span:
+                    symmetry=strategy.symmetry) as run_span:
         return _solve_coloring_in_span(
             run_span, problem, strategy, graph_time, limits, cancel,
             faults=faults, keep_model=keep_model, proof_log=proof_log,
@@ -235,9 +223,7 @@ def _solve_coloring_in_span(run_span, problem: ColoringProblem,
 
     solver = CDCLSolver(encoded.cnf, config)
     try:
-        with trace.span("solve", engine=getattr(strategy, "engine",
-                                                "arena"),
-                        solver=config.name) as solve_span:
+        with trace.span("solve", solver=config.name) as solve_span:
             result = solver.solve(cancel=cancel)
     except BudgetExceeded:
         raise  # an explicitly requested hard budget, not a failure

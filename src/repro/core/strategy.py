@@ -24,26 +24,19 @@ class Strategy:
     symmetry: str = "none"
     solver: str = "siege_like"
     seed: int = 0
-    #: "arena" (default), or "arena+inprocess" — the same engine with
-    #: inter-restart inprocessing and tiered DB reduction switched on
-    #: (the performance configuration for conflict-heavy instances).
-    engine: str = "arena"
 
     def __post_init__(self) -> None:
         get_encoding(self.encoding)       # validate eagerly
         get_heuristic(self.symmetry)
         if self.solver not in ("minisat_like", "siege_like"):
             raise ValueError(f"unknown solver preset {self.solver!r}")
-        if self.engine not in ("arena", "arena+inprocess"):
-            raise ValueError(f"unknown solver engine {self.engine!r}")
 
     @property
     def label(self) -> str:
         """Display label, e.g. ``ITE-linear-2+muldirect/s1``.
 
-        Labels are unique per strategy: non-default solver presets,
-        seeds and engines are appended so sweeps keyed by label never
-        collide.
+        Labels are unique per strategy: non-default solver presets and
+        seeds are appended so sweeps keyed by label never collide.
         """
         label = self.encoding
         if self.symmetry != "none":
@@ -52,8 +45,6 @@ class Strategy:
             label += f"@{self.solver}"
         if self.seed:
             label += f"#{self.seed}"
-        if self.engine != "arena":
-            label += f"!{self.engine}"
         return label
 
     def solver_config(self,
@@ -61,8 +52,6 @@ class Strategy:
         """Instantiate the solver configuration for this strategy,
         optionally bounded by a :class:`SolveLimits` budget."""
         overrides = limits.as_config_kwargs() if limits is not None else {}
-        if self.engine == "arena+inprocess":
-            overrides.update(inprocessing=True, reduce_policy="tier")
         return preset(self.solver, seed=self.seed, **overrides)
 
 

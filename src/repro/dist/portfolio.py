@@ -6,8 +6,8 @@ process-race machinery but wires every member into one clause-sharing
 hub (:mod:`repro.dist.sharing`), so a short clause learned by any member
 prunes everyone's search.  Sharing is only sound between members solving
 the *same* CNF, so the convenience constructor here diversifies the
-*seed* (and optionally the engine) rather than the encoding: same
-formula, different decision trajectories, shared refutations.
+*seed* rather than the encoding: same formula, different decision
+trajectories, shared refutations.
 """
 
 from __future__ import annotations
@@ -23,23 +23,19 @@ from .sharing import ShareConfig
 
 __all__ = ["seed_diverse_members", "run_cooperative"]
 
-def seed_diverse_members(strategy: Strategy, count: int,
-                         engines: Optional[Sequence[str]] = None
-                         ) -> Sequence[Strategy]:
-    """``count`` copies of one strategy differing only in seed (and,
-    round-robin, in ``engines`` when given) — the legal member set for
-    a clause-sharing portfolio: identical CNF, diverse trajectories."""
+def seed_diverse_members(strategy: Strategy,
+                         count: int) -> Sequence[Strategy]:
+    """``count`` copies of one strategy differing only in seed — the
+    legal member set for a clause-sharing portfolio: identical CNF,
+    diverse trajectories."""
     if count < 1:
         raise ValueError("count must be positive")
-    pool = tuple(engines) if engines else (strategy.engine,)
-    return tuple(replace(strategy, seed=strategy.seed + i,
-                         engine=pool[i % len(pool)])
+    return tuple(replace(strategy, seed=strategy.seed + i)
                  for i in range(count))
 
 
 def run_cooperative(problem: ColoringProblem, strategy: Strategy,
                     members: int = 2,
-                    engines: Optional[Sequence[str]] = None,
                     share: Optional[ShareConfig] = None,
                     timeout: Optional[float] = None,
                     limits: Optional[SolveLimits] = None,
@@ -50,7 +46,7 @@ def run_cooperative(problem: ColoringProblem, strategy: Strategy,
     sharing hub enabled (``share=None`` means the default
     :class:`ShareConfig`, not "off"; use plain ``run_portfolio`` for an
     uncooperative race)."""
-    squad = seed_diverse_members(strategy, members, engines)
+    squad = seed_diverse_members(strategy, members)
     return run_portfolio(problem, squad, timeout=timeout, limits=limits,
                          audit=audit, faults=faults,
                          share=share if share is not None else True)

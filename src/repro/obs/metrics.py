@@ -42,10 +42,6 @@ SOLVER_COUNTER_KEYS = (
     "conflicts", "decisions", "propagations", "restarts",
     "learned_clauses", "deleted_clauses", "minimized_literals",
     "watch_inspections", "blocker_hits", "arena_compactions",
-    # Inprocessing counters (repro.sat.inprocess); absent from the
-    # stats dict — and therefore skipped — unless inprocessing ran.
-    "inprocess_passes", "subsumed_clauses", "strengthened_clauses",
-    "vivified_clauses", "eliminated_vars", "bve_resolvents",
 )
 
 #: Solver stat keys absorbed as histogram observations (per solve call).

@@ -78,10 +78,9 @@ def _critical_ids(roots: List[Dict],
     return critical
 
 
-_INTERESTING_ATTRS = ("strategy", "encoding", "symmetry", "engine",
-                      "status", "label", "instance", "members", "winner",
-                      "shards", "steals", "workers", "cubes", "sharing",
-                      "error")
+_INTERESTING_ATTRS = ("strategy", "encoding", "symmetry", "status",
+                      "label", "instance", "members", "winner", "shards",
+                      "steals", "workers", "cubes", "sharing", "error")
 
 
 def _attr_summary(span: Dict) -> str:

@@ -1,13 +1,13 @@
-"""Cross-encoding / cross-engine differential solving.
+"""Cross-encoding / cross-solver differential solving.
 
 The paper's premise makes every instance its own oracle: every
 registered CSP-to-SAT encoding (the paper's 15 plus the modern
 at-most-one and partial-order families), every symmetry-breaking
-variant and both engine configurations (plain and inprocessing) are
+variant and both solver presets (the paper's siege and MiniSat) are
 equivalent reformulations of the same coloring problem, so
 *any* SAT/UNSAT disagreement between two strategies is a bug by
 construction.  This module solves one instance under a configurable
-(encoding × symmetry × engine) matrix and cross-checks:
+(encoding × symmetry × solver) matrix and cross-checks:
 
 * **status agreement** — all decided answers must coincide;
 * **ground truth** — when the instance is small enough for the
@@ -49,19 +49,19 @@ DEFAULT_SOLVE_LIMITS = SolveLimits(conflict_budget=50_000,
                                    wall_clock_limit=10.0)
 
 #: Named strategy-matrix presets for the CLI (``--matrix quick``).
-MATRIX_PRESETS = ("full", "quick", "engines")
+MATRIX_PRESETS = ("full", "quick", "solvers")
 
 
 @dataclass(frozen=True)
 class StrategyMatrix:
-    """The (encoding × symmetry × engine) grid of strategies to race.
+    """The (encoding × symmetry × solver) grid of strategies to race.
 
     Parsed from a ``--matrix`` spec: either a preset name (``full``,
-    ``quick``, ``engines``) or ``;``-separated dimensions::
+    ``quick``, ``solvers``) or ``;``-separated dimensions::
 
         encodings=registry|all|table2|extensions|modern|<name>,...;
         symmetry=none,b1,s1,c1;
-        engine=arena,arena+inprocess
+        solver=siege_like,minisat_like
 
     Unspecified dimensions keep the ``full`` defaults.  ``full`` now
     means the *whole registry* — the paper's 15 plus the seqdirect,
@@ -71,46 +71,43 @@ class StrategyMatrix:
 
     encodings: Tuple[str, ...] = tuple(REGISTRY_ENCODINGS)
     symmetries: Tuple[str, ...] = ("none", "s1")
-    engines: Tuple[str, ...] = ("arena", "arena+inprocess")
+    solvers: Tuple[str, ...] = ("siege_like", "minisat_like")
 
     def strategies(self) -> List[Strategy]:
         """Materialise the grid (validates every name eagerly)."""
-        grid = [Strategy(encoding, symmetry, engine=engine)
+        grid = [Strategy(encoding, symmetry, solver=solver)
                 for encoding in self.encodings
                 for symmetry in self.symmetries
-                for engine in self.engines]
+                for solver in self.solvers]
         if not grid:
             raise ValueError("empty strategy matrix")
         return grid
 
     @property
     def size(self) -> int:
-        return len(self.encodings) * len(self.symmetries) * len(self.engines)
+        return len(self.encodings) * len(self.symmetries) * len(self.solvers)
 
     def describe(self) -> str:
         return (f"{len(self.encodings)} encodings x "
                 f"{len(self.symmetries)} symmetry x "
-                f"{len(self.engines)} engines = {self.size} strategies")
+                f"{len(self.solvers)} solvers = {self.size} strategies")
 
     @classmethod
     def parse(cls, spec: Optional[str]) -> "StrategyMatrix":
         if not spec or spec == "full":
             return cls()
         if spec == "quick":
-            # The fuzz-smoke matrix: inprocessing on vs off rides along
-            # on every quick run, so the flag set added for the
-            # conflict-heavy suite is differentially checked for free.
-            # One representative of each new family (commander AMO,
-            # POP, POP-H) rides along too — a smoke run must exercise
-            # the auxiliary-variable and threshold-ladder code paths.
+            # The fuzz-smoke matrix: both solver presets race on every
+            # quick run.  One representative of each new family
+            # (commander AMO, POP, POP-H) rides along too — a smoke run
+            # must exercise the auxiliary-variable and threshold-ladder
+            # code paths.
             return cls(encodings=tuple(TABLE2_ENCODINGS)
                        + ("cmddirect", "pop", "pop-h"),
-                       symmetries=("none", "s1"),
-                       engines=("arena", "arena+inprocess"))
-        if spec == "engines":
-            # Pure engine differential: one encoding, every engine.
-            return cls(encodings=("muldirect",), symmetries=("none", "s1"),
-                       engines=("arena", "arena+inprocess"))
+                       symmetries=("none", "s1"))
+        if spec == "solvers":
+            # Pure solver differential: one encoding, both presets.
+            return cls(encodings=("muldirect",), symmetries=("none", "s1"))
         kwargs: Dict[str, Tuple[str, ...]] = {}
         for item in spec.split(";"):
             item = item.strip()
@@ -141,11 +138,11 @@ class StrategyMatrix:
                 kwargs["encodings"] = tuple(dict.fromkeys(expanded))
             elif key in ("symmetry", "symmetries"):
                 kwargs["symmetries"] = names
-            elif key in ("engine", "engines"):
-                kwargs["engines"] = names
+            elif key in ("solver", "solvers"):
+                kwargs["solvers"] = names
             else:
                 raise ValueError(f"unknown matrix dimension {key!r} "
-                                 f"(known: encodings, symmetry, engine)")
+                                 f"(known: encodings, symmetry, solver)")
         matrix = cls(**kwargs)
         matrix.strategies()  # validate names eagerly
         return matrix

@@ -57,18 +57,6 @@ drop_clause
             a SAT answer may decode to an improper coloring or an
             UNSAT instance may "solve".  The differential harness
             (:mod:`repro.qa`) must flag it as a disagreement.
-drop_resolvent
-            during bounded variable elimination
-            (:mod:`repro.sat.inprocess`), silently omit one resolvent —
-            the classic BVE implementation bug: the reduced formula is
-            weaker than the original, so a model of it may not extend,
-            or an UNSAT instance may "solve".  Audit / differential
-            must catch the consequences.
-skip_occurrence
-            during inprocessing subsumption, act on a stale
-            occurrence-list entry: delete a clause the subsumption
-            check did *not* actually cover.  Same failure surface as
-            ``drop_resolvent`` (a silently weakened formula).
 worker_hang
             a serve-pool worker stalls inside a job for ``seconds``
             (default one hour), ignoring every cooperative budget —
@@ -98,8 +86,7 @@ corrupt_share
             database would be unsound).
 ========== ============================================================
 
-Sites: ``solver`` (the CDCL engine), ``inprocess`` (the inter-restart
-simplification phases),
+Sites: ``solver`` (the CDCL engine),
 ``encode`` (CNF generation in the pipeline), ``worker`` (a worker
 process itself: a portfolio member, a job-scheduler worker or a cube
 worker), ``serve_worker`` (the solve service's pool worker),
@@ -134,14 +121,12 @@ from ..errors import ParseError
 #: Recognised fault kinds (see module docstring).
 FAULT_KINDS = ("crash", "hang", "slowdown", "wrong_model",
                "truncated_proof", "corrupt_hint", "corrupt_input",
-               "drop_clause", "drop_resolvent", "skip_occurrence",
-               "worker_hang", "journal_torn_write", "conn_drop",
-               "slow_client", "drop_share", "corrupt_share")
+               "drop_clause", "worker_hang", "journal_torn_write",
+               "conn_drop", "slow_client", "drop_share", "corrupt_share")
 
 #: Recognised injection sites.
-FAULT_SITES = ("*", "solver", "inprocess", "encode", "worker",
-               "serve_worker", "journal", "conn", "dist_shard",
-               "clause_channel")
+FAULT_SITES = ("*", "solver", "encode", "worker", "serve_worker",
+               "journal", "conn", "dist_shard", "clause_channel")
 
 #: Environment variable consulted by the pipeline and the worker
 #: processes; its value is a :meth:`FaultPlan.parse` string.

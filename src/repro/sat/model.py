@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .cnf import CNF
 from .literals import var_of
@@ -88,24 +87,14 @@ class SolveResult:
     """Outcome of a solver run: a :class:`~repro.sat.status.SolveStatus`
     plus a model (iff SAT) and the solver's statistics.
 
-    The boolean conveniences from the pre-status era are **deprecated**
-    (since 1.6; see the migration table in ``docs/api.md``): passing a
-    bare ``True``/``False`` as ``status``, and reading the
-    ``satisfiable`` attribute.  Use :class:`SolveStatus` members and the
-    :attr:`is_sat` shorthand — a TIMEOUT or BUDGET_EXHAUSTED result is
-    *not* SAT, but neither is it UNSAT; check ``status.decided`` before
-    treating a non-SAT answer as a refutation.
+    :attr:`is_sat` is the boolean shorthand — a TIMEOUT or
+    BUDGET_EXHAUSTED result is *not* SAT, but neither is it UNSAT; check
+    ``status.decided`` before treating a non-SAT answer as a refutation.
     """
 
-    def __init__(self, status: Union[SolveStatus, bool],
+    def __init__(self, status: SolveStatus,
                  model: Optional[Model] = None,
                  stats: Optional[Dict[str, float]] = None) -> None:
-        if isinstance(status, bool):  # legacy satisfiable-flag convention
-            warnings.warn(
-                "SolveResult(bool, ...) is deprecated; pass a SolveStatus "
-                "member (docs/api.md has the migration table)",
-                DeprecationWarning, stacklevel=2)
-            status = SolveStatus.SAT if status else SolveStatus.UNSAT
         if status is SolveStatus.SAT and model is None:
             raise ValueError("a satisfiable result requires a model")
         if status is not SolveStatus.SAT and model is not None:
@@ -117,15 +106,6 @@ class SolveResult:
     @property
     def is_sat(self) -> bool:
         """True iff ``status is SolveStatus.SAT`` (see class docstring)."""
-        return self.status is SolveStatus.SAT
-
-    @property
-    def satisfiable(self) -> bool:
-        """Deprecated alias of :attr:`is_sat` (since 1.6)."""
-        warnings.warn(
-            "SolveResult.satisfiable is deprecated; check `status is "
-            "SolveStatus.SAT` or the `is_sat` shorthand (docs/api.md "
-            "has the migration table)", DeprecationWarning, stacklevel=2)
         return self.status is SolveStatus.SAT
 
     def report(self, detail: str = "") -> SolveReport:

@@ -9,7 +9,7 @@ architecture:
   minimisation,
 * VSIDS variable activities with phase saving,
 * Luby or geometric restarts,
-* activity-driven learned-clause database reduction.
+* Glucose-style learned-clause database reduction in three LBD tiers.
 
 Literals are handled internally as *codes* (``2*v`` for ``v``, ``2*v + 1``
 for ``-v``), so negation is ``code ^ 1`` and codes index flat arrays.
@@ -104,13 +104,16 @@ class CDCLSolver:
         Solver parameters; defaults to a MiniSat-like configuration.
     """
 
-    #: Glucose reduction cadence for ``reduce_policy="tier"``:
-    #: reduce every ``base + step * reductions_so_far`` conflicts.
-    #: Class-level so experiments (and tests) can tune it without
-    #: touching the per-run :class:`SolverConfig` surface.  (1000, 150)
-    #: measured ~25% fewer watch inspections than Glucose's classic
-    #: (2000, 300) on the conflict-heavy suite at equal conflict counts.
+    #: Glucose reduction cadence: reduce every
+    #: ``base + step * reductions_so_far`` conflicts.  Class-level so
+    #: experiments (and tests) can tune it without touching the per-run
+    #: :class:`SolverConfig` surface.  (1000, 150) measured ~25% fewer
+    #: watch inspections than Glucose's classic (2000, 300) on the
+    #: conflict-heavy suite at equal conflict counts.
     _tier_cadence = (1000, 150)
+    #: Inclusive LBD bounds of the core and mid tiers (see _reduce_db).
+    _tier_core_lbd = 3
+    _tier_mid_lbd = 6
 
     def __init__(self, cnf: CNF, config: Optional[SolverConfig] = None) -> None:
         self.config = config or SolverConfig()
@@ -156,19 +159,13 @@ class CDCLSolver:
         # partner entry.  See _propagate.
         self._wother: List[int] = []
         self._seen = bytearray(n + 1)
-        # Per-clause LBD (conflict-time literal-block distance, 0 =
-        # unknown) and last-used conflict stamp; only consulted when
-        # reduce_policy == "tier" but always allocated so _attach stays
-        # branch-free.
+        # Per-clause LBD (conflict-time literal-block distance; 0 for
+        # original clauses) and last-used conflict stamp, read by the
+        # tiered DB reduction.
         self._lbd: List[int] = []
         self._used_at: List[int] = []
-        self._tier_on = self.config.reduce_policy == "tier"
         self._last_reduce_conflicts = 0
         self._tier_reductions = 0
-        # Variables resolved away by inprocessing BVE (all zeros — and
-        # therefore trajectory-neutral — until a pass eliminates one).
-        self._eliminated = bytearray(n + 1)
-        self._inpro = None  # lazily built Inprocessor
 
         self._ok = True  # False once root-level unsatisfiability is known
         #: DRUP-style clausal proof: every learned clause in DIMACS
@@ -197,8 +194,7 @@ class CDCLSolver:
         -1 when the step has no hint.  IDs follow the LRAT numbering:
         input clause ``i`` is ``i`` and proof step ``j`` is ``m + j``
         for ``m`` input clauses; ``_clause_id`` maps a clause ref to its
-        ID, -1 for clauses without one (shared imports, inprocessing
-        re-attachments, clauses inprocessing strengthened in place)."""
+        ID, -1 for clauses without one (shared imports)."""
         self.hint_ids = array("l")
         self.hint_starts = array("l")
         self._clause_id = array("l")
@@ -543,11 +539,10 @@ class CDCLSolver:
         clause_act = self._clause_act
         clause_inc = self._clause_inc
         current_level = len(self._trail_lim)
-        # Tier policy: stamp every learned clause visited during
-        # analysis as "used", so the mid tier can keep recently useful
-        # clauses through a reduction.  None (the default policy) keeps
-        # the loop branch cost to one comparison.
-        used_at = self._used_at if self._tier_on else None
+        # Stamp every learned clause visited during analysis as "used",
+        # so the mid tier can keep recently useful clauses through a
+        # reduction.
+        used_at = self._used_at
         now = self.stats["conflicts"]
         to_clear: List[int] = []
         counter = 0
@@ -564,8 +559,7 @@ class CDCLSolver:
                 if act > _RESCALE_LIMIT:
                     self._rescale_clause_acts()
                     clause_inc = self._clause_inc
-                if used_at is not None:
-                    used_at[clause] = now
+                used_at[clause] = now
             off = coff[clause]
             var_inc = self._var_inc
             # Slice, don't index: C-level iteration over the clause's
@@ -652,18 +646,12 @@ class CDCLSolver:
     # ------------------------------------------------------------------
 
     def _delete_clause(self, ref: int) -> None:
-        """Delete clause ``ref``: zero its length (its watch-list
+        """Delete learned clause ``ref``: zero its length (its watch-list
         entries drop lazily in _propagate, its literals stay as dead
         arena space until the next compaction)."""
-        length = self._clen[ref]
-        if length == 0:
-            return
-        self._arena_dead += length
+        self._arena_dead += self._clen[ref]
         self._clen[ref] = 0
-        if self._learnt[ref]:
-            self._num_learned_live -= 1
-        else:
-            self._num_original -= 1
+        self._num_learned_live -= 1
         self.stats["deleted_clauses"] += 1
 
     def _protected_refs(self) -> set:
@@ -677,65 +665,48 @@ class CDCLSolver:
         return protected
 
     def _reduce_db(self) -> None:
-        if self._tier_on:
-            self._reduce_db_tier(self._protected_refs())
-        else:
-            self._reduce_db_activity(self._protected_refs())
-        # Watch-list entries of deleted clauses are dropped lazily by
-        # _propagate; the arena itself is compacted once most of it is dead.
-        if self._arena_dead * 2 > len(self._arena):
-            self._compact_arena()
-
-    def _reduce_db_activity(self, protected: set) -> None:
-        """Classic MiniSat policy: drop the less active half."""
-        learnt = self._learnt
-        clen = self._clen
-        candidates = [i for i in range(len(clen))
-                      if learnt[i] and clen[i] > 2 and i not in protected]
-        candidates.sort(key=self._clause_act.__getitem__)
-        for i in candidates[:len(candidates) // 2]:
-            self._delete_clause(i)
-
-    def _reduce_db_tier(self, protected: set) -> None:
         """Glucose-style tiers keyed on conflict-time LBD.
 
-        *core* (``lbd <= tier_core_lbd``) clauses are never deleted;
-        *mid* (``lbd <= tier_mid_lbd``) clauses survive if conflict
+        *core* (``lbd <= _tier_core_lbd``) clauses are never deleted;
+        *mid* (``lbd <= _tier_mid_lbd``) clauses survive if conflict
         analysis touched them since the previous reduction, else they
         compete with the *local* tier, which is halved worst-first
-        (highest LBD, then lowest activity).  Unknown LBD (0 — e.g.
-        clauses learned before the policy was switched on) competes as
-        worst.
+        (highest LBD, then lowest activity).  Binary clauses and
+        current reasons are never deleted.
         """
+        protected = self._protected_refs()
         with obs_trace.span("reduce.tier") as span:
             learnt = self._learnt
             clen = self._clen
             lbd = self._lbd
             used_at = self._used_at
             act = self._clause_act
-            core = self.config.tier_core_lbd
-            mid = self.config.tier_mid_lbd
+            core = self._tier_core_lbd
+            mid = self._tier_mid_lbd
             last = self._last_reduce_conflicts
-            unknown = 1 << 30
             pool: List[int] = []
             kept_mid = 0
             for i in range(len(clen)):
                 if not learnt[i] or clen[i] <= 2 or i in protected:
                     continue
-                d = lbd[i] or unknown
+                d = lbd[i]
                 if d <= core:
                     continue
                 if d <= mid and used_at[i] > last:
                     kept_mid += 1
                     continue
                 pool.append(i)
-            pool.sort(key=lambda i: (-(lbd[i] or unknown), act[i]))
+            pool.sort(key=lambda i: (-lbd[i], act[i]))
             for i in pool[:len(pool) // 2]:
                 self._delete_clause(i)
             self._last_reduce_conflicts = self.stats["conflicts"]
             self._tier_reductions += 1
             span.set("deleted", len(pool) // 2)
             span.set("kept_mid", kept_mid)
+        # Watch-list entries of deleted clauses are dropped lazily by
+        # _propagate; the arena itself is compacted once most of it is dead.
+        if self._arena_dead * 2 > len(self._arena):
+            self._compact_arena()
 
     def _compact_arena(self) -> None:
         """Squeeze deleted clauses' literals out of the arena.
@@ -765,20 +736,19 @@ class CDCLSolver:
 
     def _pick_branch_var(self) -> int:
         values = self._values
-        eliminated = self._eliminated
         if (self.config.random_decision_freq > 0.0
                 and self._rng.random() < self.config.random_decision_freq):
             for _ in range(10):
                 var = self._rng.randint(1, self.num_vars)
-                if values[2 * var] == _UNDEF and not eliminated[var]:
+                if values[2 * var] == _UNDEF:
                     return var
         heap = self._heap
         while heap:
             _, var = heapq.heappop(heap)
-            if values[2 * var] == _UNDEF and not eliminated[var]:
+            if values[2 * var] == _UNDEF:
                 return var
         for var in range(1, self.num_vars + 1):
-            if values[2 * var] == _UNDEF and not eliminated[var]:
+            if values[2 * var] == _UNDEF:
                 return var
         return 0
 
@@ -830,12 +800,6 @@ class CDCLSolver:
             if not 1 <= var <= self.num_vars:
                 raise ValueError(f"assumption {lit} outside variables "
                                  f"1..{self.num_vars}")
-            if self._eliminated[var]:
-                raise ValueError(
-                    f"assumption {lit} is on variable {var}, which was "
-                    f"eliminated by inprocessing BVE in an earlier call; "
-                    f"set inprocess_bve=False for incremental use with "
-                    f"assumptions on arbitrary variables")
             assumed.append(lit_to_code(lit))
         if not self._ok:
             return self._finish(SolveStatus.UNSAT, start)
@@ -867,27 +831,11 @@ class CDCLSolver:
         else:
             restart_limit = config.restart_base
         conflicts_since_restart = 0
-        # Inprocessing: build the (per-solver, persistent) Inprocessor
-        # lazily and run an initial pass before the first decision.  The
-        # current call's assumption variables are frozen — BVE must not
-        # resolve away a variable the caller is about to assume.
-        inpro = None
-        frozen: set = set()
-        if config.inprocessing:
-            if self._inpro is None:
-                from ..inprocess import Inprocessor
-                self._inpro = Inprocessor(self)
-            inpro = self._inpro
-            frozen = {code >> 1 for code in assumed}
         timing = config.phase_timing
         if timing:
-            for key in ("time_propagate", "time_analyze", "time_reduce",
-                        "time_inprocess"):
+            for key in ("time_propagate", "time_analyze", "time_reduce"):
                 self.stats.setdefault(key, 0.0)
-        if inpro is not None:
-            self._run_inprocess(frozen, deadline)
-            if not self._ok:
-                return self._finish(SolveStatus.UNSAT, start)
+        cadence_base, cadence_step = self._tier_cadence
         max_learnts = max(100.0, config.max_learnts_factor * max(1, self._num_original))
 
         while True:
@@ -915,6 +863,10 @@ class CDCLSolver:
                     raise BudgetExceeded(
                         f"conflict budget {config.max_conflicts} exhausted")
                 if not self._trail_lim:
+                    # A root-level conflict refutes the formula itself:
+                    # later calls must not search again from a trail
+                    # whose conflict is already propagated past.
+                    self._ok = False
                     return self._finish(SolveStatus.UNSAT, start)
                 hint = [] if config.proof_log else None
                 if timing:
@@ -929,13 +881,11 @@ class CDCLSolver:
                     self._enqueue(learnt[0], -1)
                 else:
                     ref = self._attach(learnt, learnt=True, cid=cid)
-                    if self._tier_on:
-                        # Conflict-time LBD: _cancel_until never
-                        # rewrites _level entries, so the levels read
-                        # here are the pre-backtrack ones.
-                        level = self._level
-                        self._lbd[ref] = len({level[q >> 1]
-                                              for q in learnt})
+                    # Conflict-time LBD: _cancel_until never rewrites
+                    # _level entries, so the levels read here are the
+                    # pre-backtrack ones.
+                    level = self._level
+                    self._lbd[ref] = len({level[q >> 1] for q in learnt})
                     self._bump_clause(ref)
                     self._enqueue(learnt[0], ref)
                 self.stats["learned_clauses"] += 1
@@ -967,26 +917,17 @@ class CDCLSolver:
                     self._cancel_until(0)
                     if share is not None and not self._import_shared(share):
                         return self._finish(SolveStatus.UNSAT, start)
-                    if inpro is not None and self.stats["restarts"] \
-                            % config.inprocess_interval == 0:
-                        self._run_inprocess(frozen, deadline)
-                        if not self._ok:
-                            return self._finish(SolveStatus.UNSAT, start)
                     continue
-                # The MiniSat size trigger, plus — tier policy only —
-                # the Glucose cadence: reduce every base + step·k
-                # conflicts regardless of DB size.  On conflict-heavy
-                # instances the size trigger alone can simply never
-                # fire, leaving propagation to wade through an
-                # ever-growing learned DB; the cadence is what makes
-                # the tier policy a *policy* rather than dead code.
-                cadence_base, cadence_step = self._tier_cadence
+                # The MiniSat size trigger, plus the Glucose cadence:
+                # reduce every base + step·k conflicts regardless of DB
+                # size.  On conflict-heavy instances the size trigger
+                # alone can simply never fire, leaving propagation to
+                # wade through an ever-growing learned DB.
                 if (self._num_learned_live - len(self._trail) > max_learnts
-                        or (self._tier_on
-                            and self.stats["conflicts"]
-                            - self._last_reduce_conflicts
-                            >= cadence_base
-                            + cadence_step * self._tier_reductions)):
+                        or self.stats["conflicts"]
+                        - self._last_reduce_conflicts
+                        >= cadence_base
+                        + cadence_step * self._tier_reductions):
                     if timing:
                         t0 = time.perf_counter()
                         self._reduce_db()
@@ -1084,16 +1025,12 @@ class CDCLSolver:
         level, so imported clauses can be simplified against root-level
         assignments: satisfied clauses are skipped, root-false literals
         dropped, units enqueued directly, and an all-false clause
-        refutes the formula (returns False → UNSAT).  Clauses touching
-        BVE-eliminated variables are rejected — the local formula no
-        longer constrains those variables, so attaching such a clause
-        would be unsound after model extension.  Shared clauses are
+        refutes the formula (returns False → UNSAT).  Shared clauses are
         consequences of the common formula (1UIP analysis never resolves
         on assumption pseudo-decisions), so imports are sound even
         between solvers running under different assumption cubes.
         """
         values = self._values
-        eliminated = self._eliminated
         imported = discarded = 0
         ok = True
         for lits, lbd in share.take():
@@ -1102,7 +1039,7 @@ class CDCLSolver:
             usable = True
             for lit in lits:
                 var = lit if lit > 0 else -lit
-                if not 1 <= var <= self.num_vars or eliminated[var]:
+                if not 1 <= var <= self.num_vars:
                     usable = False
                     break
                 code = 2 * var if lit > 0 else 2 * var + 1
@@ -1128,20 +1065,11 @@ class CDCLSolver:
                 self._enqueue(codes[0], -1)
             else:
                 ref = self._attach(codes, learnt=True)
-                if self._tier_on:
-                    self._lbd[ref] = min(lbd, len(codes))
+                self._lbd[ref] = min(lbd, len(codes))
                 self._bump_clause(ref)
         self.stats["shared_imported"] += imported
         self.stats["shared_discarded"] += discarded
         return ok
-
-    def _run_inprocess(self, frozen: set, deadline) -> None:
-        """One inprocessing pass at the root level (timed when
-        ``phase_timing`` is on)."""
-        t0 = time.perf_counter()
-        self._inpro.run(frozen=frozen, deadline=deadline)
-        if self.config.phase_timing:
-            self.stats["time_inprocess"] += time.perf_counter() - t0
 
     def _budget_stop(self, cancel, deadline, conflict_budget,
                      propagation_budget, conflicts_before):
@@ -1187,7 +1115,7 @@ class CDCLSolver:
         if resolved is None or resolved.empty:
             return None
         return FaultInjector(resolved, label=self.config.name,
-                             sites=("solver", "inprocess"))
+                             sites=("solver",))
 
     def _observe(self, status: SolveStatus, elapsed: float) -> None:
         """Report this call to the observability layer (metrics absorb
@@ -1240,11 +1168,6 @@ class CDCLSolver:
             self._observe(status, elapsed)
             return SolveResult(status, stats=self.stats)
         values = [self._values[2 * v] == _TRUE for v in range(1, self.num_vars + 1)]
-        if self._inpro is not None and self._inpro.eliminated_count:
-            # Extend the model of the BVE-reduced formula back over the
-            # eliminated variables (before any injected model fault, so
-            # a wrong_model flip stays visible to the audit layer).
-            values = self._inpro.extend(values)
         if injector is not None:
             flip = injector.wrong_model_var(self.num_vars)
             if flip is not None:

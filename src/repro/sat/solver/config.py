@@ -7,8 +7,9 @@ on the (hard) unsatisfiable instances while MiniSat had a small edge on the
 presets of our own CDCL core that differ in restart policy, polarity policy
 and randomisation — the axes along which siege and MiniSat actually
 differed — rather than shipping two separate engines.  The core is one
-engine, the clause-arena :class:`~repro.sat.solver.cdcl.CDCLSolver`;
-inprocessing and tiered clause-DB reduction are flags on it.
+engine, the clause-arena :class:`~repro.sat.solver.cdcl.CDCLSolver`,
+with one search configuration per preset: its learned-clause database
+is always reduced by Glucose-style LBD tiers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ class SolverConfig:
         Multiplicative VSIDS decay applied after each conflict (the
         activity *increment* is divided by this, MiniSat-style).
     clause_decay:
-        Decay for learned-clause activities used by DB reduction.
+        Decay for learned-clause activities, the tie-breaker of DB
+        reduction within an LBD.
     restart_policy:
         ``"luby"`` (MiniSat 2.x) or ``"geometric"`` (early MiniSat/siege).
     restart_base:
@@ -91,55 +93,11 @@ class SolverConfig:
         empty clause, can be independently verified with
         :func:`repro.sat.proof.check_rup_proof` — turning "provably
         unroutable" into a checkable certificate.
-    inprocessing:
-        Master switch for inter-restart inprocessing (off by default so
-        unflagged trajectories stay bit-identical).  When on, the solver
-        runs a :class:`repro.sat.inprocess.Inprocessor` pass at the
-        start of the search and again every ``inprocess_interval``
-        restarts: clause subsumption + self-subsuming resolution,
-        clause vivification, and bounded variable elimination, each
-        individually gated by the ``inprocess_*`` flags below.
-        Trajectories change (that is the point); results stay
-        equisatisfiable, models are extended back over eliminated
-        variables, and with ``proof_log`` every derived clause is
-        recorded so UNSAT proofs still replay.
-    inprocess_subsume:
-        Enable the subsumption / self-subsuming-resolution phase of an
-        inprocessing pass.
-    inprocess_vivify:
-        Enable the vivification phase (propagation-based clause
-        shortening).
-    inprocess_bve:
-        Enable bounded variable elimination.  Eliminated variables may
-        not appear in later ``solve(assumptions=...)`` calls.
-    inprocess_interval:
-        Restarts between inprocessing passes (a pass also runs once
-        before the first conflict of a search).
-    inprocess_ticks:
-        Work budget per pass, counted in occurrence-list visits — the
-        knob that keeps a pass a bounded slice of the search, in the
-        same spirit as the ``SolveLimits`` budgets (which inprocessing
-        also respects: its propagations count toward
-        ``propagation_budget`` and the wall-clock deadline is checked
-        between phases).
-    reduce_policy:
-        ``"activity"`` (default) reduces the learned-clause DB by
-        activity alone, keeping the most recently useful half;
-        ``"tier"`` uses Glucose-style literal-block-distance tiers:
-        *core* clauses (``lbd <= tier_core_lbd``) are never deleted,
-        *mid* clauses (``lbd <= tier_mid_lbd``) survive a reduction if
-        they were used since the previous one, and *local* clauses
-        compete by activity.  Either policy never deletes a clause that
-        is currently the reason of a trail literal.
-    tier_core_lbd:
-        Inclusive LBD bound of the core tier (``reduce_policy="tier"``).
-    tier_mid_lbd:
-        Inclusive LBD bound of the mid tier.
     phase_timing:
         Record a per-phase wall-time split (``time_propagate``,
-        ``time_analyze``, ``time_reduce``, ``time_inprocess`` in
-        ``stats``).  Off by default: the checks cost a few percent but
-        never change the trajectory.
+        ``time_analyze`` and ``time_reduce`` in ``stats``).  Off by
+        default: the checks cost a few percent but never change the
+        trajectory.
     name:
         Human-readable preset name, reported in statistics.
     """
@@ -160,15 +118,6 @@ class SolverConfig:
     propagation_budget: Optional[int] = None
     wall_clock_limit: Optional[float] = None
     proof_log: bool = False
-    inprocessing: bool = False
-    inprocess_subsume: bool = True
-    inprocess_vivify: bool = True
-    inprocess_bve: bool = True
-    inprocess_interval: int = 4
-    inprocess_ticks: int = 200_000
-    reduce_policy: str = "activity"
-    tier_core_lbd: int = 3
-    tier_mid_lbd: int = 6
     phase_timing: bool = False
     name: str = "cdcl"
     #: None = env-configured faults only; FaultPlan = add these faults;
@@ -183,14 +132,6 @@ class SolverConfig:
     clause_channel: object = None
 
     def __post_init__(self) -> None:
-        if self.reduce_policy not in ("activity", "tier"):
-            raise ValueError(f"unknown reduce policy {self.reduce_policy!r}")
-        if self.inprocess_interval < 1:
-            raise ValueError("inprocess_interval must be positive")
-        if self.inprocess_ticks < 1:
-            raise ValueError("inprocess_ticks must be positive")
-        if not 1 <= self.tier_core_lbd <= self.tier_mid_lbd:
-            raise ValueError("need 1 <= tier_core_lbd <= tier_mid_lbd")
         if self.restart_policy not in ("luby", "geometric"):
             raise ValueError(f"unknown restart policy {self.restart_policy!r}")
         if self.default_phase not in ("false", "true", "random"):

@@ -22,7 +22,6 @@ runner and the CLI — answers with the same vocabulary defined here:
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional
@@ -67,22 +66,6 @@ class SolveStatus(Enum):
         if self is SolveStatus.ERROR:
             return 2
         return 0
-
-    @classmethod
-    def from_bool(cls, satisfiable: bool) -> "SolveStatus":
-        """Lift a legacy ``satisfiable`` boolean into a status.
-
-        .. deprecated:: 1.6
-           Part of the pre-status compatibility layer.  Write
-           ``SolveStatus.SAT`` / ``SolveStatus.UNSAT`` directly — the
-           boolean form cannot express the three undecided statuses.
-           See the migration table in ``docs/api.md``.
-        """
-        warnings.warn(
-            "SolveStatus.from_bool() is deprecated; use SolveStatus.SAT "
-            "or SolveStatus.UNSAT directly (docs/api.md has the "
-            "migration table)", DeprecationWarning, stacklevel=2)
-        return cls.SAT if satisfiable else cls.UNSAT
 
     def __str__(self) -> str:
         return self.value

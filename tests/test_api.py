@@ -145,8 +145,35 @@ class TestWire:
 
     def test_strategy_codec_round_trip(self):
         strategy = Strategy("muldirect", "b1", solver="minisat_like",
-                            seed=3, engine="arena+inprocess")
+                            seed=3)
         assert strategy_from_wire(strategy_to_wire(strategy)) == strategy
+
+    def test_strategy_wire_has_no_engine_key(self):
+        wire = strategy_to_wire(BEST_SINGLE_STRATEGY)
+        assert "engine" not in wire
+        assert strategy_from_wire(wire) == BEST_SINGLE_STRATEGY
+
+    def test_pre_2_0_wire_naming_the_arena_engine_is_accepted(self):
+        # Journal entries and cached requests written before 2.0 carry
+        # "engine": "arena"; they must replay to the same request, under
+        # the same cache key (pinned from 1.9.0).
+        wire = SolveRequest(graph=triangle(), colors=3).to_wire()
+        for strategy in wire["strategies"]:
+            strategy["engine"] = "arena"
+        back = SolveRequest.from_wire(wire)
+        assert back.strategies == (BEST_SINGLE_STRATEGY,)
+        assert back.cache_key() == ("15cb7476dfb10097eb178099b1cebad4"
+                                    "19f08cc0d635cdec0feb94f72dcf6b18")
+
+    @pytest.mark.parametrize("engine", ["arena+inprocess", "legacy", ""])
+    def test_wire_naming_another_engine_is_refused(self, engine):
+        wire = {"encoding": "direct", "engine": engine}
+        with pytest.raises(ValueError, match="engine"):
+            strategy_from_wire(wire)
+        request = SolveRequest(graph=triangle(), colors=3).to_wire()
+        request["strategies"][0]["engine"] = engine
+        with pytest.raises(ValueError, match="engine"):
+            SolveRequest.from_wire(request)
 
     def test_limits_codec_round_trip(self):
         limits = SolveLimits(conflict_budget=5, propagation_budget=7,

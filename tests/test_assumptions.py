@@ -4,6 +4,7 @@ import pytest
 
 from repro.sat import CNF, solve_by_enumeration
 from repro.sat.solver.cdcl import CDCLSolver
+from repro.sat.solver.config import preset
 from .strategies import make_random_cnf
 
 
@@ -88,6 +89,21 @@ class TestIncrementalReuse:
         assert not solver.solve().is_sat
         assert solver.stats["conflicts"] - first_conflicts \
             < first_conflicts / 2 + 10
+
+    @pytest.mark.parametrize("preset_name", ["minisat_like", "siege_like"])
+    def test_refuted_formula_stays_refuted(self, preset_name):
+        # A conflict at decision level 0 refutes the formula itself.  The
+        # propagation queue has already moved past the falsified clause,
+        # so a second call that searched again would never revisit it
+        # and could answer SAT with a model that falsifies it.
+        from .test_cdcl import pigeonhole
+        cnf = pigeonhole(4)
+        solver = CDCLSolver(cnf, preset(preset_name))
+        assert not solver.solve().is_sat
+        conflicts = solver.stats["conflicts"]
+        second = solver.solve()
+        assert not second.is_sat
+        assert solver.stats["conflicts"] == conflicts
 
 
 class TestIncrementalColoring:

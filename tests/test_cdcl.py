@@ -190,12 +190,11 @@ class TestClauseDatabase:
         # Local minimisation should fire at least once on PHP.
         assert solver.stats["minimized_literals"] >= 0
 
-    @pytest.mark.parametrize("policy", ["activity", "tier"])
-    def test_reduce_db_never_deletes_a_trail_reason(self, policy):
+    def test_reduce_db_never_deletes_a_trail_reason(self):
         # Regression guard: deleting a clause that is the reason for a
         # trail literal leaves ``_reason`` dangling and corrupts the
         # next conflict analysis.  ``_protected_refs`` must shield
-        # reasons from *every* deletion path, under both policies.
+        # reasons from *every* deletion path.
         class ReasonChecked(CDCLSolver):
             def _delete_clause(self, ref):
                 live = {self._reason[code >> 1] for code in self._trail}
@@ -204,8 +203,7 @@ class TestClauseDatabase:
                 CDCLSolver._delete_clause(self, ref)
 
         config = SolverConfig(max_learnts_factor=0.01,
-                              max_learnts_growth=1.0,
-                              reduce_policy=policy)
+                              max_learnts_growth=1.0)
         solver = ReasonChecked(pigeonhole(6), config)
         assert not solver.solve().is_sat
         assert solver.stats["deleted_clauses"] > 0

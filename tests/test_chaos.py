@@ -250,72 +250,6 @@ class TestAuditDetection:
             ("unsat-recheck", AuditVerdict.SKIPPED)]
 
 
-class TestInprocessFaultAudit:
-    """The two inprocessing fault kinds — ``drop_resolvent`` (a BVE
-    resolvent silently lost) and ``skip_occurrence`` (a stale
-    occurrence entry deleting a live clause) — weaken the formula, so
-    an UNSAT instance can come back SAT.  The audit layer must catch
-    every such flip; the faults must never produce a *passing* wrong
-    answer."""
-
-    #: UNSAT core (all four sign combinations over x1/x2) plus a
-    #: signature-collision clause: literal codes for x1 (2) and x33
-    #: (66) share bit 2 of the 64-bit subsumption signature, so the
-    #: stale-occurrence scan considers (1,33) vs (1,2) a "match".
-    COLLISION_CNF = CNF([(1, 33), (1, 2), (1, -2), (-1, 2), (-1, -2),
-                         (33, 5), (33, 6)])
-    #: Same UNSAT core alone: BVE on x1 must derive resolvents (2) and
-    #: (-2); dropping them leaves an empty — trivially SAT — formula.
-    BVE_CNF = CNF([(1, 2), (1, -2), (-1, 2), (-1, -2)])
-
-    @staticmethod
-    def _config(**overrides):
-        from repro.sat.solver.config import minisat_like
-        return minisat_like(inprocessing=True, **overrides)
-
-    def test_drop_resolvent_flip_is_detected(self):
-        # Subsumption and vivification off: BVE is the only technique,
-        # so the dropped resolvents are what flips the answer.
-        result = solve(self.BVE_CNF, self._config(
-            inprocess_subsume=False, inprocess_vivify=False,
-            fault_plan=_plan(f"seed={CHAOS_SEED}; drop_resolvent")))
-        assert result.status is SolveStatus.SAT  # the lie
-        assert audit_solve(self.BVE_CNF, result).failed
-
-    def test_skip_occurrence_flip_is_detected(self):
-        result = solve(self.COLLISION_CNF, self._config(
-            fault_plan=_plan(f"seed={CHAOS_SEED}; skip_occurrence")))
-        assert result.status is SolveStatus.SAT  # the lie
-        assert audit_solve(self.COLLISION_CNF, result).failed
-
-    def test_unfaulted_inprocessing_passes_audit(self):
-        for cnf in (self.COLLISION_CNF, self.BVE_CNF):
-            result = solve(cnf, self._config())
-            assert result.status is SolveStatus.UNSAT
-            assert audit_solve(cnf, result).verdict is AuditVerdict.PASS
-
-    @pytest.mark.parametrize("kind", ["drop_resolvent", "skip_occurrence"])
-    @pytest.mark.parametrize("seed", range(CHAOS_SEED, CHAOS_SEED + 4))
-    def test_pipeline_never_passes_a_wrong_answer(self, kind, seed):
-        # End to end through the coloring pipeline on the inprocessing
-        # engine: whatever trajectory the fault produces, the result is
-        # either still correct, rejected by the pipeline's own decode
-        # check (ERROR), or flagged by the audit — never a wrong answer
-        # with a clean bill of health.
-        strategy = Strategy("direct", "none", engine="arena+inprocess")
-        outcome = solve_coloring(UNSAT_PROBLEM, strategy, proof_log=True,
-                                 keep_model=True,
-                                 faults=_plan(f"seed={seed}; {kind}"))
-        if outcome.status is SolveStatus.ERROR:
-            assert "stop_reason" in outcome.solver_stats
-            return
-        report = audit_outcome(UNSAT_PROBLEM, outcome)
-        if outcome.status is SolveStatus.SAT:  # flipped: must be caught
-            assert report.failed, report.summary()
-        else:
-            assert outcome.status is SolveStatus.UNSAT
-
-
 class TestPortfolioChaos:
     """Every fault kind, fired into a real multiprocessing race, must
     end within 2× the deadline with a structured status."""

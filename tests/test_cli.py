@@ -257,8 +257,3 @@ class TestAudit:
         assert main(["audit", col, "--colors", "2"]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
-
-    def test_color_with_engine_flag(self, cycle5, capsys):
-        assert main(["color", cycle5, "--colors", "3",
-                     "--engine", "arena+inprocess"]) == 10
-        assert "SATISFIABLE" in capsys.readouterr().out

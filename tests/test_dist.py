@@ -217,10 +217,6 @@ class TestCooperativePortfolio:
         assert len({m.label for m in members}) == 3
         assert {m.encoding for m in members} == {"direct"}
 
-    def test_legacy_engine_refused(self):
-        with pytest.raises(ValueError):
-            seed_diverse_members(DIRECT, 2, engines=["legacy"])
-
     def test_mixed_encoding_share_refused(self):
         from repro.core.portfolio import run_portfolio
         problem = ColoringProblem(cycle_graph(5), 3)
@@ -290,6 +286,20 @@ class TestCubes:
         assert result.cubes_closed == len(result.plan.cubes)
         assert all(s is SolveStatus.UNSAT
                    for s in result.cube_status.values())
+
+    @pytest.mark.parametrize("seed, index", [(16, 1), (23, 0)])
+    def test_serial_cubes_on_a_refuted_formula_stay_unsat(self, seed,
+                                                          index):
+        # One solver serves every cube of a serial run.  Once a cube's
+        # search refutes the formula at the root, the later cubes must
+        # be UNSAT at once, not re-searched from a stale propagation
+        # queue into a model that decodes to no legal coloring.
+        problem = list(conflict_instances(
+            seed, count=3, num_vertices=24, edge_probability=0.45,
+            clique_size=6))[index].problem
+        result = run_cubed(problem, DIRECT, max_workers=1, min_cubes=8)
+        assert result.status is SolveStatus.UNSAT
+        assert result.cubes_closed == len(result.plan.cubes)
 
     def test_parallel_cubed_agrees_with_serial(self):
         inst = _conflict_suite(1)[0]

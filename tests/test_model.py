@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sat import CNF, Model, SolveResult
+from repro.sat import CNF, Model, SolveResult, SolveStatus
 
 
 class TestModel:
@@ -64,18 +64,21 @@ class TestModel:
 class TestSolveResult:
     def test_sat_requires_model(self):
         with pytest.raises(ValueError):
-            SolveResult(True)
+            SolveResult(SolveStatus.SAT)
 
     def test_unsat_rejects_model(self):
         with pytest.raises(ValueError):
-            SolveResult(False, Model([True]))
+            SolveResult(SolveStatus.UNSAT, Model([True]))
+        with pytest.raises(ValueError):
+            SolveResult(SolveStatus.TIMEOUT, Model([True]))
 
     def test_truthiness(self):
-        assert SolveResult(True, Model([True]))
-        assert not SolveResult(False)
+        assert SolveResult(SolveStatus.SAT, Model([True]))
+        assert not SolveResult(SolveStatus.UNSAT)
+        assert not SolveResult(SolveStatus.BUDGET_EXHAUSTED)
 
     def test_stats_copied(self):
         stats = {"conflicts": 3}
-        result = SolveResult(False, stats=stats)
+        result = SolveResult(SolveStatus.UNSAT, stats=stats)
         stats["conflicts"] = 9
         assert result.stats["conflicts"] == 3

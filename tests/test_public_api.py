@@ -26,7 +26,7 @@ class TestExports:
         assert len(module.__all__) == len(set(module.__all__))
 
     def test_version(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_api_contract_exported_at_top_level(self):
         from repro import SolveRequest, SolveResponse, api
@@ -93,36 +93,8 @@ class TestQuickstartContract:
 
 
 class TestCompatibilityShims:
-    """Pre-1.1 call sites keep working, but warn since 1.6 (the shims
-    are deprecated; docs/api.md has the migration table)."""
-
-    def test_solve_result_accepts_bool_with_warning(self):
-        from repro.sat import CNF, SolveStatus
-        from repro.sat.model import Model, SolveResult
-        cnf = CNF(num_vars=1)
-        with pytest.warns(DeprecationWarning, match="SolveResult"):
-            sat = SolveResult(True, model=Model([True]))
-        assert sat.is_sat and sat.status is SolveStatus.SAT
-        with pytest.warns(DeprecationWarning):
-            unsat = SolveResult(False)
-        assert not unsat.is_sat and unsat.status is SolveStatus.UNSAT
-        assert cnf.num_vars == 1
-
-    def test_satisfiable_properties_warn(self):
-        from repro import ColoringProblem, Strategy, solve_coloring
-        from repro.coloring import cycle_graph
-        from repro.sat import SolveStatus
-        outcome = solve_coloring(ColoringProblem(cycle_graph(5), 3),
-                                 Strategy("muldirect", "s1"))
-        assert outcome.status is SolveStatus.SAT
-        assert outcome.is_sat is True  # the non-deprecated shorthand
-        with pytest.warns(DeprecationWarning, match="is_sat"):
-            assert outcome.satisfiable is True
-
-    def test_from_bool_warns(self):
-        from repro.sat import SolveStatus
-        with pytest.warns(DeprecationWarning, match="from_bool"):
-            assert SolveStatus.from_bool(True) is SolveStatus.SAT
+    """The 1.1 boolean shims were removed in 2.0 (docs/api.md has the
+    migration table); import paths from before 1.6 still resolve."""
 
     def test_old_import_paths_still_resolve(self):
         # Names reachable both from their home modules and the curated

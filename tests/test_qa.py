@@ -41,7 +41,7 @@ from repro.sat import SolveStatus
 #: stays sound — the differential matrix must catch the asymmetry.
 INJECTED_BUG = "seed=7; drop_clause@encode:match=muldirect"
 BUG_MATRIX = StrategyMatrix(encodings=("direct", "muldirect"),
-                            symmetries=("none",), engines=("arena",))
+                            symmetries=("none",), solvers=("siege_like",))
 
 
 def _instance_digest(instances):
@@ -105,16 +105,18 @@ class TestStrategyMatrix:
         assert matrix.size == len(matrix.encodings) * 2 * 2
         assert len(matrix.strategies()) == matrix.size
 
-    def test_quick_preset_covers_inprocessing(self):
-        # The quick (fuzz-smoke) matrix must differentially exercise
-        # the inprocessing + tier-reduction flag set against the plain
-        # arena engine.
-        assert StrategyMatrix.parse("quick").engines == \
-            ("arena", "arena+inprocess")
+    def test_quick_preset_races_both_solvers(self):
+        # The quick (fuzz-smoke) matrix races the paper's two solvers,
+        # siege and MiniSat, on every strategy: 10 x 2 x 2.
+        quick = StrategyMatrix.parse("quick")
+        assert quick.solvers == ("siege_like", "minisat_like")
+        assert quick.size == 40
 
-    def test_engines_preset_races_engines(self):
-        assert StrategyMatrix.parse("engines").engines == \
-            ("arena", "arena+inprocess")
+    def test_solvers_preset_races_solvers(self):
+        matrix = StrategyMatrix.parse("solvers")
+        assert matrix.solvers == ("siege_like", "minisat_like")
+        assert {s.solver for s in matrix.strategies()} == \
+            {"siege_like", "minisat_like"}
 
     def test_full_default_covers_whole_registry(self):
         assert set(StrategyMatrix().encodings) == set(REGISTRY_ENCODINGS)
@@ -127,21 +129,23 @@ class TestStrategyMatrix:
 
     def test_modern_and_registry_tokens(self):
         modern = StrategyMatrix.parse(
-            "encodings=modern;symmetry=none;engine=arena")
+            "encodings=modern;symmetry=none;solver=siege_like")
         assert modern.encodings == tuple(MODERN_ENCODINGS)
         full = StrategyMatrix.parse(
-            "encodings=registry;symmetry=none;engine=arena")
+            "encodings=registry;symmetry=none;solver=siege_like")
         assert full.encodings == tuple(REGISTRY_ENCODINGS)
 
     def test_custom_spec(self):
         matrix = StrategyMatrix.parse(
-            "encodings=direct,log;symmetry=none;engine=arena+inprocess")
+            "encodings=direct,log;symmetry=none;solver=minisat_like")
         assert matrix.encodings == ("direct", "log")
         assert matrix.size == 2
+        assert {s.label for s in matrix.strategies()} == \
+            {"direct@minisat_like", "log@minisat_like"}
 
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ValueError):
-            StrategyMatrix.parse("solver=cdcl")
+            StrategyMatrix.parse("engine=arena")
 
     def test_unknown_encoding_rejected(self):
         with pytest.raises(ValueError):
@@ -382,7 +386,7 @@ class TestBrokenCommanderGrouping:
     @pytest.fixture()
     def matrix(self, broken_registry):
         return StrategyMatrix(encodings=("direct", self.BROKEN),
-                              symmetries=("none",), engines=("arena",))
+                              symmetries=("none",), solvers=("siege_like",))
 
     def test_overconstrained_color_goes_unsat(self, broken_registry):
         """The bug mechanism itself: a triangle is 3-colorable, but the
@@ -420,7 +424,7 @@ class TestBrokenCommanderGrouping:
     def test_sound_commander_stays_clean(self):
         """Control: the real cmddirect passes the same differential."""
         matrix = StrategyMatrix(encodings=("direct", "cmddirect"),
-                                symmetries=("none",), engines=("arena",))
+                                symmetries=("none",), solvers=("siege_like",))
         problem = ColoringProblem(complete_graph(3), 3)
         result = run_differential(problem, matrix.strategies())
         assert result.ok, result.summary()
@@ -475,7 +479,7 @@ class TestCli:
         os.environ.pop("REPRO_FAULTS", None)
 
     def test_fuzz_clean_exits_zero(self, capsys):
-        code = cli_main(["fuzz", "--seeds", "1", "--matrix", "engines",
+        code = cli_main(["fuzz", "--seeds", "1", "--matrix", "solvers",
                          "--no-routing"])
         assert code == 0
         assert "fuzz CLEAN" in capsys.readouterr().out
@@ -483,7 +487,7 @@ class TestCli:
     def test_fuzz_finding_exits_ten(self, tmp_path, capsys):
         code = cli_main(["fuzz", "--seeds", "1",
                          "--matrix", "encodings=direct,muldirect;"
-                                     "symmetry=none;engine=arena",
+                                     "symmetry=none;solver=siege_like",
                          "--no-routing", "--no-metamorphic",
                          "--faults", INJECTED_BUG,
                          "--out", str(tmp_path / "bundles")])
@@ -498,7 +502,7 @@ class TestCli:
     def test_fuzz_emits_qa_trace_spans(self, tmp_path):
         from repro.obs.report import parse_trace_file
         trace_file = str(tmp_path / "fuzz.trace.jsonl")
-        code = cli_main(["fuzz", "--seeds", "1", "--matrix", "engines",
+        code = cli_main(["fuzz", "--seeds", "1", "--matrix", "solvers",
                          "--no-routing", "--trace", trace_file])
         assert code == 0
         names = {record.get("name")

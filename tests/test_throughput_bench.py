@@ -11,8 +11,9 @@ import json
 
 import pytest
 
-from repro.bench.throughput import (bcp_stress, check_floor, conflict_configs,
-                                    main, measure_conflict_instance,
+from repro.bench.throughput import (bcp_stress, check_floor,
+                                    conflict_suite_instances, main,
+                                    measure_conflict_instance,
                                     measure_instance, pigeonhole,
                                     run_throughput_bench, write_report,
                                     _search_runner, _stress_runner)
@@ -87,6 +88,17 @@ def test_stress_counters_are_pinned():
                         "chain-400x16": (800, 13534, 12736)}
 
 
+def test_stress_regions_on_one_solver_count_alike():
+    """Every timed region of a stress instance runs on one solver; each
+    wave starts from the root, so every region reads the counters a
+    fresh solver would."""
+    region = _stress_runner(bcp_stress(300, 32, 6), minisat_like())
+    counters = [region(25)[1] for _ in range(3)]
+    assert counters[0] == counters[1] == counters[2]
+    assert (counters[0]["propagations"], counters[0]["watch_inspections"]) \
+        == (7500, 245875)
+
+
 @pytest.mark.slow
 def test_bench_cli_quick(tmp_path, capsys):
     out = tmp_path / "bench.json"
@@ -98,43 +110,43 @@ def test_bench_cli_quick(tmp_path, capsys):
     assert "stress_arena_props_per_sec" in loaded
     assert "context_suite" in loaded
     assert "conflict_suite" in loaded
-    assert "headline_conflict_speedup" in loaded
+    assert loaded["conflict_suite_conflicts_per_sec"] > 0
     assert "stress suite props/sec" in capsys.readouterr().out
-
-
-def test_conflict_configs_flags():
-    configs = conflict_configs()
-    base, tuned = configs["baseline"], configs["tuned"]
-    assert not base.inprocessing and base.reduce_policy != "tier"
-    assert tuned.inprocessing and tuned.reduce_policy == "tier"
-    # Identical search seeds: the race measures the features, not luck.
-    assert base.seed == tuned.seed
-    assert base.phase_timing and tuned.phase_timing
 
 
 def test_measure_conflict_instance_shape():
     record = measure_conflict_instance("php", pigeonhole(5), repeats=1)
-    assert record["speedup"] is not None
-    for label in ("baseline", "tuned"):
-        side = record[label]
-        assert side["conflicts"] > 0
-        assert set(side["phase_split"]) == {"propagate", "analyze",
-                                            "reduce", "inprocess"}
-    # Inprocessing counters are reported for the tuned side only.
-    assert "inprocessing" not in record["baseline"]
-    assert record["tuned"]["inprocessing"]["inprocess_passes"] >= 1
+    assert record["conflicts"] > 0 and record["time"] > 0
+    assert set(record["phase_split"]) == {"propagate", "analyze", "reduce"}
+
+
+#: Conflicts of each conflict-suite instance under the one search
+#: configuration (``minisat_like``, seed 1): the refutation work the
+#: ``conflict_suite_conflicts_per_sec`` floor divides by.
+CONFLICT_SUITE_CONFLICTS = {"conflict-7-0": 3093, "conflict-7-1": 6394,
+                            "conflict-7-2": 3632, "conflict-7-3": 4270}
+
+
+@pytest.mark.slow
+def test_conflict_suite_conflicts_are_pinned():
+    conflicts = {name: measure_conflict_instance(name, cnf,
+                                                 repeats=1)["conflicts"]
+                 for name, cnf in conflict_suite_instances(count=4)}
+    assert conflicts == CONFLICT_SUITE_CONFLICTS
 
 
 def test_check_floor_pass_and_fail(tmp_path):
     floor = tmp_path / "floor.json"
     floor.write_text(json.dumps({
         "_comment": "ignored",
-        "headline_conflict_speedup": 2.0,
+        "conflict_suite_conflicts_per_sec": 2000,
         "absent_key": 1.0,
     }), encoding="utf-8")
-    # 1.6 >= 75% of the 2.0 floor: passes; the missing key fails.
-    failures = check_floor({"headline_conflict_speedup": 1.6}, str(floor))
+    # 1600 >= 75% of the 2000 floor: passes; the missing key fails.
+    failures = check_floor({"conflict_suite_conflicts_per_sec": 1600},
+                           str(floor))
     assert failures == ["absent_key: missing from bench payload"]
-    failures = check_floor({"headline_conflict_speedup": 1.4,
+    failures = check_floor({"conflict_suite_conflicts_per_sec": 1400,
                             "absent_key": 5.0}, str(floor))
-    assert failures == ["headline_conflict_speedup: 1.4 < 75% of floor 2.0"]
+    assert failures == ["conflict_suite_conflicts_per_sec: 1400 < 75% of "
+                        "floor 2000"]
