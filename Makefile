@@ -81,12 +81,13 @@ trace-smoke:
 serve-smoke:
 	PYTHONPATH=src python -m repro.serve.smoke
 
-# Serve chaos suite: wedge a worker (the watchdog must SIGKILL it and
-# reclaim the pool slot), drop connections under a retrying client, and
-# SIGKILL the whole server mid-corpus then restart it over the same
-# journal + cache — asserting zero lost admitted requests and no
-# unaudited cache fills.  Deterministic fault seeds; see docs/serving.md
-# ("Resilience").
+# Serve chaos suite: wedge a job (the worker pool must SIGKILL its
+# worker once the job's budget plus the pool's grace period has passed,
+# and the slot must serve the next job from a fresh worker), drop
+# connections under a retrying client, and SIGKILL the whole server
+# mid-corpus then restart it over the same journal + cache — asserting
+# zero lost admitted requests and no unaudited cache fills.
+# Deterministic fault seeds; see docs/serving.md ("Resilience").
 serve-chaos:
 	PYTHONPATH=src python -m repro.serve.chaos
 
@@ -100,13 +101,15 @@ dist-smoke:
 	PYTHONPATH=src python -m repro.dist.smoke
 
 # The worker-pool tests under the interpreter's development mode, with a
-# ResourceWarning (a file, pipe or process left open) turned into an
-# error: guards the lifetimes of the job scheduler's worker processes
-# and queues, and of the portfolio and cube workers, against leaks.
+# ResourceWarning (a file, pipe, socket or process left open) turned into
+# an error: guards the lifetimes of the pool's worker processes and
+# pipes under every owner (the job scheduler, the portfolio race, the
+# cube workers and the solve service) against leaks.
 pool-dev:
 	PYTHONPATH=src python -X dev -W error::ResourceWarning -m pytest -q \
-		tests/test_batch_runner.py tests/test_dist.py tests/test_chaos.py \
-		tests/test_portfolio.py tests/test_obs.py
+		tests/test_pool.py tests/test_batch_runner.py tests/test_dist.py \
+		tests/test_chaos.py tests/test_portfolio.py tests/test_obs.py \
+		tests/test_serve.py tests/test_resilience.py tests/test_journal.py
 
 bench:
 	pytest benchmarks/ --benchmark-only

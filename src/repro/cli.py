@@ -579,8 +579,6 @@ def cmd_serve(args) -> int:
                            policy=policy,
                            job_timeout=args.job_timeout,
                            journal_dir=args.journal_dir,
-                           heartbeat_interval=args.heartbeat_interval,
-                           watchdog=not args.no_watchdog,
                            drain_deadline=args.drain_deadline,
                            warm_start=not args.no_warm_start)
 
@@ -905,13 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="how long a SIGTERM/shutdown drain waits for "
                         "in-flight jobs before abandoning them to the "
                         "journal (default 10)")
-    p.add_argument("--heartbeat-interval", type=float, default=0.5,
-                   metavar="SECONDS",
-                   help="worker heartbeat period for the watchdog "
-                        "(default 0.5)")
-    p.add_argument("--no-watchdog", action="store_true",
-                   help="disable the worker watchdog (hung jobs are "
-                        "then bounded only by their own budgets)")
     p.add_argument("--no-warm-start", action="store_true",
                    help="skip promoting recent disk-cache entries into "
                         "memory at boot")

@@ -6,9 +6,8 @@ from .cardinality import (AMO_BUILDERS, AuxAllocator, BIMDIRECT, CMDDIRECT,
                           CardinalityDirectScheme, DuplicateAuxVarError,
                           PRODDIRECT, amo_bimander, amo_commander,
                           amo_pairwise, amo_product, amo_sequential,
-                          amo_sizes, atmost_k_sequential,
-                          atmost_k_sequential_sizes, atmost_k_totalizer,
-                          build_amo, commander_groups, product_grid)
+                          amo_sizes, build_amo, commander_groups,
+                          product_grid)
 from .hierarchical import build_vertex_encoding, split_sizes
 from .ite import (CustomITEScheme, ITELinearScheme, ITELogScheme, ITENode,
                   ITETree, ITE_LINEAR, ITE_LOG, balanced_tree, linear_tree)
@@ -30,9 +29,8 @@ __all__ = [
     "AMO_BUILDERS", "AuxAllocator", "BIMDIRECT", "CMDDIRECT",
     "CardinalityDirectScheme", "DuplicateAuxVarError", "PRODDIRECT",
     "amo_bimander", "amo_commander", "amo_pairwise", "amo_product",
-    "amo_sequential", "amo_sizes", "atmost_k_sequential",
-    "atmost_k_sequential_sizes", "atmost_k_totalizer", "build_amo",
-    "commander_groups", "product_grid",
+    "amo_sequential", "amo_sizes", "build_amo", "commander_groups",
+    "product_grid",
     "build_vertex_encoding", "split_sizes",
     "CustomITEScheme", "ITELinearScheme", "ITELogScheme", "ITENode",
     "ITETree", "ITE_LINEAR", "ITE_LOG", "balanced_tree", "linear_tree",

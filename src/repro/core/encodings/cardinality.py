@@ -1,4 +1,4 @@
-"""Reusable at-most-one / at-most-k clause builders (Zhou's AMK survey).
+"""Reusable at-most-one clause builders (Zhou's AMK survey).
 
 The paper's direct encoding pays the pairwise quadratic price for its
 at-most-one constraint; modern SAT practice offers a family of
@@ -11,10 +11,7 @@ counts.  This module is the registry's cardinality toolbox:
   a configurable group size;
 * **bimander** (Hölldobler & Nguyen 2013) — pairwise groups crossed
   with a binary group index;
-* **product** (Chen 2010) — a 2-D grid of row/column selectors;
-* **sequential counter / totalizer at-most-k** (Sinz 2005; Bailleux &
-  Boilleau 2003) — the general ≤k forms of the ladder and of a
-  balanced unary counting tree.
+* **product** (Chen 2010) — a 2-D grid of row/column selectors.
 
 Every builder emits plain clauses over local literals, so the output
 flows through :class:`~.base.EncodedProblem` (and from there into the
@@ -29,7 +26,7 @@ against).
 The size formulas next to each builder are asserted literally by
 ``tests/test_cardinality.py``, which also checks every builder by
 exhaustive enumeration: on small n the satisfying assignments, projected
-onto the value variables, are exactly the ≤1-true (or ≤k-true) vectors.
+onto the value variables, are exactly the ≤1-true vectors.
 """
 
 from __future__ import annotations
@@ -259,89 +256,6 @@ def build_amo(kind: str, lits: Sequence[int], alloc: AuxAllocator, *,
 
 
 # ---------------------------------------------------------------------------
-# At-most-k builders.
-# ---------------------------------------------------------------------------
-
-def atmost_k_sequential(lits: Sequence[int], k: int,
-                        alloc: AuxAllocator) -> List[LocalClause]:
-    """Sinz's sequential unary counter LT_SEQ for Σx_i ≤ k.
-
-    Registers ``s_{i,j}`` ("at least j of x_1..x_i are true") for
-    i < n, j ≤ k.  k(n-1) auxiliaries; for k = 1 this reproduces
-    :func:`amo_sequential` clause for clause.
-    """
-    n = len(lits)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        return [(-lit,) for lit in lits]
-    if k >= n:
-        return []
-    if n == 2:  # k == 1: the single pairwise clause beats the counter
-        return amo_pairwise(lits)
-    # s[i][j] = "at least j+1 of lits[0..i] true", i in 0..n-2, j in 0..k-1
-    registers = [alloc.fresh_block(k) for _ in range(n - 1)]
-    clauses: List[LocalClause] = [(-lits[0], registers[0][0])]
-    for j in range(1, k):
-        clauses.append((-registers[0][j],))
-    for i in range(1, n - 1):
-        clauses.append((-lits[i], registers[i][0]))
-        clauses.append((-registers[i - 1][0], registers[i][0]))
-        for j in range(1, k):
-            clauses.append(
-                (-lits[i], -registers[i - 1][j - 1], registers[i][j]))
-            clauses.append((-registers[i - 1][j], registers[i][j]))
-        clauses.append((-lits[i], -registers[i - 1][k - 1]))
-    clauses.append((-lits[n - 1], -registers[n - 2][k - 1]))
-    return clauses
-
-
-def atmost_k_totalizer(lits: Sequence[int], k: int,
-                       alloc: AuxAllocator) -> List[LocalClause]:
-    """Totalizer-style at-most-k (Bailleux & Boilleau, k-capped).
-
-    A balanced tree of unary counters; each internal node's outputs
-    saturate at k+1, and the root's (k+1)-th output is forced false.
-    Only the "≥" direction is emitted — all an upper bound needs.
-    """
-    n = len(lits)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        return [(-lit,) for lit in lits]
-    if k >= n:
-        return []
-    clauses: List[LocalClause] = []
-
-    def build(segment: Sequence[int]) -> List[int]:
-        if len(segment) == 1:
-            return [segment[0]]
-        mid = len(segment) // 2
-        left = build(segment[:mid])
-        right = build(segment[mid:])
-        width = min(len(left) + len(right), k + 1)
-        outputs = alloc.fresh_block(width)
-        for a in range(len(left) + 1):
-            for b in range(len(right) + 1):
-                total = a + b
-                if total == 0:
-                    continue
-                clause: List[int] = []
-                if a > 0:
-                    clause.append(-left[a - 1])
-                if b > 0:
-                    clause.append(-right[b - 1])
-                clause.append(outputs[min(total, width) - 1])
-                clauses.append(tuple(clause))
-        return outputs
-
-    root = build(list(lits))
-    if k < len(root):
-        clauses.append((-root[k],))
-    return clauses
-
-
-# ---------------------------------------------------------------------------
 # Closed-form sizes, asserted by tests/test_cardinality.py against the
 # builders' actual output.
 # ---------------------------------------------------------------------------
@@ -387,17 +301,6 @@ def amo_sizes(kind: str, n: int, *,
         return (rows + cols,
                 2 * n + rows * (rows - 1) // 2 + cols * (cols - 1) // 2)
     raise ValueError(f"unknown at-most-one kind {kind!r}")
-
-
-def atmost_k_sequential_sizes(n: int, k: int) -> Tuple[int, int]:
-    """``(aux_vars, clauses)`` of the sequential ≤k counter."""
-    if k == 0:
-        return 0, n
-    if k >= n:
-        return 0, 0
-    if n == 2:
-        return 0, 1
-    return k * (n - 1), 2 * n * k + n - 3 * k - 1
 
 
 # ---------------------------------------------------------------------------

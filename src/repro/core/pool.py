@@ -12,21 +12,28 @@ process, pipe and cancel event at its slot's next task.
 The pool's owner is the *policy*, which picks the task for each idle
 slot and reads each report: the job scheduler
 (:func:`repro.bench.batch.run_sharded`), the portfolio race
-(:func:`repro.core.portfolio.run_portfolio`) and cube-and-conquer
-(:func:`repro.dist.cubes.run_cubed`).  No worker outlives its pool:
-:meth:`WorkerPool.close` stops them all, and a worker whose pool process
-is killed exits within about a second, whether idle, solving or blocked
-sending a report.
+(:func:`repro.core.portfolio.run_portfolio`), cube-and-conquer
+(:func:`repro.dist.cubes.run_cubed`) and the solve service
+(:class:`repro.serve.server.SolveService`), which keeps one pool for
+the life of its process and drives it from its event loop through
+:meth:`WorkerPool.watch`.  No worker outlives its pool:
+:meth:`WorkerPool.close` stops them all, so does the pool's exit
+handler when the interpreter exits with the pool still open, and a
+worker whose pool process is killed exits within about a second,
+whether idle, solving or blocked sending a report.  Workers are not
+daemons, so a task may run a pool of its own (a portfolio race inside
+a serve job).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..sat.status import CancelToken
@@ -102,6 +109,13 @@ def _serve(target: Callable, conn, cancel_event, parent: int,
     """A slot's worker process: run ``target(task, cancel, *args)`` for
     each task read from ``conn`` and send back ``(result, error,
     telemetry)``, until the ``None`` stop sentinel."""
+    # A worker forked after its parent installed signal handlers (serve
+    # installs its drain handler, then forks replacement workers) would
+    # run them itself and survive a SIGTERM, and its signals would reach
+    # the parent's event loop through the inherited wakeup fd.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.set_wakeup_fd(-1)
     threading.Thread(target=_exit_with_parent, args=(parent,),
                      daemon=True).start()
     cancel = CancelToken(cancel_event)
@@ -174,6 +188,19 @@ class WorkerPool:
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._slots = [_Slot(i, tuple(slot_args[i]) if slot_args else ())
                        for i in range(size)]
+        # Runs at close(), when the pool is collected, or at interpreter
+        # exit before multiprocessing joins its (non-daemon) children,
+        # which would otherwise wait on workers idling in recv forever.
+        from multiprocessing.util import Finalize
+        self._stop = Finalize(self, _stop_slots,
+                              args=(self._slots, grace, span_id),
+                              exitpriority=10)
+
+    def start(self) -> None:
+        """Fork every slot's worker now rather than at its first task."""
+        for state in self._slots:
+            if state.process is None:
+                self._fork(state)
 
     @property
     def busy(self) -> int:
@@ -192,19 +219,7 @@ class WorkerPool:
         is cancelled and, past the grace period, killed."""
         state = self._slots[slot]
         if state.process is None or not state.process.is_alive():
-            if state.process is not None:
-                self._reap(state)
-            # A fresh event too: a process killed inside Event.is_set
-            # can leave the old event's lock held.
-            state.conn, worker_end = self._context.Pipe()
-            state.cancel_event = self._context.Event()
-            process = self._context.Process(
-                target=_serve, daemon=True,
-                args=(self._target, worker_end, state.cancel_event,
-                      os.getpid(), self._args + state.args))
-            process.start()
-            state.process = process
-            worker_end.close()
+            self._fork(state)
         # The worker is idle between tasks, so clearing here cannot race
         # with it: a cancel meant for the previous task never reaches
         # this one.
@@ -216,6 +231,25 @@ class WorkerPool:
             state.conn.send(task)
         except OSError:
             pass  # died since the check above: wait() reports it
+
+    def watch(self) -> Tuple[List[int], Optional[float]]:
+        """What an event loop watches in place of blocking in
+        :meth:`wait`: the descriptors that turn readable when a busy
+        slot's task ends (its pipe and its process sentinel), and the
+        seconds until :meth:`wait` next has a deadline to enforce (None
+        when no task has one).  Call ``wait(timeout=0)`` when either
+        fires; it may close or replace these descriptors."""
+        fds: List[int] = []
+        due: List[float] = []
+        for state in self._slots:
+            if state.busy:
+                fds += [state.conn.fileno(), state.process.sentinel]
+                when = (state.deadline if state.hard_deadline is None
+                        else state.hard_deadline)
+                if when is not None:
+                    due.append(when)
+        return fds, (max(0.0, min(due) - time.perf_counter())
+                     if due else None)
 
     def cancel(self) -> None:
         """Ask every task in flight to stop; a worker still running its
@@ -242,7 +276,7 @@ class WorkerPool:
             if state.hard_deadline is not None \
                     and now >= state.hard_deadline \
                     and not state.conn.poll() and state.process.is_alive():
-                state.process.terminate()
+                state.process.kill()
                 state.process.join(timeout=5)
                 done.append(self._release(state, killed=True))
         busy = [state for state in self._slots if state.busy]
@@ -264,30 +298,7 @@ class WorkerPool:
         exception leaves any), send the stop sentinel, join within the
         grace period and kill the stragglers.  Late reports keep their
         telemetry, not their results."""
-        for state in self._slots:
-            if state.busy:
-                state.cancel_event.set()
-        started = [state for state in self._slots
-                   if state.process is not None]
-        for state in started:
-            try:
-                state.conn.send(None)
-            except OSError:
-                pass  # already dead
-        grace_until = time.perf_counter() + self._grace
-        for state in started:
-            state.process.join(
-                timeout=max(0.0, grace_until - time.perf_counter()))
-            if state.process.is_alive():
-                state.process.terminate()
-            try:
-                while state.conn.poll():
-                    obs.ingest_telemetry(state.conn.recv()[-1],
-                                         self._span_id)
-            except (EOFError, OSError):
-                pass
-            self._reap(state)
-            state.busy = False
+        self._stop()
 
     def _cancel(self, state: _Slot, now: float) -> None:
         state.cancel_event.set()
@@ -315,7 +326,51 @@ class WorkerPool:
         return Finished(state.index, tag,
                         time.perf_counter() - state.started, **how)
 
-    def _reap(self, state: _Slot) -> None:
-        state.process.join(timeout=5)
-        state.conn.close()
-        state.process = None
+    def _fork(self, state: _Slot) -> None:
+        """Give the slot a fresh worker, pipe and cancel event (a fresh
+        event too: a process killed inside ``Event.is_set`` can leave
+        the old event's lock held)."""
+        if state.process is not None:
+            _reap(state)
+        state.conn, worker_end = self._context.Pipe()
+        state.cancel_event = self._context.Event()
+        process = self._context.Process(
+            target=_serve,
+            args=(self._target, worker_end, state.cancel_event,
+                  os.getpid(), self._args + state.args))
+        process.start()
+        state.process = process
+        worker_end.close()
+
+
+def _stop_slots(slots: List[_Slot], grace: float,
+                span_id: Optional[str]) -> None:
+    """The body of :meth:`WorkerPool.close`."""
+    for state in slots:
+        if state.busy:
+            state.cancel_event.set()
+    started = [state for state in slots if state.process is not None]
+    for state in started:
+        try:
+            state.conn.send(None)
+        except OSError:
+            pass  # already dead
+    grace_until = time.perf_counter() + grace
+    for state in started:
+        state.process.join(
+            timeout=max(0.0, grace_until - time.perf_counter()))
+        if state.process.is_alive():
+            state.process.kill()
+        try:
+            while state.conn.poll():
+                obs.ingest_telemetry(state.conn.recv()[-1], span_id)
+        except (EOFError, OSError):
+            pass
+        _reap(state)
+        state.busy = False
+
+
+def _reap(state: _Slot) -> None:
+    state.process.join(timeout=5)
+    state.conn.close()
+    state.process = None

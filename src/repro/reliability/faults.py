@@ -60,8 +60,8 @@ drop_clause
 worker_hang
             a serve-pool worker stalls inside a job for ``seconds``
             (default one hour), ignoring every cooperative budget —
-            the stuck-solve scenario the serve watchdog must detect
-            and SIGKILL (:mod:`repro.serve.resilience`).
+            the stuck-solve scenario the worker pool's deadline kill
+            must end with a SIGKILL (:mod:`repro.serve.server`).
 journal_torn_write
             truncate one journal append mid-line and skip its fsync —
             the power-loss torn-tail scenario journal recovery must
@@ -416,9 +416,8 @@ class FaultInjector:
 
     def maybe_worker_hang(self, sleep=time.sleep) -> bool:
         """Stall inside a serve-pool job if a ``worker_hang`` fault
-        fires (the heartbeat side channel keeps beating — the stall is
-        the *job*, which is exactly what the watchdog's deadline check
-        must catch)."""
+        fires (the worker stays alive — the stall is the *job*, which
+        is exactly what the pool's deadline kill must catch)."""
         spec = self.fire("worker_hang")
         if spec is None:
             return False

@@ -207,18 +207,27 @@ class CDCLSolver:
             if codes is None:  # tautology
                 continue
             if not codes:
-                self._ok = False
+                self._refute()
                 return
             if len(codes) == 1:
                 value = self._values[codes[0]]
                 if value == _FALSE:
-                    self._ok = False
+                    self._refute()
                 elif value == _UNDEF:
                     self._enqueue(codes[0], -1)
             else:
                 self._attach(codes, learnt=False, cid=index)
         if self._ok and self._propagate() != -1:
-            self._ok = False
+            self._refute()
+
+    def _refute(self) -> None:
+        """Root-level unsatisfiability is known: every later call answers
+        UNSAT, and the proof ends in the empty clause, written once.  A
+        failed assumption is no refutation and writes nothing."""
+        self._ok = False
+        if self.config.proof_log:
+            self.proof.append(())
+            self.hint_starts.append(-1)
 
     def _attach(self, codes: List[int], learnt: bool, cid: int = -1) -> int:
         ref = len(self._coff)
@@ -866,7 +875,7 @@ class CDCLSolver:
                     # A root-level conflict refutes the formula itself:
                     # later calls must not search again from a trail
                     # whose conflict is already propagated past.
-                    self._ok = False
+                    self._refute()
                     return self._finish(SolveStatus.UNSAT, start)
                 hint = [] if config.proof_log else None
                 if timing:
@@ -1058,7 +1067,7 @@ class CDCLSolver:
                 # Every literal is root-false: the shared clause closes
                 # the formula.  (Reachable when two peers export
                 # contradictory units.)
-                self._ok = False
+                self._refute()
                 ok = False
                 break
             if len(codes) == 1:
@@ -1151,9 +1160,7 @@ class CDCLSolver:
         self.stats["solver"] = self.config.name
         injector = getattr(self, "_injector", None)
         if status is not SolveStatus.SAT:
-            if status is SolveStatus.UNSAT and self.config.proof_log:
-                self.proof.append(())
-                self.hint_starts.append(-1)
+            if not self._ok and self.config.proof_log:
                 if injector is not None:
                     cut = injector.truncated_proof_length(len(self.proof))
                     if cut is not None:

@@ -2,7 +2,9 @@
 
 A thin asyncio front end (:class:`~repro.serve.server.SolveService`)
 accepts :class:`repro.api.SolveRequest` wire payloads over a JSON-lines
-TCP protocol, runs them on a persistent worker-process pool, and answers
+TCP protocol, runs them on the package's one worker pool
+(:class:`repro.core.pool.WorkerPool`, kept for the life of the service
+and driven from its event loop), and answers
 with :class:`repro.api.SolveResponse` payloads.  Between the two sits
 the piece that makes a service worthwhile for benchmark-style workloads
 (the same instances resubmitted across sweeps, CI runs and parameter
@@ -24,8 +26,9 @@ under the ``serve.*`` prefix and are served by the ``metrics`` op — the
 ``/metrics``-style dump endpoint.
 
 The service is built to *stay up* (see ``docs/serving.md`` →
-"Resilience"): a :class:`~repro.serve.resilience.WorkerWatchdog`
-SIGKILLs wedged workers and reclaims their pool slots; a durable
+"Resilience"): the pool SIGKILLs a job still running past its
+wall-clock budget plus the pool's grace period and forks a fresh worker
+for the slot's next job; a durable
 write-ahead :class:`~repro.serve.journal.RequestJournal` makes every
 admitted request survive a server crash (replayed on the next boot
 through the same audit-guarded cache-fill path); ``SIGTERM`` and the
@@ -45,14 +48,14 @@ from .admission import AdmissionController, AdmissionDecision, AdmissionPolicy
 from .cache import ResultCache
 from .client import ServeClient, ServeError, ServeRejected
 from .journal import MAX_RECOVERY_ATTEMPTS, PendingEntry, RequestJournal
-from .resilience import (CircuitBreaker, CircuitOpenError, JobHeartbeat,
-                         ResilientClient, RetryPolicy, WorkerWatchdog)
+from .resilience import (CircuitBreaker, CircuitOpenError, ResilientClient,
+                         RetryPolicy)
 from .server import SolveService
 
 __all__ = [
     "AdmissionController", "AdmissionDecision", "AdmissionPolicy",
-    "CircuitBreaker", "CircuitOpenError", "JobHeartbeat",
-    "MAX_RECOVERY_ATTEMPTS", "PendingEntry", "RequestJournal",
-    "ResilientClient", "ResultCache", "RetryPolicy", "ServeClient",
-    "ServeError", "ServeRejected", "SolveService", "WorkerWatchdog",
+    "CircuitBreaker", "CircuitOpenError", "MAX_RECOVERY_ATTEMPTS",
+    "PendingEntry", "RequestJournal", "ResilientClient", "ResultCache",
+    "RetryPolicy", "ServeClient", "ServeError", "ServeRejected",
+    "SolveService",
 ]

@@ -112,8 +112,8 @@ class ServeClient:
 
     def metrics(self, timeout=_UNSET) -> Dict:
         """The server's ``/metrics``-style dump: ``metrics`` (registry
-        snapshot), ``cache`` (counters + occupancy), ``admission`` —
-        plus ``journal`` and ``watchdog`` sections when those are on."""
+        snapshot), ``cache`` (counters + occupancy), ``admission`` and
+        ``pool`` — plus ``journal`` when the server keeps one."""
         reply = self._call({"op": "metrics"}, timeout=timeout)
         if not reply.get("ok"):
             raise ServeError(reply.get("error", "metrics failed"))

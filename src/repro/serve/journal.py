@@ -79,10 +79,9 @@ class RequestJournal:
     """
 
     def __init__(self, directory: str, segment_max_bytes: int = 1 << 20,
-                 fsync: bool = True, faults=None) -> None:
+                 faults=None) -> None:
         self.directory = directory
         self.segment_max_bytes = segment_max_bytes
-        self.fsync = fsync
         plan = FaultPlan.resolve(faults)
         self._injector = (FaultInjector(plan, label="journal",
                                         sites=("journal",))
@@ -142,8 +141,7 @@ class RequestJournal:
         self._torn_tail = False
         self._stream.write(data)
         self._stream.flush()
-        if self.fsync:
-            os.fsync(self._stream.fileno())
+        os.fsync(self._stream.fileno())
         self.appends += 1
         self._mirror("appends")
         if self._stream.tell() >= self.segment_max_bytes:

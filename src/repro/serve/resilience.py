@@ -1,316 +1,36 @@
-"""End-to-end resilience primitives for the solve service.
+"""Client-side resilience primitives for the solve service.
 
-Four pieces, two per side of the wire (see ``docs/serving.md``,
-"Resilience"):
+:class:`RetryPolicy` (capped exponential backoff with deterministic
+seeded jitter) and :class:`CircuitBreaker` (closed → open → half-open)
+power :class:`ResilientClient`, a drop-in ``ServeClient`` wrapper with
+per-request deadlines, reconnect-on-broken-pipe and idempotent
+resubmission (see ``docs/serving.md``, "Resilience").  Retrying a solve
+is *safe* because submission is content-addressed: a duplicate of an
+in-flight request coalesces server-side and a duplicate of a finished
+one is a cache hit.
 
-**Worker side** — :func:`worker_channel_init` (the pool initializer)
-hands every worker process a multiprocessing queue, and
-:class:`JobHeartbeat` beats on it from a daemon thread for the duration
-of one job: a ``start`` record carrying the worker's pid, then a
-``beat`` every ``interval`` seconds.  The beats prove the *process* is
-alive; they deliberately keep flowing while a job is stuck in a
-``time.sleep``-style stall, because hang detection is the watchdog's
-deadline check, not the beat stream.
-
-**Server side** — :class:`WorkerWatchdog` owns the other end of the
-queue on the event loop.  Every poll it folds in new heartbeat records
-and sweeps the active-job table for two conditions:
-
-* **overdue** — the job has run past its effective wall-clock budget
-  plus a grace period.  A healthy solver returns TIMEOUT *at* the
-  budget; a job still running ``grace`` past it is wedged somewhere
-  cooperative cancellation cannot reach.
-* **stale** — no heartbeat for ``stale_after`` seconds: the process is
-  frozen (stuck in native code holding the GIL) or silently dead.
-
-Either way the watchdog SIGKILLs the worker's pid.  The pool notices
-the corpse, the in-flight future fails with ``BrokenProcessPool``, and
-the server's existing rebuild path replaces the pool — the job comes
-back as an ERROR response (and a quarantine offence for its client),
-never a silent stall.
-
-**Client side** — :class:`RetryPolicy` (capped exponential backoff with
-deterministic seeded jitter) and :class:`CircuitBreaker` (closed →
-open → half-open) power :class:`ResilientClient`, a drop-in
-``ServeClient`` wrapper with per-request deadlines,
-reconnect-on-broken-pipe and idempotent resubmission.  Retrying a
-solve is *safe* because submission is content-addressed: a duplicate
-of an in-flight request coalesces server-side and a duplicate of a
-finished one is a cache hit.
+The server side of resilience is the worker pool's deadline kill
+(:class:`repro.core.pool.WorkerPool`, driven by
+:class:`repro.serve.server.SolveService`) and the write-ahead
+:class:`repro.serve.journal.RequestJournal`.
 """
 
 from __future__ import annotations
 
-import os
-import queue as queue_module
 import random
-import signal
 import socket
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
 from ..obs import metrics as obs_metrics
-from ..obs import trace
 from ..reliability.faults import FaultInjector, FaultPlan
 from .client import ServeClient, ServeError, ServeRejected
-
-#: Default heartbeat period, seconds.  The watchdog polls at the same
-#: cadence, so detection latency is a small multiple of this.
-DEFAULT_HEARTBEAT_INTERVAL = 0.5
 
 
 def _count(name: str, value: int = 1) -> None:
     if obs_metrics.enabled():
         obs_metrics.registry().inc(name, value)
-
-
-# ---------------------------------------------------------------------
-# Worker side: the heartbeat channel
-# ---------------------------------------------------------------------
-
-#: Worker-process globals, set by the pool initializer (fork workers
-#: inherit the parent's ``None`` and overwrite it on init).
-_channel = None
-_channel_interval = DEFAULT_HEARTBEAT_INTERVAL
-
-
-def worker_channel_init(channel, interval: float) -> None:
-    """ProcessPoolExecutor initializer: adopt the heartbeat queue."""
-    global _channel, _channel_interval
-    _channel = channel
-    _channel_interval = interval
-
-
-def worker_channel():
-    """The worker's heartbeat queue (None outside a watchdogged pool)."""
-    return _channel
-
-
-class JobHeartbeat:
-    """Context manager a worker wraps around one job execution.
-
-    Emits ``("start", token, pid, t)`` on entry, then ``("beat", token,
-    pid, t)`` every ``interval`` from a daemon thread until exit.  All
-    sends are best-effort: a full or broken queue must never take the
-    job down with it.
-    """
-
-    def __init__(self, channel, token: str,
-                 interval: Optional[float] = None) -> None:
-        self.channel = channel
-        self.token = token
-        self.interval = (interval if interval is not None
-                         else _channel_interval)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _put(self, kind: str) -> None:
-        if self.channel is None:
-            return
-        try:
-            self.channel.put_nowait(
-                (kind, self.token, os.getpid(), time.monotonic()))
-        except Exception:
-            pass  # a lost beat is a false *positive* risk we accept
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._put("beat")
-
-    def __enter__(self) -> "JobHeartbeat":
-        self._put("start")
-        if self.channel is not None:
-            self._thread = threading.Thread(
-                target=self._run, name=f"heartbeat-{self.token}",
-                daemon=True)
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.interval * 2)
-
-
-# ---------------------------------------------------------------------
-# Server side: the watchdog
-# ---------------------------------------------------------------------
-
-
-@dataclass
-class _ActiveJob:
-    """Loop-side record of one job currently on the pool."""
-
-    token: str
-    deadline: Optional[float]
-    registered: float
-    pid: Optional[int] = None
-    started: Optional[float] = None
-    last_seen: Optional[float] = None
-    killed: bool = False
-
-
-class WorkerWatchdog:
-    """Deadline + liveness supervision of the serve worker pool.
-
-    All methods run on the event loop (or the single test thread) —
-    the only cross-process traffic is the heartbeat queue, which
-    :meth:`poll` drains non-blocking.  Timestamps are taken from the
-    server's own clock at record receipt, so no cross-process clock
-    comparability is assumed.
-    """
-
-    def __init__(self, channel=None,
-                 interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                 grace: Optional[float] = None,
-                 stale_after: Optional[float] = None,
-                 kill: Callable[[int, int], None] = os.kill,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.channel = channel
-        self.interval = interval
-        #: Slack past the job deadline before a kill: a healthy solver
-        #: stops *at* the budget; two beat periods is plenty of slack
-        #: for result marshalling.
-        self.grace = grace if grace is not None else 2.0 * interval
-        #: No heartbeat for this long → the process is frozen or dead.
-        self.stale_after = (stale_after if stale_after is not None
-                            else max(10.0 * interval, 2.0))
-        self._kill = kill
-        self._clock = clock
-        self._jobs: Dict[str, _ActiveJob] = {}
-        self.kills = 0
-        #: ``(token, reason)`` of every kill, newest last.
-        self.kill_log: List[tuple] = []
-
-    # -- job registry (called by the server) ---------------------------
-
-    def register(self, token: str, deadline: Optional[float]) -> None:
-        """A job entered the pool; ``deadline`` is its effective
-        wall-clock budget in seconds (None = unbudgeted: overdue
-        detection off, stale detection still on)."""
-        now = self._clock()
-        self._jobs[token] = _ActiveJob(token=token, deadline=deadline,
-                                       registered=now)
-
-    def finished(self, token: str) -> None:
-        """The job's future settled (result or error) — stop watching."""
-        self._jobs.pop(token, None)
-
-    def active_pids(self) -> List[int]:
-        """Pids currently executing a registered job."""
-        return [job.pid for job in self._jobs.values()
-                if job.pid is not None and not job.killed]
-
-    # -- the poll loop -------------------------------------------------
-
-    def poll(self) -> List[str]:
-        """Drain heartbeats, sweep for overdue/stale jobs, kill them.
-
-        Returns the tokens killed this poll (for tests and logging).
-        """
-        self._drain()
-        return self._sweep()
-
-    def _drain(self) -> None:
-        if self.channel is None:
-            return
-        while True:
-            try:
-                record = self.channel.get_nowait()
-            except queue_module.Empty:
-                return
-            except (OSError, EOFError, ValueError):
-                return  # channel torn down under us (shutdown race)
-            try:
-                kind, token, pid = record[0], record[1], record[2]
-            except (TypeError, IndexError):
-                continue
-            job = self._jobs.get(token)
-            if job is None:
-                continue  # job already settled; late beats are noise
-            now = self._clock()
-            job.pid = pid
-            job.last_seen = now
-            if kind == "start" and job.started is None:
-                job.started = now
-
-    def _sweep(self) -> List[str]:
-        now = self._clock()
-        killed: List[str] = []
-        for token, job in list(self._jobs.items()):
-            if job.killed or job.pid is None:
-                continue
-            reason = ""
-            if (job.deadline is not None and job.started is not None
-                    and now > job.started + job.deadline + self.grace):
-                reason = (f"overdue: {now - job.started:.2f}s elapsed, "
-                          f"budget {job.deadline:.2f}s + "
-                          f"grace {self.grace:.2f}s")
-            elif (job.last_seen is not None
-                    and now - job.last_seen > self.stale_after):
-                reason = (f"stale: no heartbeat for "
-                          f"{now - job.last_seen:.2f}s "
-                          f"(limit {self.stale_after:.2f}s)")
-            if not reason:
-                continue
-            job.killed = True
-            killed.append(token)
-            self.kills += 1
-            self.kill_log.append((token, reason))
-            trace.event("watchdog.kill", token=token, pid=job.pid,
-                        reason=reason)
-            _count("serve.watchdog.kills")
-            try:
-                self._kill(job.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError, OSError):
-                pass  # already gone — the pool will notice either way
-        return killed
-
-    def kill_active(self) -> int:
-        """SIGKILL every registered job's worker (the drain-deadline
-        backstop).  Returns the number of kills attempted."""
-        count = 0
-        for job in list(self._jobs.values()):
-            if job.pid is None or job.killed:
-                continue
-            job.killed = True
-            count += 1
-            self.kills += 1
-            self.kill_log.append((job.token, "drain deadline"))
-            trace.event("watchdog.kill", token=job.token, pid=job.pid,
-                        reason="drain deadline")
-            _count("serve.watchdog.kills")
-            try:
-                self._kill(job.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError, OSError):
-                pass
-        return count
-
-    async def run(self) -> None:
-        """The watchdog task: poll forever at the beat cadence."""
-        import asyncio
-        while True:
-            self.poll()
-            await asyncio.sleep(self.interval)
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-ready view for the ``metrics`` op."""
-        return {
-            "active": len(self._jobs),
-            "kills": self.kills,
-            "interval": self.interval,
-            "grace": self.grace,
-            "stale_after": self.stale_after,
-            "last_kill": (dict(zip(("token", "reason"), self.kill_log[-1]))
-                          if self.kill_log else None),
-        }
-
-
-# ---------------------------------------------------------------------
-# Client side: retries and the circuit breaker
-# ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

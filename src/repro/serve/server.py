@@ -6,7 +6,7 @@ Protocol (one JSON object per line, both directions):
   ``{"ok": true, "response": <SolveResponse wire>}`` or
   ``{"ok": false, "error": "...", "rejected": true?}``.
 * ``{"op": "metrics"}`` → the ``/metrics``-style dump: the process
-  metrics snapshot plus the cache, admission, journal and watchdog
+  metrics snapshot plus the cache, admission, journal and pool
   sections.
 * ``{"op": "ping"}`` → liveness + protocol version + draining flag.
 * ``{"op": "shutdown"}`` → ``{"ok": true, "bye": true}``, then the
@@ -21,8 +21,8 @@ The request path::
         │ admitted, budget = server ceiling ∧ request limits
     journal admit (fsync'd write-ahead record — survives SIGKILL)
         │
-    worker pool: api.solve with audit FORCED on, heartbeats to the
-    watchdog, SIGKILL + pool rebuild if the job wedges
+    worker pool: api.solve with audit FORCED on; SIGKILL past the
+    budget + grace, and a fresh worker for the slot, if the job wedges
         │ decided + audit passed
     cache fill (memory LRU + atomic disk write) + journal done ──▶ answer
 
@@ -34,17 +34,20 @@ comes back as ERROR and is never cached.  Concurrent identical requests
 are single-flighted: the second submitter awaits the first's job and is
 then served from the cache instead of duplicating the work.
 
-Workers are a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
-(solves are CPU-bound; the GIL rules out threads).  Each job resets the
-worker's observability state, runs one request under a
-:class:`~repro.serve.resilience.JobHeartbeat`, and ships its telemetry
-(spans + metrics snapshot) back with the result for the server to
-ingest — the same worker-telemetry scheme the portfolio and batch
-runners use.
+Workers are the package's one :class:`~repro.core.pool.WorkerPool`
+(solves are CPU-bound; the GIL rules out threads), owned by the service
+for the life of its process and driven from its event loop: the loop
+watches each busy slot's pipe and process sentinel and wakes at each
+job's deadline, so no thread and no poll interval sits on the request
+path.  The pool runs each job with fresh observability state and
+ingests its telemetry (spans + metrics snapshot) with the report — the
+same scheme as the portfolio race, cube-and-conquer and the job
+scheduler.
 
-Resilience (see ``docs/serving.md``): the
-:class:`~repro.serve.resilience.WorkerWatchdog` SIGKILLs jobs that run
-past their deadline or stop heartbeating; the
+Resilience (see ``docs/serving.md``): the pool cancels a job at its
+wall-clock budget and SIGKILLs its worker past the pool's grace period,
+the same deadline kill as a batch job's, and a dead or killed worker is
+replaced at its slot's next job; the
 :class:`~repro.serve.journal.RequestJournal` write-ahead-logs every
 admitted request so a crashed server **recovers on boot** by replaying
 unfinished entries through the same audit-guarded cache-fill path
@@ -56,15 +59,16 @@ of an abrupt one.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import json
 import multiprocessing as mp
 import signal
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
-from .. import api, obs
+from .. import api
+from ..core.pool import CANCEL_GRACE_SECONDS, Finished, WorkerPool
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..reliability.faults import FaultInjector, FaultPlan
@@ -72,9 +76,6 @@ from ..sat.status import SolveLimits, SolveReport, SolveStatus
 from .admission import AdmissionController, AdmissionPolicy
 from .cache import ResultCache
 from .journal import MAX_RECOVERY_ATTEMPTS, RequestJournal
-from .resilience import (DEFAULT_HEARTBEAT_INTERVAL, JobHeartbeat,
-                         WorkerWatchdog, worker_channel,
-                         worker_channel_init)
 
 #: Protocol version announced by ``ping``.
 PROTOCOL = "repro-serve/1"
@@ -84,34 +85,38 @@ PROTOCOL = "repro-serve/1"
 MAX_LINE_BYTES = 64 * 1024 * 1024
 
 
-def _warmup() -> None:
-    """No-op pool task used to force worker processes into existence."""
+def _execute_wire(task: Tuple[Dict, str], cancel) -> Dict:
+    """A serve worker's pool task: run one ``(request wire, job token)``
+    and return the response wire.  Never raises — every failure becomes
+    an ERROR response.  The token labels serve-worker faults.  A healthy
+    job stops at its own wall-clock budget, so ``cancel`` goes unread:
+    the pool kills a job still running past its grace period."""
+    wire, token = task
+    obs_metrics.enable(True)  # a spawned worker starts with it off
+    plan = FaultPlan.from_env()
+    if plan is not None:
+        injector = FaultInjector(plan, label=token, sites=("serve_worker",))
+        injector.maybe_exit()         # crash@serve_worker
+        injector.maybe_worker_hang()  # stuck-job scenario
+    try:
+        request = api.SolveRequest.from_wire(wire)
+        return api.solve(request).to_wire()
+    except Exception as error:  # defensive: the pool must stay healthy
+        report = SolveReport(status=SolveStatus.ERROR, detail=repr(error))
+        return api.SolveResponse(status=SolveStatus.ERROR, report=report,
+                                 tag=str(wire.get("tag", ""))).to_wire()
 
 
-def _execute_wire(wire: Dict, token: str = "") -> tuple:
-    """Worker-side entry: run one request, return (response wire,
-    telemetry).  Module-level so the pool can pickle it; never raises —
-    every failure becomes an ERROR response.  ``token`` names the job
-    on the heartbeat side channel and labels serve-worker faults."""
-    obs.worker_begin()
-    obs_metrics.enable(True)
-    with JobHeartbeat(worker_channel(), token):
-        plan = FaultPlan.from_env()
-        if plan is not None:
-            injector = FaultInjector(plan, label=token,
-                                     sites=("serve_worker",))
-            injector.maybe_exit()         # crash@serve_worker
-            injector.maybe_worker_hang()  # stuck-job scenario
-        try:
-            request = api.SolveRequest.from_wire(wire)
-            payload = api.solve(request).to_wire()
-        except Exception as error:  # defensive: the pool must stay healthy
-            report = SolveReport(status=SolveStatus.ERROR,
-                                 detail=repr(error))
-            payload = api.SolveResponse(
-                status=SolveStatus.ERROR, report=report,
-                tag=str(wire.get("tag", ""))).to_wire()
-    return payload, obs.drain_telemetry()
+@dataclass
+class _Job:
+    """One pool job, from its queueing to its settled future."""
+
+    token: str
+    #: The pool task: ``(request wire, token)``.
+    task: tuple
+    #: Its wall-clock budget in seconds: the pool's deadline (None: none).
+    timeout: Optional[float]
+    future: "asyncio.Future"
 
 
 class SolveService:
@@ -133,11 +138,7 @@ class SolveService:
                  cache_dir: Optional[str] = None,
                  policy: Optional[AdmissionPolicy] = None,
                  job_timeout: Optional[float] = None,
-                 audit_fills: bool = True,
                  journal_dir: Optional[str] = None,
-                 journal_fsync: bool = True,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-                 watchdog: bool = True,
                  drain_deadline: float = 10.0,
                  warm_start: bool = True,
                  faults=None) -> None:
@@ -151,28 +152,26 @@ class SolveService:
         #: Server-wide wall-clock bound per job (merged into every
         #: request's budget, on top of the admission ceiling).
         self.job_timeout = job_timeout
-        #: Force an audit on every pool execution so cache fills are
-        #: verified answers.  Off only for benchmarking the cache layer.
-        self.audit_fills = audit_fills
         #: Write-ahead journal directory (None = journaling off).
         self.journal_dir = journal_dir
-        self.journal_fsync = journal_fsync
-        self.heartbeat_interval = heartbeat_interval
-        self.watchdog_enabled = watchdog
         #: Seconds a draining shutdown waits for in-flight jobs before
         #: abandoning them to the journal (recovered on next boot).
         self.drain_deadline = drain_deadline
         self.warm_start_enabled = warm_start
         self._fault_plan = FaultPlan.resolve(faults)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[WorkerPool] = None
+        #: Jobs waiting for an idle slot, and the job on each busy slot.
+        self._queued: Deque[_Job] = collections.deque()
+        self._running: Dict[int, _Job] = {}
+        #: What the loop watches for the pool: descriptors and a timer.
+        self._watched: List[int] = []
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._kills = 0
+        self._last_kill: Optional[Dict[str, str]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._context = None
-        self._heartbeats = None
         self.journal: Optional[RequestJournal] = None
-        self.watchdog: Optional[WorkerWatchdog] = None
-        self._watchdog_task: Optional[asyncio.Task] = None
         self._recovery_task: Optional[asyncio.Task] = None
         self._draining = False
         self._stopping = False
@@ -186,28 +185,6 @@ class SolveService:
 
     # -- lifecycle -----------------------------------------------------
 
-    def _make_executor(self) -> ProcessPoolExecutor:
-        """One pool, heartbeat-initialised — used at start and by the
-        BrokenProcessPool rebuild path, so replacement workers rejoin
-        the side channel."""
-        kwargs: Dict = {"max_workers": self.workers,
-                        "mp_context": self._context}
-        if self._heartbeats is not None:
-            kwargs["initializer"] = worker_channel_init
-            kwargs["initargs"] = (self._heartbeats,
-                                  self.heartbeat_interval)
-        executor = ProcessPoolExecutor(**kwargs)
-        # Fork the full complement NOW rather than lazily on first
-        # submit.  A worker forked mid-flight inherits a duplicate of
-        # every accepted connection's fd, and that duplicate keeps the
-        # peer's socket half-open after we close it — the client never
-        # sees the FIN until the worker dies.  Pre-spawning (one worker
-        # per warmup submit) also moves the fork cost to boot time.
-        for future in [executor.submit(_warmup)
-                       for _ in range(self.workers)]:
-            future.result()
-        return executor
-
     async def start(self) -> "SolveService":
         """Bind the listener and spin up the pool.  With ``port=0`` the
         OS picks a free port; :attr:`port` holds the real one after.
@@ -217,28 +194,25 @@ class SolveService:
         obs_metrics.enable(True)  # the service always keeps its counters
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
-        self._context = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        if self.watchdog_enabled:
-            self._heartbeats = self._context.Queue()
-            self.watchdog = WorkerWatchdog(
-                self._heartbeats, interval=self.heartbeat_interval)
-        self._executor = self._make_executor()
+        # Fork every worker now, before the listener binds and before the
+        # signal handlers go in.  A worker forked mid-flight inherits a
+        # duplicate of every accepted connection's fd, and that duplicate
+        # keeps the peer's socket half-open after we close it — the
+        # client never sees the FIN until the worker dies.  It also moves
+        # the fork cost to boot time.
+        self._pool = WorkerPool(self.workers, _execute_wire)
+        self._pool.start()
         if self.warm_start_enabled and self.cache.disk_dir:
             loaded = self.cache.warm_start()
             if loaded:
                 trace.event("serve.cache.warm_start", entries=loaded)
         if self.journal_dir:
             self.journal = RequestJournal(self.journal_dir,
-                                          fsync=self.journal_fsync,
                                           faults=self._fault_plan)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
             limit=MAX_LINE_BYTES)
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.watchdog is not None:
-            self._watchdog_task = self._loop.create_task(
-                self.watchdog.run())
         if self.journal is not None:
             self._recovery_task = self._loop.create_task(self._recover())
         self._install_signal_handlers()
@@ -268,9 +242,11 @@ class SolveService:
         """Graceful shutdown: stop accepting, let in-flight jobs finish
         (or journal them) under ``deadline`` seconds, flush, stop.
 
-        Jobs still running at the deadline are SIGKILLed and their
-        journal entries left *pending* — the next boot replays them, so
-        an admitted request is never lost to a shutdown.
+        Jobs still queued at the deadline answer ERROR; jobs still
+        running are cancelled, and SIGKILLed past the pool's grace
+        period.  Their journal entries are left *pending* — the next
+        boot replays them, so an admitted request is never lost to a
+        shutdown.
         """
         if self._draining:
             return
@@ -290,37 +266,24 @@ class SolveService:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._recovery_task
             self._recovery_task = None
-        end = self._loop.time() + max(0.0, deadline)
-        while self._jobs and self._loop.time() < end:
-            await asyncio.sleep(0.05)
-        finished_cleanly = not self._jobs
-        if not finished_cleanly:
+        if self._jobs:
+            await asyncio.wait(list(self._jobs.values()),
+                               timeout=max(0.0, deadline))
+        if self._jobs:
             abandoned = set(self._jobs)
             self._drain_abandoned |= abandoned
             trace.event("serve.drain.abandoned", jobs=len(abandoned))
             self._count("serve.drain.abandoned", len(abandoned))
-            self._kill_pool_workers()
-            # Give the broken futures a moment to settle so connected
-            # clients get their ERROR responses before the loop dies.
-            settle = self._loop.time() + 5.0
-            while self._jobs and self._loop.time() < settle:
-                await asyncio.sleep(0.05)
+            self._fail(self._queued, "abandoned by the drain deadline")
+            self._queued.clear()
+            self._pool.cancel()
+            self._pump()
+            # Let the killed jobs settle so connected clients get their
+            # ERROR responses before the loop dies.
+            await asyncio.wait(list(self._jobs.values()),
+                               timeout=CANCEL_GRACE_SECONDS + 1.0)
         self._count("serve.drain.completed")
         await self.stop()
-
-    def _kill_pool_workers(self) -> None:
-        """SIGKILL whatever is still executing (the drain backstop)."""
-        if self.watchdog is not None:
-            self.watchdog.kill_active()
-            return
-        # No watchdog: fall back to the pool's own process table.
-        processes = getattr(self._executor, "_processes", None) or {}
-        import os as _os
-        for pid in list(processes):
-            try:
-                _os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError, OSError):
-                pass
 
     async def stop(self) -> None:
         """Stop accepting, tear down the pool, release everything.
@@ -332,23 +295,23 @@ class SolveService:
             await self._stopped.wait()
             return
         self._stopping = True
-        for task_name in ("_recovery_task", "_watchdog_task"):
-            task = getattr(self, task_name)
-            if task is not None:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-                setattr(self, task_name, None)
+        if self._recovery_task is not None:
+            self._recovery_task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self._recovery_task
+            self._recovery_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._executor is not None:
-            executor, self._executor = self._executor, None
-            # shutdown(wait=True) joins worker processes — do it off
-            # the loop so in-flight connection handlers stay serviced.
-            await self._loop.run_in_executor(
-                None, lambda: executor.shutdown(wait=True))
+        if self._pool is not None:
+            self._unwatch()
+            self._fail([*self._queued, *self._running.values()],
+                       "the service stopped")
+            self._queued.clear()
+            self._running.clear()
+            pool, self._pool = self._pool, None
+            pool.close()
         if self.journal is not None:
             self.journal.close()
         if self._stopped is not None:
@@ -405,29 +368,20 @@ class SolveService:
     async def _replay(self, digest: str, request: "api.SolveRequest",
                       wire: Dict) -> None:
         """Re-run one journaled request exactly like a live admit
-        (budget ceiling, forced audit, watchdog, cache fill)."""
+        (budget ceiling, forced audit, deadline kill, cache fill)."""
         if digest in self._jobs:  # a live client raced us to it
             await asyncio.wait([self._jobs[digest]])
             if self.cache.get(digest) is not None:
                 self.journal.record_done(digest)
             return
-        effective = request.limits
+        limits = request.limits
         if self.admission.policy.job_limits is not None:
-            effective = self.admission.policy.job_limits.merge(effective)
-        if self.job_timeout is not None:
-            effective = (effective or SolveLimits()).with_wall_clock(
-                self.job_timeout)
-        job_wire = dict(wire)
-        job_wire["limits"] = api.limits_to_wire(effective)
-        if self.audit_fills:
-            job_wire["audit"] = True
+            limits = self.admission.policy.job_limits.merge(limits)
         token = self._next_token("replay", digest)
         ticket = self._loop.create_future()
         self._jobs[digest] = ticket
-        self._register_job(token, effective)
         try:
-            payload, telemetry = await self._run_job(job_wire, token)
-            obs.ingest_telemetry(telemetry)
+            payload = await self._run_job(wire, token, limits)
             status = SolveStatus(payload["status"])
             if status.decided and payload.get("audit") != "FAIL":
                 self._fill_cache(digest, request, payload)
@@ -448,8 +402,6 @@ class SolveService:
         except Exception:
             self._count("serve.journal.replay_errors")
         finally:
-            if self.watchdog is not None:
-                self.watchdog.finished(token)
             self._jobs.pop(digest, None)
             if not ticket.done():
                 ticket.set_result(None)
@@ -508,8 +460,11 @@ class SolveService:
                     "admission": self.admission.snapshot()}
             if self.journal is not None:
                 dump["journal"] = self.journal.counts()
-            if self.watchdog is not None:
-                dump["watchdog"] = self.watchdog.snapshot()
+            dump["pool"] = {"workers": self.workers,
+                            "busy": len(self._running),
+                            "queued": len(self._queued),
+                            "kills": self._kills,
+                            "last_kill": self._last_kill}
             return dump
         if op == "shutdown":
             # Reply first (the handler breaks on "bye"), then drain:
@@ -567,15 +522,6 @@ class SolveService:
             self._count("serve.rejected")
             return {"ok": False, "error": decision.reason, "rejected": True}
 
-        effective = decision.limits
-        if self.job_timeout is not None:
-            effective = (effective or SolveLimits()).with_wall_clock(
-                self.job_timeout)
-        job_wire = dict(wire)
-        job_wire["limits"] = api.limits_to_wire(effective)
-        if self.audit_fills:
-            job_wire["audit"] = True
-
         # Write-ahead: the admit record is durable (fsync'd) before the
         # job may enter the pool — a SIGKILL from here on is recoverable.
         if self.journal is not None:
@@ -583,13 +529,11 @@ class SolveService:
 
         token = self._next_token("job", digest)
         self.admission.begin(request.client)
-        self._register_job(token, effective)
         ticket = self._loop.create_future()
         self._jobs[digest] = ticket
         status, detail = SolveStatus.ERROR, "worker failed"
         try:
-            payload, telemetry = await self._run_job(job_wire, token)
-            obs.ingest_telemetry(telemetry)
+            payload = await self._run_job(wire, token, decision.limits)
             status = SolveStatus(payload["status"])
             detail = str((payload.get("report") or {}).get("detail", ""))
         except Exception as error:
@@ -599,8 +543,6 @@ class SolveService:
                                         report=report).to_wire()
         finally:
             self.admission.finish(request.client, status, detail)
-            if self.watchdog is not None:
-                self.watchdog.finished(token)
             self._jobs.pop(digest, None)
             if not ticket.done():
                 ticket.set_result(None)
@@ -617,8 +559,8 @@ class SolveService:
         payload["tag"] = request.tag
         self._count(f"serve.jobs.{status}")
         if status.decided and payload.get("audit") != "FAIL":
-            # Audit-guarded fill: with audit_fills on, a decided answer
-            # here has verdict PASS (a FAIL was demoted to ERROR).
+            # Audit-guarded fill: every job runs audited, so a decided
+            # answer here has verdict PASS (a FAIL was demoted to ERROR).
             self._fill_cache(digest, request, payload)
         return {"ok": True, "response": payload}
 
@@ -636,28 +578,87 @@ class SolveService:
         self._job_seq += 1
         return f"{prefix}#{self._job_seq}:{digest[:12]}"
 
-    def _register_job(self, token: str,
-                      limits: Optional[SolveLimits]) -> None:
-        if self.watchdog is None:
-            return
-        deadline = limits.wall_clock_limit if limits is not None else None
-        self.watchdog.register(token, deadline)
+    # -- the worker pool -----------------------------------------------
 
-    async def _run_job(self, job_wire: Dict, token: str = "") -> tuple:
-        try:
-            return await self._loop.run_in_executor(
-                self._executor, _execute_wire, job_wire, token)
-        except BrokenProcessPool:
-            # A worker died hard (OOM kill, segfault, or a watchdog
-            # SIGKILL of a wedged job).  Replace the pool so one
-            # casualty does not take the service down, and fail only
-            # the jobs that were on it.
-            self._count("serve.pool_rebuilds")
-            old, self._executor = self._executor, None
-            await self._loop.run_in_executor(
-                None, lambda: old.shutdown(wait=False))
-            self._executor = self._make_executor()
-            raise
+    async def _run_job(self, wire: Dict, token: str,
+                       limits: Optional[SolveLimits]) -> Dict:
+        """Run one request on the pool and return its response wire.
+        The server's ``job_timeout`` tightens ``limits``, the audit is
+        forced on (cache fills are verified answers), and the resulting
+        wall-clock budget is the job's pool deadline.  Raises when the
+        worker dies or is killed."""
+        if self.job_timeout is not None:
+            limits = (limits or SolveLimits()).with_wall_clock(
+                self.job_timeout)
+        job_wire = dict(wire, limits=api.limits_to_wire(limits), audit=True)
+        job = _Job(token, (job_wire, token),
+                   None if limits is None else limits.wall_clock_limit,
+                   self._loop.create_future())
+        self._queued.append(job)
+        self._pump()
+        return await job.future
+
+    def _pump(self) -> None:
+        """Drive the pool one step from the event loop: settle the jobs
+        that left their slots, hand queued jobs to idle slots, then
+        watch the busy slots' pipes and sentinels and wake at the next
+        deadline.  Every pool call runs here, on the loop's thread."""
+        pool = self._pool
+        if pool is None:
+            return
+        # Unwatch first: wait() and submit() may close or reuse the
+        # descriptors.
+        self._unwatch()
+        for done in pool.wait(timeout=0):
+            self._settle(done)
+        for slot in pool.idle()[:len(self._queued)]:
+            job = self._running[slot] = self._queued.popleft()
+            pool.submit(slot, job.task, tag=job, timeout=job.timeout)
+        self._watched, delay = pool.watch()
+        for fd in self._watched:
+            self._loop.add_reader(fd, self._pump)
+        if delay is not None:
+            self._timer = self._loop.call_later(delay, self._pump)
+
+    def _unwatch(self) -> None:
+        for fd in self._watched:
+            self._loop.remove_reader(fd)
+        self._watched = []
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _settle(self, done: Finished) -> None:
+        """Resolve a finished job's future: its response, or the
+        failure of a worker that died or was killed (a slot then forks
+        a fresh worker for its next job)."""
+        job = done.tag
+        self._running.pop(done.slot, None)
+        error = done.error
+        if done.killed:
+            if job.timeout is not None and done.elapsed >= job.timeout:
+                reason = (f"overdue: {done.elapsed:.2f}s elapsed, budget "
+                          f"{job.timeout:.2f}s + grace "
+                          f"{CANCEL_GRACE_SECONDS:.2f}s")
+            else:
+                reason = "drain deadline"
+            self._kills += 1
+            self._last_kill = {"token": job.token, "reason": reason}
+            trace.event("serve.pool.kill", token=job.token, reason=reason)
+            self._count("serve.pool.kills")
+            error = f"worker killed ({reason})"
+        if done.killed or done.exit_code is not None:
+            self._count("serve.pool.restarts")
+        if error is not None:
+            self._fail([job], error)
+        elif not job.future.done():
+            job.future.set_result(done.result)
+
+    @staticmethod
+    def _fail(jobs, reason: str) -> None:
+        for job in jobs:
+            if not job.future.done():
+                job.future.set_exception(RuntimeError(reason))
 
     @staticmethod
     def _count(name: str, amount: int = 1) -> None:

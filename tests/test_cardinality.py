@@ -1,17 +1,16 @@
 """Property tests for the cardinality library (``repro.core.encodings
 .cardinality``).
 
-Every at-most-one / at-most-k builder is checked by **exhaustive
-enumeration**: on small n we enumerate every assignment to the value
-*and* auxiliary variables and assert that the satisfying assignments,
-projected onto the value variables, are exactly the ≤k-true vectors —
-i.e. the encoding is sound (no over-full vector sneaks through) *and*
-complete (every legal vector is extendable to the auxiliaries).
+Every at-most-one builder is checked by **exhaustive enumeration**: on
+small n we enumerate every assignment to the value *and* auxiliary
+variables and assert that the satisfying assignments, projected onto
+the value variables, are exactly the ≤1-true vectors — i.e. the
+encoding is sound (no over-full vector sneaks through) *and* complete
+(every legal vector is extendable to the auxiliaries).
 
-The closed-form size formulas of :func:`amo_sizes` /
-:func:`atmost_k_sequential_sizes` are asserted literally against the
-builders' actual aux-var and clause counts, and every emitted literal
-must stay inside the declared variable range.
+The closed-form size formulas of :func:`amo_sizes` are asserted
+literally against the builders' actual aux-var and clause counts, and
+every emitted literal must stay inside the declared variable range.
 """
 
 import itertools
@@ -22,10 +21,7 @@ from repro.core.encodings import (AuxAllocator, BIMDIRECT, CMDDIRECT,
                                   CardinalityDirectScheme,
                                   DuplicateAuxVarError, PRODDIRECT, SEQDIRECT,
                                   amo_bimander, amo_commander, amo_pairwise,
-                                  amo_product, amo_sequential, amo_sizes,
-                                  atmost_k_sequential,
-                                  atmost_k_sequential_sizes,
-                                  atmost_k_totalizer, build_amo,
+                                  amo_product, amo_sizes, build_amo,
                                   build_vertex_encoding, commander_groups,
                                   product_grid)
 from repro.core.encodings.base import Level, VertexEncoding
@@ -155,58 +151,6 @@ class TestAtMostOnePinned:
             amo_bimander([1, 2, 3], alloc, group_size=0)
         with pytest.raises(ValueError):
             build_amo("no-such-amo", [1, 2], alloc)
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-@pytest.mark.parametrize("k", range(0, 7))
-class TestAtMostKSequential:
-    def test_accepts_exactly_atmost_k_true(self, n, k):
-        if n > 5 and 1 < k < n:  # keep the exhaustive space tractable
-            pytest.skip("register block too large for full enumeration")
-        values = list(range(1, n + 1))
-        alloc = AuxAllocator(n + 1, reserved=values)
-        clauses = atmost_k_sequential(values, k, alloc)
-        total = n + alloc.count
-        assert projected_models(n, total, clauses) == atmost_vectors(n, k)
-
-    def test_sizes_match_closed_form(self, n, k):
-        values = list(range(1, n + 1))
-        alloc = AuxAllocator(n + 1, reserved=values)
-        clauses = atmost_k_sequential(values, k, alloc)
-        expected_aux, expected_clauses = atmost_k_sequential_sizes(n, k)
-        assert alloc.count == expected_aux
-        assert len(clauses) == expected_clauses
-        assert_literals_in_range(clauses, n + alloc.count)
-
-    def test_k1_reduces_to_amo(self, n, k):
-        if k != 1:
-            pytest.skip("k = 1 case only")
-        values = list(range(1, n + 1))
-        assert (atmost_k_sequential(values, 1,
-                                    AuxAllocator(n + 1, reserved=values))
-                == amo_sequential(values,
-                                  AuxAllocator(n + 1, reserved=values)))
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-@pytest.mark.parametrize("k", range(0, 6))
-class TestAtMostKTotalizer:
-    def test_accepts_exactly_atmost_k_true(self, n, k):
-        values = list(range(1, n + 1))
-        alloc = AuxAllocator(n + 1, reserved=values)
-        clauses = atmost_k_totalizer(values, k, alloc)
-        total = n + alloc.count
-        assert projected_models(n, total, clauses) == atmost_vectors(n, k)
-        assert_literals_in_range(clauses, total)
-
-    def test_saturation_caps_aux_width(self, n, k):
-        if not 0 < k < n:
-            pytest.skip("aux variables only exist for 0 < k < n")
-        values = list(range(1, n + 1))
-        alloc = AuxAllocator(n + 1, reserved=values)
-        atmost_k_totalizer(values, k, alloc)
-        # n leaves → n-1 internal counter nodes, each at most k+1 wide.
-        assert alloc.count <= (n - 1) * (k + 1)
 
 
 class TestAuxAllocator:

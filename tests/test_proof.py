@@ -5,9 +5,9 @@ from array import array
 
 import pytest
 
-from repro.sat import (CNF, ProofError, SolverConfig, check_rup_proof, preset,
-                       solve_by_enumeration, solve_with_proof,
-                       verify_rup_proof)
+from repro.sat import (CNF, ProofError, SolverConfig, SolveStatus,
+                       check_rup_proof, preset, solve_by_enumeration,
+                       solve_with_proof, verify_rup_proof)
 from repro.sat.solver.cdcl import CDCLSolver
 from .strategies import make_random_cnf
 from .test_cdcl import pigeonhole
@@ -40,6 +40,32 @@ class TestProofLogging:
         result, proof = solve_with_proof(pigeonhole(4), siege_like())
         assert not result.is_sat
         assert proof[-1] == ()
+
+    def test_refuted_solver_writes_the_empty_clause_once(self):
+        cnf = pigeonhole(4)
+        solver = CDCLSolver(cnf, preset("minisat_like", proof_log=True))
+        lengths = []
+        for _ in range(3):
+            assert solver.solve().status is SolveStatus.UNSAT
+            lengths.append(len(solver.proof))
+        assert lengths[0] == lengths[1] == lengths[2]
+        assert solver.proof.count(()) == 1 and solver.proof[-1] == ()
+        assert len(solver.hint_starts) == len(solver.proof)
+        assert verify_rup_proof(cnf, solver.proof).ok
+
+    def test_failed_assumptions_write_no_empty_clause(self):
+        sat = [[1, 2], [-1, 2], [1, -2], [3, 4]]
+        solver = CDCLSolver(CNF(sat), preset("minisat_like", proof_log=True))
+        assert solver.solve(assumptions=[-3, -4]).status is SolveStatus.UNSAT
+        assert () not in solver.proof
+        # The same call on a refutable formula, then a real refutation:
+        # its proof must still replay.
+        cnf = CNF(sat + [[-1, -2]])
+        solver = CDCLSolver(cnf, preset("minisat_like", proof_log=True))
+        assert solver.solve(assumptions=[-3, -4]).status is SolveStatus.UNSAT
+        assert solver.solve().status is SolveStatus.UNSAT
+        assert solver.proof.count(()) == 1 and solver.proof[-1] == ()
+        assert verify_rup_proof(cnf, solver.proof).ok
 
 
 class TestProofChecking:

@@ -1,19 +1,13 @@
 """Resilience primitives (repro.serve.resilience) and their wiring.
 
-Watchdog / heartbeat / retry / breaker units run against fake clocks
-and plain ``queue.Queue`` channels — no processes, no sleeps beyond the
-heartbeat thread's own cadence.  The end-to-end classes boot a real
-service on a loopback port and exercise the failure paths the chaos
-suite hits at larger scale: a dropped connection under a retrying
-client, a dead server tripping the circuit breaker, and a crashed
-worker forcing a pool rebuild.
+Retry / breaker units run against fake clocks — no processes, no
+sleeps.  The end-to-end classes boot a real service on a loopback port
+and exercise the failure paths the chaos suite hits at larger scale: a
+dropped connection under a retrying client, a dead server tripping the
+circuit breaker, and a crashed worker replaced by its pool slot.
 """
 
-import os
-import queue
-import signal
 import socket
-import time
 
 import pytest
 
@@ -22,9 +16,8 @@ from repro.reliability.faults import FaultPlan
 from repro.reliability.quarantine import QuarantinePolicy
 from repro.sat.status import SolveStatus
 from repro.serve import (AdmissionController, AdmissionPolicy,
-                         CircuitBreaker, CircuitOpenError, JobHeartbeat,
-                         ResilientClient, RetryPolicy, ServeClient,
-                         ServeRejected, WorkerWatchdog)
+                         CircuitBreaker, CircuitOpenError, ResilientClient,
+                         RetryPolicy, ServeClient, ServeRejected)
 from tests.test_serve import start_service, triangle
 
 
@@ -37,133 +30,6 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
-
-
-def make_watchdog(**kwargs):
-    clock = FakeClock()
-    kills = []
-    channel = queue.Queue()
-    watchdog = WorkerWatchdog(
-        channel=channel, interval=0.5,
-        kill=lambda pid, sig: kills.append((pid, sig)),
-        clock=clock, **kwargs)
-    return watchdog, channel, clock, kills
-
-
-class TestWorkerWatchdog:
-    def test_overdue_job_is_killed_once(self):
-        watchdog, channel, clock, kills = make_watchdog()
-        watchdog.register("job#1:abc", deadline=2.0)
-        channel.put(("start", "job#1:abc", 4242, 0.0))
-        assert watchdog.poll() == []
-        # Past the budget but inside the grace window: still tolerated.
-        clock.advance(2.0 + watchdog.grace)
-        assert watchdog.poll() == []
-        # Heartbeats cannot save an overdue job — the stall *is* the
-        # job, and the deadline check is what catches it.
-        channel.put(("beat", "job#1:abc", 4242, 0.0))
-        clock.advance(0.1)
-        assert watchdog.poll() == ["job#1:abc"]
-        assert kills == [(4242, signal.SIGKILL)]
-        token, reason = watchdog.kill_log[-1]
-        assert token == "job#1:abc" and "overdue" in reason
-        # Idempotent: the corpse is not killed again next sweep.
-        clock.advance(10.0)
-        assert watchdog.poll() == [] and watchdog.kills == 1
-
-    def test_stale_worker_is_killed_without_a_deadline(self):
-        watchdog, channel, clock, kills = make_watchdog()
-        watchdog.register("t", deadline=None)
-        channel.put(("start", "t", 77, 0.0))
-        watchdog.poll()
-        clock.advance(watchdog.stale_after + 0.1)
-        assert watchdog.poll() == ["t"]
-        assert kills == [(77, signal.SIGKILL)]
-        assert "stale" in watchdog.kill_log[-1][1]
-
-    def test_heartbeats_keep_an_unbudgeted_job_alive(self):
-        watchdog, channel, clock, kills = make_watchdog()
-        watchdog.register("t", deadline=None)
-        channel.put(("start", "t", 9, 0.0))
-        watchdog.poll()
-        for _ in range(20):
-            clock.advance(watchdog.stale_after / 2)
-            channel.put(("beat", "t", 9, 0.0))
-            assert watchdog.poll() == []
-        assert kills == []
-
-    def test_finished_job_is_no_longer_watched(self):
-        watchdog, channel, clock, kills = make_watchdog()
-        watchdog.register("t", deadline=1.0)
-        channel.put(("start", "t", 9, 0.0))
-        watchdog.poll()
-        watchdog.finished("t")
-        clock.advance(100.0)
-        channel.put(("beat", "t", 9, 0.0))  # a late beat is noise
-        assert watchdog.poll() == []
-        assert kills == [] and watchdog.active_pids() == []
-
-    def test_job_without_heartbeat_is_never_killed(self):
-        # No start record ever arrived (pool queue backlog): there is
-        # no pid to kill and no evidence of a wedge — leave it be.
-        watchdog, channel, clock, kills = make_watchdog()
-        watchdog.register("t", deadline=0.5)
-        clock.advance(1000.0)
-        assert watchdog.poll() == [] and kills == []
-
-    def test_malformed_heartbeat_records_are_ignored(self):
-        watchdog, channel, clock, kills = make_watchdog()
-        watchdog.register("t", deadline=None)
-        channel.put(None)
-        channel.put((1,))
-        channel.put(("beat",))
-        channel.put(("start", "t", 9, 0.0))
-        watchdog.poll()  # must not raise
-        assert watchdog.active_pids() == [9]
-
-    def test_kill_active_hits_every_registered_worker(self):
-        watchdog, channel, clock, kills = make_watchdog()
-        watchdog.register("a", deadline=None)
-        watchdog.register("b", deadline=None)
-        channel.put(("start", "a", 1, 0.0))
-        channel.put(("start", "b", 2, 0.0))
-        watchdog.poll()
-        assert watchdog.kill_active() == 2
-        assert sorted(pid for pid, _ in kills) == [1, 2]
-        assert watchdog.kill_active() == 0  # already dead
-
-    def test_snapshot_shape(self):
-        watchdog, channel, clock, kills = make_watchdog()
-        watchdog.register("t", deadline=0.5)
-        channel.put(("start", "t", 9, 0.0))
-        watchdog.poll()
-        clock.advance(0.5 + watchdog.grace + 0.1)
-        watchdog.poll()
-        snapshot = watchdog.snapshot()
-        assert snapshot["kills"] == 1
-        assert snapshot["last_kill"]["token"] == "t"
-        assert "overdue" in snapshot["last_kill"]["reason"]
-        assert snapshot["interval"] == 0.5
-
-
-class TestJobHeartbeat:
-    def test_emits_start_then_beats(self):
-        channel = queue.Queue()
-        with JobHeartbeat(channel, "tok", interval=0.01):
-            time.sleep(0.1)
-        records = []
-        while True:
-            try:
-                records.append(channel.get_nowait())
-            except queue.Empty:
-                break
-        kind, token, pid, _ = records[0]
-        assert kind == "start" and token == "tok" and pid == os.getpid()
-        assert any(record[0] == "beat" for record in records[1:])
-
-    def test_none_channel_is_a_noop(self):
-        with JobHeartbeat(None, "tok", interval=0.01):
-            pass  # no channel, no thread, no crash
 
 
 class TestRetryPolicy:
@@ -330,12 +196,11 @@ class TestResilientClientEndToEnd:
                 client.shutdown()
             thread.join(timeout=30)
 
-    def test_worker_crash_rebuilds_pool_and_service_recovers(
-            self, monkeypatch):
-        # job#1 dies via os._exit inside the pool (satellite d): the
-        # future fails with BrokenProcessPool, the server answers
-        # ERROR, rebuilds the pool, and the next job runs normally —
-        # one offence stays under the quarantine threshold of 2.
+    def test_worker_crash_restarts_its_slot(self, monkeypatch):
+        # job#1 dies via os._exit inside its pool worker: the server
+        # answers ERROR, the slot forks a fresh worker, and the next job
+        # runs normally — one offence stays under the quarantine
+        # threshold of 2.
         monkeypatch.setenv("REPRO_FAULTS",
                            "seed=2; crash@serve_worker:match=job#1:*")
         service, thread = start_service(port=0, workers=1)
@@ -349,7 +214,7 @@ class TestResilientClientEndToEnd:
                     SolveRequest(graph=triangle(), colors=2))
                 assert second.status is SolveStatus.UNSAT
                 counters = client.metrics()["metrics"]["counters"]
-                assert counters["serve.pool_rebuilds"] == 1
+                assert counters["serve.pool.restarts"] == 1
                 assert counters["serve.jobs.ERROR"] == 1
         finally:
             with ServeClient(port=service.port) as client:

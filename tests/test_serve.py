@@ -2,16 +2,25 @@
 
 import asyncio
 import threading
+import time
 
 import pytest
 
 from repro.api import SolveRequest
+from repro.coloring.instances import wheel_graph
 from repro.coloring.problem import Graph
+from repro.core.pool import CANCEL_GRACE_SECONDS
+from repro.core.strategy import Strategy
 from repro.obs import metrics as obs_metrics
 from repro.reliability.quarantine import QuarantinePolicy
 from repro.sat.status import SolveLimits, SolveStatus
-from repro.serve import (AdmissionController, AdmissionPolicy, ServeClient,
-                         ServeRejected, SolveService)
+from repro.serve import (AdmissionController, AdmissionPolicy,
+                         RequestJournal, ServeClient, ServeRejected,
+                         SolveService)
+
+#: Wedges the service's first pool job (token job#1:...) for a minute,
+#: ignoring every cooperative budget.
+WEDGE_FIRST_JOB = "seed=11; worker_hang@serve_worker:match=job#1:*,s=60"
 
 
 def triangle():
@@ -195,6 +204,62 @@ class TestSolveServiceEndToEnd:
             assert client.ping()["protocol"] == "repro-serve/1"
 
 
+def stop_service(service, thread):
+    with ServeClient(port=service.port) as client:
+        client.shutdown()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+class TestPortfolioRequests:
+    def test_two_strategy_request_races_inside_a_worker(self):
+        # Several strategies race as a portfolio inside the serve
+        # worker, which then runs a worker pool of its own.
+        service, thread = start_service(port=0, workers=1)
+        strategies = (Strategy("direct", "s1"), Strategy("ITE-log", "s1"))
+        try:
+            with ServeClient(port=service.port, timeout=120.0) as client:
+                for colors, expected in ((3, SolveStatus.UNSAT),
+                                         (4, SolveStatus.SAT)):
+                    response = client.solve(SolveRequest(
+                        graph=wheel_graph(7), colors=colors,
+                        strategies=strategies))
+                    assert response.status is expected
+                    assert response.audit == "PASS"
+                    assert response.winner in {strategy.label
+                                               for strategy in strategies}
+        finally:
+            stop_service(service, thread)
+
+
+class TestDeadlineKill:
+    def test_wedged_job_is_killed_and_its_slot_serves_again(
+            self, monkeypatch):
+        # Set before the boot forks the workers, which inherit it.
+        monkeypatch.setenv("REPRO_FAULTS", WEDGE_FIRST_JOB)
+        budget = 1.0
+        service, thread = start_service(port=0, workers=1,
+                                        job_timeout=budget)
+        monkeypatch.delenv("REPRO_FAULTS")
+        request = SolveRequest(graph=triangle(), colors=3)
+        try:
+            with ServeClient(port=service.port, timeout=60.0) as client:
+                started = time.monotonic()
+                wedged = client.solve(request)
+                elapsed = time.monotonic() - started
+                assert wedged.status is SolveStatus.ERROR
+                assert elapsed <= budget + CANCEL_GRACE_SECONDS + 0.7
+                pool = client.metrics()["pool"]
+                assert pool["kills"] == 1
+                assert pool["last_kill"]["token"].startswith("job#1:")
+                assert pool["last_kill"]["reason"].startswith("overdue")
+                again = client.solve(request)
+                assert again.status is SolveStatus.SAT
+                assert again.audit == "PASS"
+        finally:
+            stop_service(service, thread)
+
+
 class TestDrainingShutdown:
     def test_shutdown_op_acknowledges_then_drains_to_a_stop(self):
         service, thread = start_service(port=0, workers=1)
@@ -231,3 +296,36 @@ class TestDrainingShutdown:
                 client.shutdown()
             thread.join(timeout=30)
             assert not thread.is_alive()
+
+    def test_drain_deadline_kills_a_wedged_job_and_keeps_its_entry(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_FAULTS", WEDGE_FIRST_JOB)
+        journal_dir = str(tmp_path / "journal")
+        service, thread = start_service(port=0, workers=1,
+                                        journal_dir=journal_dir,
+                                        drain_deadline=0.5)
+        monkeypatch.delenv("REPRO_FAULTS")
+        request = SolveRequest(graph=triangle(), colors=3)
+        answers = []
+
+        def submit():
+            with ServeClient(port=service.port, timeout=60.0) as client:
+                answers.append(client.solve(request))
+
+        submitter = threading.Thread(target=submit, daemon=True)
+        submitter.start()
+        with ServeClient(port=service.port) as client:
+            waited = time.monotonic() + 30.0
+            while client.metrics()["journal"]["pending"] < 1:
+                assert time.monotonic() < waited, "job was never admitted"
+                time.sleep(0.05)
+            time.sleep(1.0)  # well into its stall
+            client.shutdown()
+        submitter.join(timeout=30)
+        thread.join(timeout=30)
+        assert not submitter.is_alive() and not thread.is_alive()
+        assert [answer.status for answer in answers] == [SolveStatus.ERROR]
+        # Abandoned, not done: the next boot replays it.
+        with RequestJournal(journal_dir) as journal:
+            assert [entry.digest for entry in journal.pending()] == [
+                request.cache_key()]
