@@ -55,9 +55,10 @@ fuzz-nightly:
 		--seed-base $(FUZZ_SEED_BASE) --matrix full \
 		--budget-seconds 1200 --out fuzz-bundles
 
-# Observability smoke test: solve one small instance with --trace on,
-# assert every line of the sink parses as JSON, then render it.  See
-# docs/observability.md.
+# Observability smoke test: route alu2 and search its width with --trace
+# on, assert every line of the sink parses as JSON and that the global
+# router's fpga.global_route span counted its 2-pin nets and expansions,
+# then render it.  See docs/observability.md.
 trace-smoke:
 	rm -f trace-smoke.trace.jsonl
 	PYTHONPATH=src python -m repro width alu2 --scale 0.6 \
@@ -69,6 +70,11 @@ trace-smoke:
 	assert spans, 'trace contains no spans'; \
 	assert any(r.get('type') == 'metrics' for r in records), \
 	    'trace contains no metrics snapshot'; \
+	routes = [r['attrs'] for r in spans \
+	          if r['name'] == 'fpga.global_route']; \
+	assert routes and routes[0]['two_pin_nets'] > 0 \
+	    and routes[0]['expansions'] > 0, \
+	    f'no fpga.global_route span with counters: {routes}'; \
 	print(f'trace-smoke: {len(records)} records, {len(spans)} spans OK')"
 	PYTHONPATH=src python -m repro trace trace-smoke.trace.jsonl
 

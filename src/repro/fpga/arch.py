@@ -29,7 +29,8 @@ block column ``x``; ``v(x, y)`` the segment of vertical channel ``x``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -59,6 +60,20 @@ class Segment:
         return f"{self.kind}({self.x},{self.y})"
 
 
+class SegmentTables(NamedTuple):
+    """The segment graph on integer ids: a segment's id is its position in
+    :meth:`FPGAArchitecture.segments`."""
+
+    #: One shared :class:`Segment` instance per id.
+    segments: Tuple[Segment, ...]
+    #: Each segment's id.
+    ids: Dict[Segment, int]
+    #: Per id, the ids of :meth:`FPGAArchitecture.segment_neighbors`.
+    neighbors: Tuple[Tuple[int, ...], ...]
+    #: Per block ``y * cols + x``, its south, north, west and east ids.
+    blocks: Tuple[Tuple[int, int, int, int], ...]
+
+
 class FPGAArchitecture:
     """Geometry and routing-resource graph of one island-style array."""
 
@@ -86,13 +101,8 @@ class FPGAArchitecture:
         return self.cols * self.rows
 
     def segments(self) -> Iterator[Segment]:
-        """Yield every channel segment of the array."""
-        for y in range(self.rows + 1):
-            for x in range(self.cols):
-                yield Segment("h", x, y)
-        for x in range(self.cols + 1):
-            for y in range(self.rows):
-                yield Segment("v", x, y)
+        """Yield every channel segment of the array, in id order."""
+        return iter(self.tables.segments)
 
     @property
     def num_segments(self) -> int:
@@ -112,34 +122,44 @@ class FPGAArchitecture:
 
     def block_segments(self, x: int, y: int) -> List[Segment]:
         """Segments a block's pins reach through its connection blocks:
-        the channels on its four sides."""
+        the channels on its four sides (south, north, west, east)."""
         if not self.contains_block(x, y):
             raise ValueError(f"block ({x},{y}) outside the {self.cols}x{self.rows} array")
-        return [
-            Segment("h", x, y),          # south
-            Segment("h", x, y + 1),      # north
-            Segment("v", x, y),          # west
-            Segment("v", x + 1, y),      # east
-        ]
+        tables = self.tables
+        return [tables.segments[i] for i in tables.blocks[y * self.cols + x]]
 
     def segment_neighbors(self, segment: Segment) -> List[Segment]:
         """Segments reachable through the switch blocks at either end."""
         if not self.contains_segment(segment):
             raise ValueError(f"segment {segment} outside the array")
-        neighbors = []
-        for cx, cy in segment.corners():
-            for candidate in self._corner_segments(cx, cy):
-                if candidate != segment and self.contains_segment(candidate):
-                    neighbors.append(candidate)
-        return neighbors
+        tables = self.tables
+        return [tables.segments[i] for i in tables.neighbors[tables.ids[segment]]]
 
-    def _corner_segments(self, cx: int, cy: int) -> List[Segment]:
-        return [
-            Segment("h", cx - 1, cy),
-            Segment("h", cx, cy),
-            Segment("v", cx, cy - 1),
-            Segment("v", cx, cy),
-        ]
+    @cached_property
+    def tables(self) -> SegmentTables:
+        """The segment graph on ids, built once per architecture.
+
+        A segment's neighbours are listed corner by corner (first corner,
+        then second), each corner as ``h(cx-1,cy)``, ``h(cx,cy)``,
+        ``v(cx,cy-1)``, ``v(cx,cy)``.  The global router breaks ties
+        between equal-cost paths by this order.
+        """
+        cols, rows = self.cols, self.rows
+        segments = tuple([Segment("h", x, y) for y in range(rows + 1)
+                          for x in range(cols)]
+                         + [Segment("v", x, y) for x in range(cols + 1)
+                            for y in range(rows)])
+        ids = {segment: index for index, segment in enumerate(segments)}
+        neighbors = tuple(
+            tuple(ids[c] for cx, cy in segment.corners()
+                  for c in (Segment("h", cx - 1, cy), Segment("h", cx, cy),
+                            Segment("v", cx, cy - 1), Segment("v", cx, cy))
+                  if c != segment and c in ids)
+            for segment in segments)
+        blocks = tuple((ids[Segment("h", x, y)], ids[Segment("h", x, y + 1)],
+                        ids[Segment("v", x, y)], ids[Segment("v", x + 1, y)])
+                       for y in range(rows) for x in range(cols))
+        return SegmentTables(segments, ids, neighbors, blocks)
 
     def manhattan_distance(self, a: Tuple[int, int], b: Tuple[int, int]) -> int:
         """Manhattan distance between two block positions."""

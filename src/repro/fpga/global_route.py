@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from ..obs import trace
 from .arch import FPGAArchitecture, Segment
 from .netlist import Net, Netlist
 
@@ -90,25 +91,38 @@ class GlobalRouter:
             raise ValueError("congestion_penalty must be non-negative")
         self.arch = arch
         self.congestion_penalty = congestion_penalty
-        self._usage: Dict[Segment, int] = {}
+        self._usage: List[int] = []
+        self._expansions = 0
 
     def route(self, netlist: Netlist) -> GlobalRouting:
         """Route every net; returns the full global routing.
 
         Nets are processed longest-HPWL-first (long nets have the fewest
-        detour options), the usual ordering in sequential routers.
+        detour options), the usual ordering in sequential routers.  One
+        ``fpga.global_route`` span carries the deterministic counters
+        ``nets``, ``segments`` (in the array), ``two_pin_nets``,
+        ``expansions`` (segments whose neighbours the searches scanned)
+        and, when tracing records, ``max_segment_usage``.
         """
         if netlist.cols != self.arch.cols or netlist.rows != self.arch.rows:
             raise ValueError("netlist and architecture grids differ")
-        self._usage = {}
-        routing = GlobalRouting(netlist=netlist, arch=self.arch)
-        order = sorted(range(netlist.num_nets),
-                       key=lambda i: -self._hpwl(netlist.nets[i]))
-        for net_index in order:
-            for two_pin in self._route_net(net_index, netlist.nets[net_index]):
-                routing.two_pin_nets.append(two_pin)
-        routing.two_pin_nets.sort(key=lambda t: (t.net_index, t.subnet_index))
-        return routing
+        with trace.span("fpga.global_route", nets=netlist.num_nets,
+                        segments=self.arch.num_segments) as span:
+            self._usage = [0] * self.arch.num_segments
+            self._expansions = 0
+            routing = GlobalRouting(netlist=netlist, arch=self.arch)
+            order = sorted(range(netlist.num_nets),
+                           key=lambda i: -self._hpwl(netlist.nets[i]))
+            for net_index in order:
+                routing.two_pin_nets.extend(
+                    self._route_net(net_index, netlist.nets[net_index]))
+            routing.two_pin_nets.sort(
+                key=lambda t: (t.net_index, t.subnet_index))
+            span.set("two_pin_nets", routing.num_two_pin_nets)
+            span.set("expansions", self._expansions)
+            if trace.enabled():
+                span.set("max_segment_usage", routing.max_segment_usage())
+            return routing
 
     @staticmethod
     def _hpwl(net: Net) -> int:
@@ -122,64 +136,64 @@ class GlobalRouter:
         connected: List[Position] = [net.source]
         remaining = list(net.sinks)
         result: List[TwoPinNet] = []
+        segments = self.arch.tables.segments
         subnet_index = 0
         while remaining:
             best = min(
                 ((sink, anchor) for sink in remaining for anchor in connected),
                 key=lambda pair: self.arch.manhattan_distance(pair[0], pair[1]))
             sink, anchor = best
-            segments = self._route_two_pin(anchor, sink)
+            path = self._route_two_pin(anchor, sink)
             result.append(TwoPinNet(net_index=net_index,
                                     subnet_index=subnet_index,
                                     source=anchor, sink=sink,
-                                    segments=tuple(segments)))
+                                    segments=tuple(segments[i] for i in path)))
             subnet_index += 1
-            for segment in segments:
-                self._usage[segment] = self._usage.get(segment, 0) + 1
+            for i in path:
+                self._usage[i] += 1
             connected.append(sink)
             remaining.remove(sink)
         return result
 
-    def _route_two_pin(self, source: Position, sink: Position) -> List[Segment]:
-        """Dijkstra over segments from the source block to the sink block."""
-        arch = self.arch
-        targets = set(arch.block_segments(*sink))
-        distances: Dict[Segment, float] = {}
-        parents: Dict[Segment, Optional[Segment]] = {}
-        heap: List[Tuple[float, int, Segment]] = []
-        counter = 0
-        for segment in arch.block_segments(*source):
-            cost = self._segment_cost(segment)
+    def _route_two_pin(self, source: Position, sink: Position) -> List[int]:
+        """Dijkstra over segment ids from the source block to the sink
+        block.  Equal costs pop in push order, so ties go to the path
+        found first."""
+        tables = self.arch.tables
+        neighbors = tables.neighbors
+        usage = self._usage
+        penalty = self.congestion_penalty
+        cols = self.arch.cols
+        targets = tables.blocks[sink[1] * cols + sink[0]]
+        distances = [float("inf")] * len(usage)
+        parents = [-1] * len(usage)
+        heap: List[Tuple[float, int, int]] = []
+        counter = expansions = 0
+        for segment in tables.blocks[source[1] * cols + source[0]]:
+            cost = 1.0 + penalty * usage[segment]
             distances[segment] = cost
-            parents[segment] = None
             heapq.heappush(heap, (cost, counter, segment))
             counter += 1
         while heap:
             cost, _, segment = heapq.heappop(heap)
-            if cost > distances.get(segment, float("inf")):
+            if cost > distances[segment]:
                 continue
             if segment in targets:
-                return self._unwind(segment, parents)
-            for neighbor in arch.segment_neighbors(segment):
-                next_cost = cost + self._segment_cost(neighbor)
-                if next_cost < distances.get(neighbor, float("inf")):
+                self._expansions += expansions
+                path = [segment]
+                while parents[path[-1]] >= 0:
+                    path.append(parents[path[-1]])
+                path.reverse()
+                return path
+            expansions += 1
+            for neighbor in neighbors[segment]:
+                next_cost = cost + (1.0 + penalty * usage[neighbor])
+                if next_cost < distances[neighbor]:
                     distances[neighbor] = next_cost
                     parents[neighbor] = segment
                     heapq.heappush(heap, (next_cost, counter, neighbor))
                     counter += 1
         raise AssertionError("segment graph is connected; route must exist")
-
-    def _segment_cost(self, segment: Segment) -> float:
-        return 1.0 + self.congestion_penalty * self._usage.get(segment, 0)
-
-    @staticmethod
-    def _unwind(segment: Segment,
-                parents: Dict[Segment, Optional[Segment]]) -> List[Segment]:
-        path = [segment]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])
-        path.reverse()
-        return path
 
 
 def route_netlist(netlist: Netlist, congestion_penalty: float = 0.5) -> GlobalRouting:

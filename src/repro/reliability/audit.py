@@ -237,14 +237,13 @@ def _recheck_unsat(report: AuditReport, cnf: CNF, conflict_budget: int,
 def audit_solve(cnf: CNF, result: SolveResult,
                 proof: Optional[Sequence[Sequence[int]]] = None, *,
                 subject: str = "",
-                cross_check: bool = True,
                 cross_check_conflicts: int = DEFAULT_CROSS_CHECK_CONFLICTS
                 ) -> AuditReport:
     """Audit a raw solver answer against the CNF it was asked about.
 
     SAT → the model must satisfy the formula.  UNSAT → replay ``proof``
-    when given, else (``cross_check``) recheck with a re-solve of at
-    most ``cross_check_conflicts`` conflicts and replay its proof.
+    when given, else recheck with a re-solve of at most
+    ``cross_check_conflicts`` conflicts and replay its proof.
     Undecided statuses have no claim to audit and yield SKIPPED.
     """
     start = time.perf_counter()
@@ -256,12 +255,9 @@ def audit_solve(cnf: CNF, result: SolveResult,
         elif result.status is SolveStatus.UNSAT:
             if proof is not None:
                 _check_proof(report, cnf, proof, audit_span)
-            elif cross_check:
+            else:
                 _recheck_unsat(report, cnf, cross_check_conflicts,
                                audit_span)
-            else:
-                report.add("unsat-claim", None,
-                           "no proof recorded and cross-check disabled")
         else:
             report.add("status", None,
                        f"nothing to audit for {result.status}")
@@ -281,7 +277,6 @@ def _encode(problem, strategy) -> CNF:
 
 
 def audit_outcome(problem, outcome, *,
-                  cross_check: bool = True,
                   cross_check_conflicts: int = DEFAULT_CROSS_CHECK_CONFLICTS
                   ) -> AuditReport:
     """Audit a pipeline :class:`ColoringOutcome` end to end.
@@ -316,12 +311,9 @@ def audit_outcome(problem, outcome, *,
                 _check_proof(report, _encode(problem, strategy), proof,
                              audit_span,
                              getattr(outcome, "proof_hints", None))
-            elif cross_check:
+            else:
                 _recheck_unsat(report, _encode(problem, strategy),
                                cross_check_conflicts, audit_span)
-            else:
-                report.add("unsat-claim", None,
-                           "no proof recorded and cross-check disabled")
         else:
             detail = str(outcome.solver_stats.get("stop_reason", ""))
             report.add("status", None,
@@ -333,14 +325,12 @@ def audit_outcome(problem, outcome, *,
 
 
 def audit_routing(result, *,
-                  cross_check: bool = True,
                   cross_check_conflicts: int = DEFAULT_CROSS_CHECK_CONFLICTS
                   ) -> AuditReport:
     """Audit a :class:`DetailedRoutingResult`: the underlying coloring
     outcome plus routing-level track exclusivity on the decoded
     assignment (via the independent verifier)."""
     report = audit_outcome(result.csp.problem, result.outcome,
-                           cross_check=cross_check,
                            cross_check_conflicts=cross_check_conflicts)
     start = time.perf_counter()
     checked = len(report.checks)

@@ -14,17 +14,19 @@ pool.  The journal is how that promise survives a crash:
   request that crashes the server during replay is counted across
   boots and **poison**-marked (skipped forever) after
   ``MAX_RECOVERY_ATTEMPTS`` tries instead of crash-looping recovery.
+* **interrupted** withdraws the last attempt: the service's own drain
+  or stop ended that replay, which is no crash.
 
 Storage is append-only JSON Lines in numbered segment files
 (``journal-000001.jsonl`` …) inside one directory.  Appends go to the
-highest-numbered segment as a single ``write`` followed by ``fsync``
-(configurable off for tests).  When the active segment outgrows
-``segment_max_bytes`` the journal **rotates**: the still-pending state
-(admits with their accumulated attempt counts) is carried forward into
-the next segment via a temp file + ``os.replace`` + directory fsync —
-an atomic publish, exactly like the result cache's disk writes — and
-the older segments are deleted.  Rotation is therefore also
-compaction: completed entries vanish with their segment.
+highest-numbered segment as a single ``write`` followed by ``fsync``.
+When the active segment outgrows ``segment_max_bytes`` the journal
+**rotates**: the still-pending state (admits with their accumulated
+attempt counts) is carried forward into the next segment via a temp
+file + ``os.replace`` + directory fsync — an atomic publish, exactly
+like the result cache's disk writes — and the older segments are
+deleted.  Rotation is therefore also compaction: completed entries
+vanish with their segment.
 
 Recovery (:meth:`RequestJournal.pending`) replays every segment in
 order.  A torn final line — a crash or an injected
@@ -115,6 +117,11 @@ class RequestJournal:
     def record_attempt(self, digest: str) -> None:
         """Recovery is about to replay the digest (crash accounting)."""
         self._append({"type": "attempt", "digest": digest})
+
+    def record_interrupted(self, digest: str) -> None:
+        """The service's own drain or stop ended the digest's replay:
+        the attempt recorded before it does not count."""
+        self._append({"type": "interrupted", "digest": digest})
 
     def record_poison(self, digest: str, reason: str = "") -> None:
         """The digest crashed recovery too often; never replay again."""
@@ -232,6 +239,10 @@ class RequestJournal:
                 elif kind == "attempt":
                     if digest in entries:
                         entries[digest].attempts += 1
+                elif kind == "interrupted":
+                    if digest in entries:
+                        entries[digest].attempts = max(
+                            0, entries[digest].attempts - 1)
                 elif kind == "done":
                     entries.pop(digest, None)
                 elif kind == "poison":

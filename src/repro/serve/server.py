@@ -246,7 +246,8 @@ class SolveService:
         running are cancelled, and SIGKILLed past the pool's grace
         period.  Their journal entries are left *pending* — the next
         boot replays them, so an admitted request is never lost to a
-        shutdown.
+        shutdown.  A recovery replay ended this way does not count as a
+        crashed recovery attempt.
         """
         if self._draining:
             return
@@ -259,13 +260,8 @@ class SolveService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._recovery_task is not None:
-            # Recovery jobs count as in-flight work below; just stop
-            # the task from launching new replays.
-            self._recovery_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._recovery_task
-            self._recovery_task = None
+        # Recovery launches no replay once draining; the one in flight
+        # is in _jobs and counts as in-flight work below.
         if self._jobs:
             await asyncio.wait(list(self._jobs.values()),
                                timeout=max(0.0, deadline))
@@ -380,6 +376,9 @@ class SolveService:
         token = self._next_token("replay", digest)
         ticket = self._loop.create_future()
         self._jobs[digest] = ticket
+        # Set when the service's own drain or stop ends the replay: that
+        # is no crash, so the attempt recorded before it is withdrawn.
+        interrupted = False
         try:
             payload = await self._run_job(wire, token, limits)
             status = SolveStatus(payload["status"])
@@ -387,6 +386,8 @@ class SolveService:
                 self._fill_cache(digest, request, payload)
                 self.journal.record_done(digest)
                 self._count("serve.journal.replayed")
+            elif digest in self._drain_abandoned:
+                interrupted = True
             elif status in (SolveStatus.TIMEOUT,
                             SolveStatus.BUDGET_EXHAUSTED):
                 # The budget worked; the original submitter is long
@@ -399,9 +400,15 @@ class SolveService:
                 # already written means a crash-looping entry poisons
                 # after MAX_RECOVERY_ATTEMPTS boots.
                 self._count("serve.journal.replay_errors")
+        except asyncio.CancelledError:
+            interrupted = True
+            raise
         except Exception:
+            interrupted = digest in self._drain_abandoned
             self._count("serve.journal.replay_errors")
         finally:
+            if interrupted:
+                self.journal.record_interrupted(digest)
             self._jobs.pop(digest, None)
             if not ticket.done():
                 ticket.set_result(None)

@@ -98,3 +98,53 @@ class TestArchitecture:
     def test_manhattan_distance(self):
         arch = FPGAArchitecture(5, 5)
         assert arch.manhattan_distance((0, 0), (3, 4)) == 7
+
+
+#: ``segment_neighbors`` of every segment of a 3x2 array, in order.  The
+#: global router breaks ties between equal-cost paths by push order, so
+#: this order is part of every route.
+NEIGHBORS_3X2 = {
+    "h(0,0)": "v(0,0) h(1,0) v(1,0)",
+    "h(1,0)": "h(0,0) v(1,0) h(2,0) v(2,0)",
+    "h(2,0)": "h(1,0) v(2,0) v(3,0)",
+    "h(0,1)": "v(0,0) v(0,1) h(1,1) v(1,0) v(1,1)",
+    "h(1,1)": "h(0,1) v(1,0) v(1,1) h(2,1) v(2,0) v(2,1)",
+    "h(2,1)": "h(1,1) v(2,0) v(2,1) v(3,0) v(3,1)",
+    "h(0,2)": "v(0,1) h(1,2) v(1,1)",
+    "h(1,2)": "h(0,2) v(1,1) h(2,2) v(2,1)",
+    "h(2,2)": "h(1,2) v(2,1) v(3,1)",
+    "v(0,0)": "h(0,0) h(0,1) v(0,1)",
+    "v(0,1)": "h(0,1) v(0,0) h(0,2)",
+    "v(1,0)": "h(0,0) h(1,0) h(0,1) h(1,1) v(1,1)",
+    "v(1,1)": "h(0,1) h(1,1) v(1,0) h(0,2) h(1,2)",
+    "v(2,0)": "h(1,0) h(2,0) h(1,1) h(2,1) v(2,1)",
+    "v(2,1)": "h(1,1) h(2,1) v(2,0) h(1,2) h(2,2)",
+    "v(3,0)": "h(2,0) h(2,1) v(3,1)",
+    "v(3,1)": "h(2,1) v(3,0) h(2,2)",
+}
+
+#: ``block_segments`` (south, north, west, east) of every 3x2 block.
+BLOCK_SEGMENTS_3X2 = {
+    (0, 0): "h(0,0) h(0,1) v(0,0) v(1,0)",
+    (1, 0): "h(1,0) h(1,1) v(1,0) v(2,0)",
+    (2, 0): "h(2,0) h(2,1) v(2,0) v(3,0)",
+    (0, 1): "h(0,1) h(0,2) v(0,1) v(1,1)",
+    (1, 1): "h(1,1) h(1,2) v(1,1) v(2,1)",
+    (2, 1): "h(2,1) h(2,2) v(2,1) v(3,1)",
+}
+
+
+def _names(segments):
+    return " ".join(repr(segment) for segment in segments)
+
+
+class TestAdjacencyOrder:
+    def test_segment_neighbors_pinned(self):
+        arch = FPGAArchitecture(3, 2)
+        assert {repr(segment): _names(arch.segment_neighbors(segment))
+                for segment in arch.segments()} == NEIGHBORS_3X2
+
+    def test_block_segments_pinned(self):
+        arch = FPGAArchitecture(3, 2)
+        assert {block: _names(arch.block_segments(*block))
+                for block in arch.blocks()} == BLOCK_SEGMENTS_3X2

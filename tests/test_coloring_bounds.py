@@ -7,7 +7,29 @@ from repro.coloring import (chromatic_number, clique_lower_bound,
                             complete_graph, cycle_graph, dsatur_coloring,
                             find_coloring, greedy_clique, greedy_coloring,
                             greedy_num_colors, is_colorable, Graph)
-from .strategies import small_graphs
+from repro.fpga import mcnc
+from repro.fpga.detailed import build_conflict_graph
+from .strategies import make_random_graph, small_graphs
+
+
+def reference_dsatur(graph):
+    """DSATUR as a plain O(V^2) scan: colour the uncoloured vertex of
+    most distinct neighbour colours, then highest degree, then lowest id,
+    with the smallest colour its neighbours leave free."""
+    coloring = {}
+    saturation = [set() for _ in range(graph.num_vertices)]
+    uncolored = set(range(graph.num_vertices))
+    while uncolored:
+        v = max(uncolored,
+                key=lambda u: (len(saturation[u]), graph.degree(u), -u))
+        color = 0
+        while color in saturation[v]:
+            color += 1
+        coloring[v] = color
+        uncolored.remove(v)
+        for u in graph.neighbors(v):
+            saturation[u].add(color)
+    return coloring
 
 
 class TestGreedyColoring:
@@ -50,6 +72,28 @@ class TestDsatur:
             assert coloring[u] != coloring[v]
         if graph.num_vertices:
             assert greedy_num_colors(graph) >= chromatic_number(graph)
+
+
+class TestDsaturMatchesReference:
+    """The width search's upper bound must not move: DSATUR picks the
+    same vertex, and so the same colouring, as the reference scan."""
+
+    def test_random_graphs(self):
+        for seed in range(200):
+            graph = make_random_graph(5 + seed % 40,
+                                      (1 + seed % 9) / 10, seed)
+            assert dsatur_coloring(graph) == reference_dsatur(graph)
+
+    def test_routing_conflict_graphs(self):
+        for name in mcnc.ALL_BENCHMARKS:
+            for scale in (0.5, 1.0):
+                graph = build_conflict_graph(mcnc.load_routing(name, scale))
+                assert dsatur_coloring(graph) == reference_dsatur(graph)
+
+    def test_mcnc_upper_bounds_pinned(self):
+        bounds = [greedy_num_colors(build_conflict_graph(
+            mcnc.load_routing(name))) for name in mcnc.ALL_BENCHMARKS]
+        assert bounds == [7, 8, 9, 8, 11, 9, 9, 9, 6, 5, 7, 6]
 
 
 class TestClique:

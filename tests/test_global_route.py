@@ -1,9 +1,13 @@
 """Tests for multi-pin decomposition and the congestion-aware router."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.fpga import (CircuitSpec, FPGAArchitecture, GlobalRouter, Net,
-                        Netlist, generate_netlist, route_netlist,
+                        Netlist, generate_netlist, mcnc, place_netlist,
+                        random_logical_netlist, route_netlist,
                         validate_global_routing)
 
 
@@ -67,6 +71,54 @@ class TestRouting:
         subnets = {t.subnet_index: t for t in routing.two_pin_nets}
         assert subnets[0].source == (0, 0) and subnets[0].sink == (3, 0)
         assert subnets[1].source == (3, 0) and subnets[1].sink == (6, 0)
+
+
+def _routes_digest(routings):
+    """sha256 over every 2-pin net (net, subnet, source, sink, segments)."""
+    digest = hashlib.sha256()
+    for routing in routings:
+        for t in routing.two_pin_nets:
+            digest.update(repr((t.net_index, t.subnet_index, t.source,
+                                t.sink, [repr(s) for s in t.segments]))
+                          .encode())
+        digest.update(b";")
+    return digest.hexdigest()
+
+
+class TestPinnedRoutes:
+    """The router's answers, pinned by hash: a faster router must return
+    the same segments for every 2-pin net, ties included."""
+
+    def test_fixed_circuits(self):
+        # The 12 MCNC profiles, the batch workload's 16 generator shifts
+        # (penalty 1.0) and the flow workload's 12 netlists placed on 4x4
+        # (penalty 0.5).
+        routings = [mcnc.load_routing(name) for name in mcnc.ALL_BENCHMARKS]
+        for shift in range(4):
+            for name in mcnc.EXTRA_BENCHMARKS:
+                spec = mcnc.benchmark_spec(name)
+                spec = replace(spec, seed=spec.seed + 7919 * shift)
+                routings.append(route_netlist(generate_netlist(spec),
+                                              congestion_penalty=1.0))
+        for index in range(12):
+            netlist = random_logical_netlist(10, 20, index, max_fanout=3)
+            routings.append(route_netlist(place_netlist(netlist, 4, 4)))
+        assert len(routings) == 40
+        assert _routes_digest(routings) == (
+            "dc0a1162e560e818854470a5b9b37704e5c0f20c9e2ec1bb54c79b2e4bd2abed")
+
+    def test_small_netlists_at_extreme_penalties(self):
+        # At penalty 0.0 every path of one length ties, so push order
+        # decides each route.
+        routings = []
+        for penalty in (0.0, 2.0):
+            for seed in range(20):
+                spec = CircuitSpec(f"s{seed}", 2 + seed % 5,
+                                   2 + (seed * 3) % 5, 4 + seed, seed=seed)
+                routings.append(route_netlist(generate_netlist(spec),
+                                              congestion_penalty=penalty))
+        assert _routes_digest(routings) == (
+            "65f606f59cf1f390b75db324bbe7420c40c7c1496d64d575f9f7973740468148")
 
 
 class TestCongestion:

@@ -54,6 +54,19 @@ class TestWriteAheadSemantics:
             assert journal.pending()[0].attempts == 2
             assert journal.pending()[0].attempts >= MAX_RECOVERY_ATTEMPTS
 
+    def test_interrupted_replay_withdraws_its_attempt(self, tmp_path):
+        with RequestJournal(str(tmp_path)) as journal:
+            journal.record_admit(digest(1), wire(1))
+            journal.record_interrupted(digest(1))  # nothing to withdraw
+            assert journal.pending()[0].attempts == 0
+            journal.record_attempt(digest(1))
+            journal.record_attempt(digest(1))
+            journal.record_interrupted(digest(1))
+            assert journal.pending()[0].attempts == 1
+            journal.rotate()  # the withdrawn count is what carries on
+        with RequestJournal(str(tmp_path)) as journal:
+            assert journal.pending()[0].attempts == 1
+
     def test_duplicate_admits_collapse(self, tmp_path):
         with RequestJournal(str(tmp_path)) as journal:
             journal.record_admit(digest(1), wire(1))

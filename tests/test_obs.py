@@ -427,3 +427,35 @@ class TestFpgaSpans:
         assert (first["blocks"], first["nets"]) == (10, 20)
         assert first["moves"] == first["temperatures"] * 10 * 10
         assert 0 < first["accepted"] <= first["moves"]
+
+    def test_global_route_span_counters_repeat(self):
+        from repro.fpga import mcnc, route_netlist
+
+        netlist = mcnc.load_netlist("alu2", 0.6)
+        trace.enable()
+        routings = [route_netlist(netlist, congestion_penalty=1.0)
+                    for _ in range(2)]
+        records = [r for r in trace.tracer().drain_spans()
+                   if r["name"] == "fpga.global_route"]
+        first, second = (r["attrs"] for r in records)
+        assert first == second
+        assert set(first) == {"nets", "segments", "two_pin_nets",
+                              "expansions", "max_segment_usage"}
+        routing = routings[0]
+        assert first["nets"] == netlist.num_nets
+        assert first["segments"] == routing.arch.num_segments
+        assert first["two_pin_nets"] == routing.num_two_pin_nets
+        assert first["max_segment_usage"] == routing.max_segment_usage()
+        assert first["expansions"] > 0
+
+    def test_untraced_route_computes_no_usage(self, monkeypatch):
+        from repro.fpga import mcnc, route_netlist
+        from repro.fpga.global_route import GlobalRouting
+
+        def refuse(self):
+            raise AssertionError("segment_usage on an untraced route")
+
+        monkeypatch.setattr(GlobalRouting, "segment_usage", refuse)
+        assert not trace.enabled()
+        routing = route_netlist(mcnc.load_netlist("alu2", 0.6))
+        assert routing.num_two_pin_nets > 0

@@ -22,6 +22,9 @@ from repro.serve import (AdmissionController, AdmissionPolicy,
 #: ignoring every cooperative budget.
 WEDGE_FIRST_JOB = "seed=11; worker_hang@serve_worker:match=job#1:*,s=60"
 
+#: Wedges every journal replay (tokens replay#N:...) the same way.
+WEDGE_REPLAYS = "seed=11; worker_hang@serve_worker:match=replay#*,s=60"
+
 
 def triangle():
     graph = Graph(3)
@@ -329,3 +332,77 @@ class TestDrainingShutdown:
         with RequestJournal(journal_dir) as journal:
             assert [entry.digest for entry in journal.pending()] == [
                 request.cache_key()]
+
+
+def journal_triangle(journal_dir, attempts=0):
+    """Journal one admitted triangle request, as a crashed boot leaves
+    it, with ``attempts`` crashed recovery attempts behind it."""
+    request = SolveRequest(graph=triangle(), colors=3)
+    with RequestJournal(journal_dir) as journal:
+        journal.record_admit(request.cache_key(), request.to_wire())
+        for _ in range(attempts):
+            journal.record_attempt(request.cache_key())
+    return request
+
+
+def pending_attempts(journal_dir):
+    with RequestJournal(journal_dir) as journal:
+        return [entry.attempts for entry in journal.pending()]
+
+
+class TestRecoveryAttempts:
+    def test_shutdowns_mid_replay_are_not_crashed_attempts(
+            self, monkeypatch, tmp_path):
+        journal_dir = str(tmp_path / "journal")
+        request = journal_triangle(journal_dir)
+        for _ in range(3):
+            monkeypatch.setenv("REPRO_FAULTS", WEDGE_REPLAYS)
+            service, thread = start_service(port=0, workers=1,
+                                            journal_dir=journal_dir,
+                                            drain_deadline=0.2)
+            monkeypatch.delenv("REPRO_FAULTS")
+            waited = time.monotonic() + 30.0
+            while pending_attempts(journal_dir) != [1]:
+                assert time.monotonic() < waited, "no replay started"
+                time.sleep(0.05)
+            time.sleep(0.5)  # into the wedged replay
+            stop_service(service, thread)
+            # The drain ended the replay: pending, no attempt counted.
+            assert pending_attempts(journal_dir) == [0]
+            with RequestJournal(journal_dir) as journal:
+                assert journal.poisoned() == {}
+        # A boot without the fault replays it, fills the cache, and
+        # marks it done.
+        service, thread = start_service(port=0, workers=1,
+                                        journal_dir=journal_dir)
+        try:
+            with ServeClient(port=service.port, timeout=60.0) as client:
+                waited = time.monotonic() + 30.0
+                while client.metrics()["journal"]["pending"]:
+                    assert time.monotonic() < waited, "replay never done"
+                    time.sleep(0.05)
+                answer = client.solve(request)
+                assert answer.cached and answer.status is SolveStatus.SAT
+        finally:
+            stop_service(service, thread)
+        with RequestJournal(journal_dir) as journal:
+            assert journal.pending() == [] and journal.poisoned() == {}
+
+    def test_entry_with_two_crashed_attempts_is_poisoned_at_boot(
+            self, tmp_path):
+        journal_dir = str(tmp_path / "journal")
+        request = journal_triangle(journal_dir, attempts=2)
+        service, thread = start_service(port=0, workers=1,
+                                        journal_dir=journal_dir)
+        try:
+            with ServeClient(port=service.port) as client:
+                waited = time.monotonic() + 30.0
+                while client.metrics()["journal"]["poisoned"] < 1:
+                    assert time.monotonic() < waited, "never poisoned"
+                    time.sleep(0.05)
+        finally:
+            stop_service(service, thread)
+        with RequestJournal(journal_dir) as journal:
+            assert journal.pending() == []
+            assert journal.poisoned() == {
+                request.cache_key(): "crashed recovery 2 time(s)"}
