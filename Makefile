@@ -55,15 +55,18 @@ fuzz-nightly:
 		--seed-base $(FUZZ_SEED_BASE) --matrix full \
 		--budget-seconds 1200 --out fuzz-bundles
 
-# Observability smoke test: route alu2 and search its width with --trace
-# on, assert every line of the sink parses as JSON and that the global
-# router's fpga.global_route span counted its 2-pin nets and expansions,
-# then render it.  See docs/observability.md.
+# Observability smoke test: search alu2's width with --trace on, assert
+# every line of the sink parses as JSON, that the global router's
+# fpga.global_route span counted its 2-pin nets and expansions, and that
+# the one flow.width_search span probed and found the printed W, then
+# render it.  See docs/observability.md.
 trace-smoke:
 	rm -f trace-smoke.trace.jsonl
-	PYTHONPATH=src python -m repro width alu2 --scale 0.6 \
-		--trace trace-smoke.trace.jsonl
+	out=$$(PYTHONPATH=src python -m repro width alu2 --scale 0.6 \
+		--trace trace-smoke.trace.jsonl) || exit 1; echo "$$out"; \
+	WIDTH=$$(echo "$$out" | sed -n 's/.*width W = \([0-9]*\).*/\1/p') \
 	PYTHONPATH=src python -c "\
+	import os; \
 	from repro.obs.report import parse_trace_file; \
 	records = parse_trace_file('trace-smoke.trace.jsonl'); \
 	spans = [r for r in records if r.get('type') == 'span']; \
@@ -75,6 +78,12 @@ trace-smoke:
 	assert routes and routes[0]['two_pin_nets'] > 0 \
 	    and routes[0]['expansions'] > 0, \
 	    f'no fpga.global_route span with counters: {routes}'; \
+	width = int(os.environ['WIDTH']); \
+	searches = [r['attrs'] for r in spans \
+	            if r['name'] == 'flow.width_search']; \
+	assert len(searches) == 1 and searches[0].get('width') == width \
+	    and searches[0]['probes'] > 0, \
+	    f'no flow.width_search span that found W = {width}: {searches}'; \
 	print(f'trace-smoke: {len(records)} records, {len(spans)} spans OK')"
 	PYTHONPATH=src python -m repro trace trace-smoke.trace.jsonl
 

@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.bench import prepare_unroutable_instance
-from repro.core import Strategy
 from repro.fpga import TABLE2_BENCHMARKS
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -54,6 +53,5 @@ def unroutable_instances():
     """The eight Table-2 circuits pinned at W_min - 1 (provably UNSAT),
     prepared once per session."""
     scale = bench_scale()
-    probe = Strategy("ITE-linear-2+muldirect", "s1")
-    return [prepare_unroutable_instance(name, scale=scale, probe=probe)
+    return [prepare_unroutable_instance(name, scale=scale)
             for name in bench_circuits()]

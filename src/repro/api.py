@@ -1,8 +1,8 @@
 """repro.api — the canonical request/response contract.
 
 Before 1.6 the package had four overlapping solving entrypoints —
-:func:`repro.core.pipeline.solve_coloring`,
-:class:`repro.core.incremental.IncrementalColoringSolver.query`,
+:func:`repro.core.pipeline.solve_coloring`, an incremental colour-count
+solver's ``query`` (since deleted),
 :func:`repro.core.portfolio.run_portfolio` and
 :func:`repro.bench.batch.run_batch` — each with its own argument spelling
 for the same five things: an instance, a color budget K, a strategy (or

@@ -104,17 +104,21 @@ class SweepResult:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+#: Pins W_min for the prepared instances.  W_min is the chromatic number
+#: whatever the strategy; this one refutes the routing configurations
+#: fastest.
+WIDTH_PROBE = Strategy("pop", "s1")
+
+
 def prepare_unroutable_instance(name: str, scale: float = 1.0,
-                                probe: Optional[Strategy] = None,
                                 ) -> BenchmarkInstance:
     """Load a benchmark and pin its width to ``W_min - 1`` (provably UNSAT).
 
     Mirrors the paper's setup: Table 2 reports "challenging unroutable
     FPGA configurations", i.e. one track fewer than the routable minimum.
     """
-    probe = probe or Strategy("ITE-linear-2+muldirect", "s1")
     routing = load_routing(name, scale)
-    width_min = minimum_channel_width(routing, probe)
+    width_min = minimum_channel_width(routing, WIDTH_PROBE)
     if width_min < 2:
         raise ValueError(f"benchmark {name!r} is routable at W=1; "
                          f"no unroutable configuration exists")
@@ -124,13 +128,10 @@ def prepare_unroutable_instance(name: str, scale: float = 1.0,
 
 
 def prepare_routable_instance(name: str, scale: float = 1.0,
-                              slack: int = 0,
-                              probe: Optional[Strategy] = None,
-                              ) -> BenchmarkInstance:
+                              slack: int = 0) -> BenchmarkInstance:
     """Load a benchmark at its minimum routable width (+ optional slack)."""
-    probe = probe or Strategy("ITE-linear-2+muldirect", "s1")
     routing = load_routing(name, scale)
-    width = minimum_channel_width(routing, probe) + slack
+    width = minimum_channel_width(routing, WIDTH_PROBE) + slack
     return BenchmarkInstance(name=name, routing=routing, width=width,
                              csp=build_routing_csp(routing, width))
 

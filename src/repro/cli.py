@@ -290,20 +290,10 @@ def cmd_generate(args) -> int:
 
 def cmd_width(args) -> int:
     routing = _load_routing_arg(args.circuit, args.scale)
-    limits = _limits(args)
     try:
-        if args.incremental:
-            from .core.incremental import IncrementalColoringSolver
-            problem = build_routing_csp(routing, 1).problem
-            solver = IncrementalColoringSolver(problem, _strategy(args),
-                                               limits=limits)
-            width = solver.minimum_colors()
-            print(f"{routing.netlist.name}: minimum channel width W = {width} "
-                  f"({solver.stats.queries} incremental queries)")
-        else:
-            width = minimum_channel_width(routing, _strategy(args),
-                                          limits=limits)
-            print(f"{routing.netlist.name}: minimum channel width W = {width}")
+        width = minimum_channel_width(routing, _strategy(args),
+                                      limits=_limits(args))
+        print(f"{routing.netlist.name}: minimum channel width W = {width}")
     except BudgetExceeded as stop:
         # An undecided probe leaves the width unknown, not an error.
         print(f"{routing.netlist.name}: minimum channel width UNKNOWN "
@@ -711,8 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("width", help="minimum channel width by SAT search")
     p.add_argument("circuit", help="benchmark name or netlist JSON path")
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--incremental", action="store_true",
-                   help="reuse one solver across widths (assumptions)")
     _add_strategy_options(p)
     _add_budget_options(p)
     _add_obs_options(p)

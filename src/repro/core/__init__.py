@@ -8,8 +8,6 @@ from .encodings import (ALL_ENCODINGS, EncodedProblem, Encoding,
 from .patterns import (Pattern, conflict_clause, negate_pattern,
                        pattern_holds, shift_pattern)
 from .analysis import FormulaStats, GraphStats, compare_encodings, encoding_profile
-from .incremental import (IncrementalColoringSolver,
-                          minimum_colors_incremental)
 from .pipeline import ColoringOutcome, minimum_colors, solve_coloring
 from .portfolio import (PortfolioResult, portfolio_speedup, run_portfolio,
                         virtual_portfolio_time)
@@ -26,7 +24,6 @@ __all__ = [
     "Pattern", "conflict_clause", "negate_pattern", "pattern_holds",
     "shift_pattern",
     "FormulaStats", "GraphStats", "compare_encodings", "encoding_profile",
-    "IncrementalColoringSolver", "minimum_colors_incremental",
     "ColoringOutcome", "minimum_colors", "solve_coloring",
     "PortfolioResult", "portfolio_speedup", "run_portfolio",
     "virtual_portfolio_time",

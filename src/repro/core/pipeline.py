@@ -15,10 +15,12 @@ and the solver's finish line as span events.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..coloring.problem import ColoringProblem
+from ..coloring.greedy import clique_lower_bound, greedy_num_colors
+from ..coloring.problem import ColoringProblem, Graph
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..sat.model import Model
@@ -277,28 +279,83 @@ def _solve_coloring_in_span(run_span, problem: ColoringProblem,
     )
 
 
+def least_colorable(graph: Graph,
+                    probe: Callable[[int, Optional[SolveLimits]], SolveStatus],
+                    lower: Optional[int] = None,
+                    upper: Optional[int] = None,
+                    limits: Optional[SolveLimits] = None) -> int:
+    """Smallest K in ``[lower, upper]`` that ``probe`` answers SAT for.
+
+    The width search behind :func:`minimum_colors` and
+    :func:`repro.fpga.flow.minimum_channel_width`: ``probe(k, limits)``
+    decides whether the graph is k-colorable and returns the
+    :class:`SolveStatus`.  The bracket defaults to the clique lower
+    bound and the DSATUR upper bound, which is constructive, so
+    ``upper`` is always colorable; bisection narrows it with exact
+    answers.
+
+    ``limits.wall_clock_limit`` bounds the *whole* search (each probe
+    gets the remaining time); the other budgets apply per probe.  A
+    probe that stops undecided aborts the search with
+    :class:`BudgetExceeded` naming the status and the bracket — binary
+    search cannot proceed on an unknown.  The search runs in a
+    ``flow.width_search`` span.
+    """
+    if lower is None:
+        lower = max(1, clique_lower_bound(graph))
+    if upper is None:
+        upper = max(lower, greedy_num_colors(graph), 1)
+    deadline = None
+    if limits is not None and limits.wall_clock_limit is not None:
+        deadline = time.perf_counter() + limits.wall_clock_limit
+    with trace.span("flow.width_search", lower=lower, upper=upper,
+                    probes=0) as span:
+        probes = 0
+        while lower < upper:
+            middle = (lower + upper) // 2
+            probe_limits = limits
+            if deadline is not None:
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    span.set("status", str(SolveStatus.TIMEOUT))
+                    raise BudgetExceeded(
+                        f"width search timed out with W in "
+                        f"[{lower}, {upper}]")
+                probe_limits = limits.with_wall_clock(remaining)
+            status = probe(middle, probe_limits)
+            probes += 1
+            span.set("probes", probes)
+            if status is SolveStatus.SAT:
+                upper = middle
+            elif status is SolveStatus.UNSAT:
+                lower = middle + 1
+            else:
+                span.set("status", str(status))
+                raise BudgetExceeded(
+                    f"width probe at W={middle} stopped: {status} "
+                    f"(W in [{lower}, {upper}])")
+        span.set("width", lower)
+    return lower
+
+
 def minimum_colors(problem: ColoringProblem, strategy: Strategy,
-                   lower: int = 1, upper: Optional[int] = None) -> int:
+                   lower: Optional[int] = None,
+                   upper: Optional[int] = None) -> int:
     """Smallest K for which the graph is K-colorable, by SAT search.
 
-    This is how the routing harness finds the minimum channel width W: the
+    On a routing's conflict graph K is the minimum channel width W: the
     configuration with W-1 tracks is then provably unroutable, the paper's
-    optimality guarantee (§1).
+    optimality guarantee (§1).  Each probe encodes and solves from
+    scratch; :func:`least_colorable` brackets the search and raises
+    :class:`BudgetExceeded` if a probe stops undecided.
     """
-    graph = problem.graph
-    if graph.num_vertices == 0:
+    if problem.graph.num_vertices == 0:
         return 0
-    if upper is None:
-        from ..coloring.greedy import greedy_num_colors
-        upper = max(1, greedy_num_colors(graph))
-    if lower < 1:
-        lower = 1
-    # The greedy bound is constructive, so `upper` is always colorable.
-    while lower < upper:
-        middle = (lower + upper) // 2
-        outcome = solve_coloring(problem.with_colors(middle), strategy)
-        if outcome.is_sat:
-            upper = middle
-        else:
-            lower = middle + 1
-    return lower
+    if lower is not None:
+        lower = max(1, lower)
+
+    def probe(colors: int, limits: Optional[SolveLimits]) -> SolveStatus:
+        return solve_coloring(problem.with_colors(colors), strategy,
+                              limits=limits).status
+
+    return least_colorable(problem.graph, probe, lower, upper)

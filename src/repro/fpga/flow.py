@@ -11,14 +11,11 @@ with the three-way timing split reported in Table 2.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..core.pipeline import ColoringOutcome, solve_coloring
+from ..core.pipeline import ColoringOutcome, least_colorable, solve_coloring
 from ..core.strategy import Strategy
-from ..coloring.greedy import clique_lower_bound, greedy_num_colors
-from ..sat.solver.cdcl import BudgetExceeded
 from ..sat.status import CancelToken, SolveLimits, SolveReport, SolveStatus
 from .detailed import RoutingCSP, build_routing_csp
 from .global_route import GlobalRouting
@@ -67,8 +64,10 @@ def detailed_route(routing: GlobalRouting, width: int,
     A SAT answer yields a verified :class:`TrackAssignment`; an UNSAT
     answer is a *proof* that this global routing has no detailed routing at
     this width — the capability the paper highlights over one-net-at-a-time
-    routers.  ``limits`` / ``cancel`` bound the attempt; check
-    ``result.status`` before trusting ``routable`` on a bounded run.
+    routers.  A SAT answer whose decoded routing is illegal comes back as
+    ERROR, with the first violation as its ``stop_reason``.  ``limits`` /
+    ``cancel`` bound the attempt; check ``result.status`` before trusting
+    ``routable`` on a bounded run.
     """
     csp = build_routing_csp(routing, width)
     outcome = solve_coloring(csp.problem, strategy, graph_time=csp.build_time,
@@ -78,8 +77,12 @@ def detailed_route(routing: GlobalRouting, width: int,
         assignment = assignment_from_coloring(csp, outcome.coloring)
         violations = verify_track_assignment(assignment)
         if violations:
-            raise AssertionError(
-                "decoded track assignment is illegal: " + "; ".join(violations))
+            assignment = None
+            outcome = replace(
+                outcome, status=SolveStatus.ERROR, coloring=None,
+                solver_stats={**outcome.solver_stats, "stop_reason":
+                              "decoded track assignment is illegal: "
+                              + violations[0]})
     return DetailedRoutingResult(csp=csp, strategy=strategy,
                                  routable=outcome.is_sat,
                                  assignment=assignment, outcome=outcome)
@@ -93,42 +96,22 @@ def minimum_channel_width(routing: GlobalRouting, strategy: Strategy,
     """Smallest W admitting a detailed routing, by SAT binary search.
 
     Bracketed by the clique lower bound and the DSATUR upper bound on the
-    conflict graph, then narrowed with exact SAT answers.  ``W - 1`` is
-    then provably unroutable — how the benchmark harness constructs the
-    challenging UNSAT configurations of Table 2.
+    conflict graph, then narrowed with exact SAT answers; each probe is a
+    :func:`detailed_route`, so a routable answer is also checked for
+    track legality.  ``W - 1`` is then provably unroutable — how the
+    benchmark harness constructs the challenging UNSAT configurations of
+    Table 2.
 
     ``limits.wall_clock_limit`` bounds the *whole* search (each probe
     gets the remaining time); conflict/propagation budgets apply per
-    probe.  A probe that stops undecided aborts the search with
-    :class:`BudgetExceeded` — binary search cannot proceed on an
-    unknown.
+    probe.  A probe that stops undecided (including an ERROR) aborts
+    the search with :class:`BudgetExceeded`; see
+    :func:`~repro.core.pipeline.least_colorable`.
     """
-    csp = build_routing_csp(routing, 1)
-    graph = csp.problem.graph
-    if lower is None:
-        lower = max(1, clique_lower_bound(graph))
-    if upper is None:
-        upper = max(lower, greedy_num_colors(graph), 1)
-    deadline = None
-    if limits is not None and limits.wall_clock_limit is not None:
-        deadline = time.perf_counter() + limits.wall_clock_limit
-    while lower < upper:
-        middle = (lower + upper) // 2
-        probe_limits = limits
-        if deadline is not None:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                raise BudgetExceeded(
-                    f"width search timed out with W in [{lower}, {upper}]")
-            probe_limits = limits.with_wall_clock(remaining)
-        result = detailed_route(routing, middle, strategy,
-                                limits=probe_limits, cancel=cancel)
-        if not result.status.decided:
-            raise BudgetExceeded(
-                f"width probe at W={middle} stopped: {result.status} "
-                f"(W in [{lower}, {upper}])")
-        if result.routable:
-            upper = middle
-        else:
-            lower = middle + 1
-    return lower
+    graph = build_routing_csp(routing, 1).problem.graph
+
+    def probe(width: int, probe_limits: Optional[SolveLimits]) -> SolveStatus:
+        return detailed_route(routing, width, strategy, limits=probe_limits,
+                              cancel=cancel).status
+
+    return least_colorable(graph, probe, lower, upper, limits)

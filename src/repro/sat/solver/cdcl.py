@@ -93,8 +93,9 @@ class CDCLSolver:
 
     ``solve()`` may be called repeatedly with different assumption sets;
     learned clauses persist across calls (incremental solving), which is
-    what makes the channel-width sweep in
-    :mod:`repro.core.incremental` cheap.
+    what lets the cube-and-conquer worker
+    (:class:`repro.core.incremental.AssumptionJobSolver`) carry what one
+    cube's refutation learned into the next.
 
     Parameters
     ----------

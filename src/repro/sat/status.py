@@ -1,8 +1,8 @@
 """The shared result contract: statuses, budgets, reports, cancellation.
 
 Every layer that runs a solver — the raw CDCL engine, the coloring
-pipeline, the incremental width search, the portfolio race, the batch
-runner and the CLI — answers with the same vocabulary defined here:
+pipeline, the width search, the portfolio race, the batch runner and
+the CLI — answers with the same vocabulary defined here:
 
 * :class:`SolveStatus` — the five-way outcome that replaces bare
   ``satisfiable`` booleans.  TIMEOUT / BUDGET_EXHAUSTED / ERROR are
@@ -124,7 +124,8 @@ class SolveLimits:
     ----------
     conflict_budget:
         Stop with BUDGET_EXHAUSTED once this many conflicts occurred
-        *within the call* (per-query for incremental solving).
+        *within the call* (per query on a solver reused across
+        assumption queries).
     propagation_budget:
         Same, counted in propagated literals.
     wall_clock_limit:

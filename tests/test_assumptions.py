@@ -104,80 +104,3 @@ class TestIncrementalReuse:
         second = solver.solve()
         assert not second.is_sat
         assert solver.stats["conflicts"] == conflicts
-
-
-class TestIncrementalColoring:
-    def _problem(self, seed=5, n=9, p=0.5):
-        from .strategies import make_random_graph
-        from repro.coloring import ColoringProblem
-        return ColoringProblem(make_random_graph(n, p, seed), 1)
-
-    def test_matches_oracle(self):
-        from repro.coloring import chromatic_number
-        from repro.core import Strategy
-        from repro.core.incremental import minimum_colors_incremental
-        for seed in range(6):
-            problem = self._problem(seed=seed, n=8)
-            expected = chromatic_number(problem.graph)
-            got = minimum_colors_incremental(
-                problem, Strategy("ITE-linear-2+muldirect", "s1"))
-            assert got == expected
-
-    def test_matches_non_incremental(self):
-        from repro.core import Strategy, minimum_colors
-        from repro.core.incremental import IncrementalColoringSolver
-        strategy = Strategy("muldirect", "b1")
-        problem = self._problem(seed=11, n=10)
-        incremental = IncrementalColoringSolver(problem, strategy)
-        assert incremental.minimum_colors() \
-            == minimum_colors(problem, strategy)
-
-    def test_queries_share_learning(self):
-        """Mycielski-4 has clique bound 2 but chromatic number 4, so the
-        binary search issues several real queries; re-running the
-        decisive UNSAT query afterwards must be (almost) free thanks to
-        the persistent learned clauses."""
-        from repro.coloring import ColoringProblem
-        from repro.coloring.instances import mycielski_graph
-        from repro.core import Strategy
-        from repro.core.incremental import IncrementalColoringSolver
-        problem = ColoringProblem(mycielski_graph(4), 1)
-        solver = IncrementalColoringSolver(problem, Strategy("ITE-log", "s1"))
-        chi = solver.minimum_colors()
-        assert chi == 4
-        assert solver.stats.queries >= 1
-        first_pass = list(solver.stats.conflicts_per_query)
-        assert not solver.is_colorable(3)
-        assert solver.stats.conflicts_per_query[-1] <= max(first_pass)
-
-    def test_coloring_decode(self):
-        from repro.core import Strategy
-        from repro.core.incremental import IncrementalColoringSolver
-        problem = self._problem(seed=9)
-        solver = IncrementalColoringSolver(problem,
-                                           Strategy("direct-3+muldirect", "s1"))
-        chi = solver.minimum_colors()
-        coloring = solver.coloring(chi)
-        assert problem.with_colors(chi).is_valid_coloring(coloring)
-        with pytest.raises(ValueError):
-            solver.coloring(chi - 1) if chi > 1 else None
-
-    def test_bad_query_range(self):
-        from repro.core import Strategy
-        from repro.core.incremental import IncrementalColoringSolver
-        solver = IncrementalColoringSolver(self._problem(),
-                                           Strategy("muldirect"))
-        with pytest.raises(ValueError):
-            solver.is_colorable(0)
-        with pytest.raises(ValueError):
-            solver.is_colorable(solver.max_colors + 1)
-
-    @pytest.mark.parametrize("encoding", ["muldirect", "log", "ITE-linear",
-                                          "ITE-log-2+muldirect"])
-    def test_across_encodings(self, encoding):
-        from repro.coloring import chromatic_number
-        from repro.core import Strategy
-        from repro.core.incremental import minimum_colors_incremental
-        problem = self._problem(seed=21, n=8)
-        assert minimum_colors_incremental(problem, Strategy(encoding, "s1")) \
-            == chromatic_number(problem.graph)

@@ -19,10 +19,8 @@ import pytest
 from repro.bench.throughput import pigeonhole
 from repro.coloring import ColoringProblem, complete_graph, cycle_graph
 from repro.core import Strategy, solve_coloring
-from repro.core.incremental import IncrementalColoringSolver
 from repro.sat import CancelToken, SolveLimits, SolveStatus
 from repro.sat.solver import CDCLSolver, SolverConfig
-from repro.sat.solver.cdcl import BudgetExceeded
 
 #: The CDCL engine under test, by test ID.
 ENGINES = {"arena": CDCLSolver}
@@ -172,37 +170,3 @@ class TestPipelineBudgets:
                                  cancel=token)
         assert outcome.status is SolveStatus.TIMEOUT
         assert outcome.solve_time == 0.0
-
-
-class TestIncrementalBudgets:
-    def test_budget_is_per_query(self):
-        # Each query gets a fresh conflict budget: a sweep over many K
-        # values cannot be starved by an expensive early query.
-        problem = ColoringProblem(complete_graph(11), 10)
-        solver = IncrementalColoringSolver(
-            problem, Strategy("muldirect", "none"), max_colors=10,
-            limits=SolveLimits(conflict_budget=25))
-        first = solver.query(10)
-        second = solver.query(10)
-        assert first.status is SolveStatus.BUDGET_EXHAUSTED
-        assert second.status is SolveStatus.BUDGET_EXHAUSTED
-        assert solver.stats.conflicts_per_query == [25, 25]
-        assert solver.stats.statuses[10] is SolveStatus.BUDGET_EXHAUSTED
-        assert 10 not in solver.stats.results  # undecided: not recorded
-
-    def test_is_colorable_raises_on_undecided(self):
-        problem = ColoringProblem(complete_graph(11), 10)
-        solver = IncrementalColoringSolver(
-            problem, Strategy("muldirect", "none"), max_colors=10,
-            limits=SolveLimits(conflict_budget=5))
-        with pytest.raises(BudgetExceeded):
-            solver.is_colorable(10)
-
-    def test_decided_queries_still_recorded(self):
-        problem = ColoringProblem(cycle_graph(9), 3)
-        solver = IncrementalColoringSolver(
-            problem, Strategy("muldirect", "s1"),
-            limits=SolveLimits(conflict_budget=10**6))
-        report = solver.query(3)
-        assert report.status is SolveStatus.SAT
-        assert solver.stats.results[3] is True

@@ -104,15 +104,10 @@ class TestWidthAndRoute:
         assert code == 0
         assert "UNKNOWN" in capsys.readouterr().out
 
-    def test_width_incremental_agrees(self, netlist_path, capsys):
-        assert main(["width", netlist_path]) == 0
-        plain = capsys.readouterr().out
-        assert main(["width", netlist_path, "--incremental"]) == 0
-        incremental = capsys.readouterr().out
-        import re
-        get = lambda text: re.search(r"W = (\d+)", text).group(1)
-        assert get(plain) == get(incremental)
-        assert "incremental queries" in incremental
+    def test_width_incremental_is_a_usage_error(self, netlist_path):
+        with pytest.raises(SystemExit) as exited:
+            main(["width", netlist_path, "--incremental"])
+        assert exited.value.code == 2
 
 
 class TestTwoStageFlow:

@@ -459,3 +459,47 @@ class TestFpgaSpans:
         assert not trace.enabled()
         routing = route_netlist(mcnc.load_netlist("alu2", 0.6))
         assert routing.num_two_pin_nets > 0
+
+    def test_width_search_span_counts_its_probes(self, monkeypatch):
+        from repro.core import Strategy
+        from repro.fpga import flow, mcnc
+
+        routing = mcnc.load_routing("alu2", 0.6)
+        routes = []
+        route = flow.detailed_route
+
+        def counting(*args, **kwargs):
+            routes.append(args[1])
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "detailed_route", counting)
+        trace.enable()
+        widths = [flow.minimum_channel_width(routing, Strategy("pop", "s1"))
+                  for _ in range(2)]
+        records = [r for r in trace.tracer().drain_spans()
+                   if r["name"] == "flow.width_search"]
+        first, second = (r["attrs"] for r in records)
+        assert first == second
+        assert set(first) == {"lower", "upper", "probes", "width"}
+        assert first["width"] == widths[0]
+        assert first["lower"] <= first["width"] <= first["upper"]
+        assert 2 * first["probes"] == len(routes) > 0
+
+    def test_undecided_width_search_span_names_the_status(self):
+        from repro.core import Strategy
+        from repro.fpga import flow, mcnc
+        from repro.sat import SolveLimits
+        from repro.sat.solver.cdcl import BudgetExceeded
+
+        routing = mcnc.load_routing("alu2", 0.6)
+        trace.enable()
+        with pytest.raises(BudgetExceeded):
+            flow.minimum_channel_width(
+                routing, Strategy("pop", "none"),
+                limits=SolveLimits(conflict_budget=1))
+        (record,) = [r for r in trace.tracer().drain_spans()
+                     if r["name"] == "flow.width_search"]
+        assert record["attrs"]["status"] == "BUDGET_EXHAUSTED"
+        assert record["attrs"]["probes"] == 1
+        assert "width" not in record["attrs"]
+        assert record["attrs"]["error"] == "BudgetExceeded"

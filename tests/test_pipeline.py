@@ -91,3 +91,22 @@ class TestMinimumColors:
     def test_respects_explicit_bounds(self):
         problem = ColoringProblem(complete_graph(4), 1)
         assert minimum_colors(problem, Strategy("direct"), lower=4, upper=6) == 4
+
+    @pytest.mark.parametrize("encoding", ["muldirect", "log", "ITE-linear",
+                                          "ITE-log-2+muldirect"])
+    def test_across_encodings(self, encoding):
+        from repro.coloring import chromatic_number
+        graph = make_random_graph(8, 0.5, 21)
+        problem = ColoringProblem(graph, 1)
+        assert minimum_colors(problem, Strategy(encoding, "s1")) \
+            == chromatic_number(graph)
+
+    def test_undecided_probe_raises(self, monkeypatch):
+        # Clique bound 3, DSATUR bound 4, chromatic number 3: the one
+        # probe, K=3, crashes.  Taking its ERROR as UNSAT would answer 4.
+        from repro.sat.solver.cdcl import BudgetExceeded
+        monkeypatch.setenv("REPRO_FAULTS", "seed=1; crash@solver")
+        problem = ColoringProblem(make_random_graph(8, 0.35, 196), 1)
+        with pytest.raises(BudgetExceeded,
+                           match=r"stopped: ERROR \(W in \[3, 4\]\)"):
+            minimum_colors(problem, Strategy("ITE-log", "s1"))
