@@ -57,8 +57,10 @@ fuzz-nightly:
 
 # Observability smoke test: search alu2's width with --trace on, assert
 # every line of the sink parses as JSON, that the global router's
-# fpga.global_route span counted its 2-pin nets and expansions, and that
-# the one flow.width_search span probed and found the printed W, then
+# fpga.global_route span counted its 2-pin nets and expansions, that
+# the one flow.width_search span probed and found the printed W, and
+# that the conflict graph was built probes + 1 times (one fpga.csp span
+# for the bounds, one per probe), always with the same edges, then
 # render it.  See docs/observability.md.
 trace-smoke:
 	rm -f trace-smoke.trace.jsonl
@@ -84,6 +86,10 @@ trace-smoke:
 	assert len(searches) == 1 and searches[0].get('width') == width \
 	    and searches[0]['probes'] > 0, \
 	    f'no flow.width_search span that found W = {width}: {searches}'; \
+	csps = [r['attrs'] for r in spans if r['name'] == 'fpga.csp']; \
+	assert len(csps) == searches[0]['probes'] + 1 \
+	    and len({c['edges'] for c in csps}) == 1, \
+	    f'want probes + 1 fpga.csp spans with one edges value: {csps}'; \
 	print(f'trace-smoke: {len(records)} records, {len(spans)} spans OK')"
 	PYTHONPATH=src python -m repro trace trace-smoke.trace.jsonl
 
@@ -208,7 +214,7 @@ bench-all:
 
 examples:
 	for script in examples/*.py; do \
-		echo "== $$script"; python $$script || exit 1; \
+		echo "== $$script"; PYTHONPATH=src python $$script || exit 1; \
 	done
 
 clean:

@@ -20,6 +20,7 @@ from typing import Dict, List
 
 from ..coloring.dimacs import to_col_string
 from ..coloring.problem import ColoringProblem, Graph
+from ..obs import trace
 from .arch import Segment
 from .global_route import GlobalRouting, TwoPinNet
 
@@ -72,14 +73,21 @@ def build_conflict_graph(routing: GlobalRouting) -> Graph:
 
 def build_routing_csp(routing: GlobalRouting, width: int) -> RoutingCSP:
     """Translate a global routing into a coloring problem at width ``width``
-    (timed: this is the "translation to graph coloring" column of Table 2)."""
+    (timed: this is the "translation to graph coloring" column of Table 2).
+
+    One ``fpga.csp`` span carries the deterministic counters
+    ``two_pin_nets``, ``edges`` (of the conflict graph) and ``width``.
+    """
     if width < 1:
         raise ValueError("channel width must be at least 1")
-    start = time.perf_counter()
-    graph = build_conflict_graph(routing)
-    names = [two_pin.name for two_pin in routing.two_pin_nets]
-    problem = ColoringProblem(graph, width, vertex_names=names)
-    build_time = time.perf_counter() - start
+    with trace.span("fpga.csp", two_pin_nets=routing.num_two_pin_nets,
+                    width=width) as span:
+        start = time.perf_counter()
+        graph = build_conflict_graph(routing)
+        names = [two_pin.name for two_pin in routing.two_pin_nets]
+        problem = ColoringProblem(graph, width, vertex_names=names)
+        build_time = time.perf_counter() - start
+        span.set("edges", graph.num_edges)
     return RoutingCSP(routing=routing, width=width, problem=problem,
                       build_time=build_time)
 

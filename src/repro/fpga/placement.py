@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from ..obs import trace
 from .netlist import Net, Netlist
@@ -138,6 +137,11 @@ class AnnealingPlacer:
             raise ValueError("grid must be at least 1x1")
         if not 0.0 < cooling < 1.0:
             raise ValueError("cooling must be in (0, 1)")
+        if not 0.0 < initial_acceptance < 1.0:
+            raise ValueError("initial_acceptance must be in (0, 1)")
+        if not isinstance(moves_per_temperature, int) \
+                or moves_per_temperature < 1:
+            raise ValueError("moves_per_temperature must be an int >= 1")
         self.cols = cols
         self.rows = rows
         self.seed = seed
@@ -148,80 +152,125 @@ class AnnealingPlacer:
     def place(self, netlist: LogicalNetlist) -> Placement:
         """Anneal a placement for ``netlist``; deterministic per seed.
 
-        Each move recomputes only the nets it changes, against a per-net
-        HPWL cache that is written back when the move is accepted.  One
-        ``fpga.place`` span carries the deterministic counters
-        ``blocks``, ``nets``, ``moves`` (move slots drawn), ``accepted``,
-        ``temperatures`` (steps run) and ``hpwl`` (the wirelength of the
-        returned placement).
+        A block sits on a cell id, ``x * rows + y``.  Each net keeps two
+        integer masks of its blocks' cells, a column-major one (bit
+        ``x * rows + y``) and a row-major one (bit ``y * cols + x``), and
+        its HPWL in a cache.  The lowest and highest set bits of the
+        first mask lie in the net's leftmost and rightmost columns, those
+        of the second in its bottom and top rows; a net's blocks sit in
+        distinct cells, so the masks give its exact HPWL.  A move XORs
+        one two-bit flip (source cell | target cell) into the masks of
+        the nets it changes, and masks and costs are written back only
+        when the move is accepted.  One ``fpga.place`` span carries the
+        deterministic counters ``blocks``, ``nets``, ``moves`` (move
+        slots drawn), ``accepted``, ``temperatures`` (steps run) and
+        ``hpwl`` (the wirelength of the returned placement).
         """
+        cols, rows = self.cols, self.rows
+        num_cells = cols * rows
         num_blocks = netlist.num_blocks
-        if num_blocks > self.cols * self.rows:
+        if num_blocks > num_cells:
             raise ValueError(
-                f"{num_blocks} blocks do not fit a "
-                f"{self.cols}x{self.rows} grid")
+                f"{num_blocks} blocks do not fit a {cols}x{rows} grid")
         with trace.span("fpga.place", blocks=num_blocks,
                         nets=len(netlist.nets)) as span:
             rng = random.Random(self.seed)
-            cells = [(x, y) for x in range(self.cols)
-                     for y in range(self.rows)]
+            # Shuffle's draws depend only on the list's length, so the ids
+            # take the permutation the trajectory contract pins for the
+            # (x, y) pairs in x-major order (docs/fpga_flow.md).
+            cells = list(range(num_cells))
             rng.shuffle(cells)
-            xs = [x for x, _ in cells[:num_blocks]]
-            ys = [y for _, y in cells[:num_blocks]]
+            cell_of = cells[:num_blocks]
             free_cells = cells[num_blocks:]
 
-            # The netlist as index arrays: the ids of each block's nets and,
-            # per net, a getter of its blocks' coordinates and its HPWL.
+            # A cell's id is its bit in the column-major mask, row_index[id]
+            # its bit in the row-major one.  A mask of bit length n has its
+            # highest bit in column x_at[n] or in row y_at[n].
+            row_index = [cell % rows * cols + cell // rows
+                         for cell in range(num_cells)]
+            x_at = [(n - 1) // rows for n in range(num_cells + 1)]
+            y_at = [(n - 1) // cols for n in range(num_cells + 1)]
+
+            def hpwl(col_mask: int, row_mask: int) -> int:
+                return (x_at[col_mask.bit_length()]
+                        - x_at[(col_mask & -col_mask).bit_length()]
+                        + y_at[row_mask.bit_length()]
+                        - y_at[(row_mask & -row_mask).bit_length()])
+
+            # The netlist as index arrays: the ids of each block's nets and
+            # each net's two masks and HPWL.
             nets_of: List[Set[int]] = [set() for _ in range(num_blocks)]
             for net_id, net in enumerate(netlist.nets):
                 for block in net.blocks:
                     nets_of[block].add(net_id)
             block_nets = [frozenset(nets) for nets in nets_of]
-            net_pins = [itemgetter(net.source, *net.sinks)
-                        for net in netlist.nets]
-            net_cost = [_hpwl(pins, xs, ys) for pins in net_pins]
+            col_masks = [sum([1 << cell_of[b] for b in net.blocks])
+                         for net in netlist.nets]
+            row_masks = [sum([1 << row_index[cell_of[b]]
+                              for b in net.blocks])
+                         for net in netlist.nets]
+            net_cost = [hpwl(c, r) for c, r in zip(col_masks, row_masks)]
             cost = sum(net_cost)
 
-            temperature = self._initial_temperature(
-                net_pins, block_nets, net_cost, xs, ys, rng)
-            moves = max(1, self.moves_per_temperature * num_blocks)
+            def swap_delta(a: int, b: int) -> int:
+                cell_a, cell_b = cell_of[a], cell_of[b]
+                col_flip = 1 << cell_a | 1 << cell_b
+                row_flip = 1 << row_index[cell_a] | 1 << row_index[cell_b]
+                return sum(hpwl(col_masks[net_id] ^ col_flip,
+                                row_masks[net_id] ^ row_flip)
+                           - net_cost[net_id]
+                           for net_id in block_nets[a] ^ block_nets[b])
+
+            temperature = self._initial_temperature(num_blocks, swap_delta,
+                                                    rng)
+            moves = self.moves_per_temperature * num_blocks
             temperatures = total_accepted = 0
             while True:
                 accepted = 0
                 for _ in range(moves):
                     block = rng.randrange(num_blocks)
+                    source = cell_of[block]
                     use_free = free_cells and rng.random() < 0.3
                     if use_free:
-                        target_cell = rng.choice(free_cells)
+                        target = rng.choice(free_cells)
                         affected = block_nets[block]
                     else:
                         other = rng.randrange(num_blocks)
                         if other == block:
                             continue
-                        target_cell = (xs[other], ys[other])
-                        # A net holding both blocks keeps its positions.
+                        target = cell_of[other]
+                        # A net holding both blocks keeps its cells.
                         affected = block_nets[block] ^ block_nets[other]
-                    source_cell = (xs[block], ys[block])
-                    xs[block], ys[block] = target_cell
-                    if not use_free:
-                        xs[other], ys[other] = source_cell
-                    after = [_hpwl(net_pins[net_id], xs, ys)
-                             for net_id in affected]
-                    delta = sum(after) - sum([net_cost[net_id]
-                                              for net_id in affected])
+                    # Each changed net holds exactly one of the two cells,
+                    # so one flip moves it to the other.
+                    col_flip = 1 << source | 1 << target
+                    row_flip = 1 << row_index[source] | 1 << row_index[target]
+                    after = []
+                    delta = 0
+                    for net_id in affected:
+                        # hpwl(), inlined: this loop is the placer's time.
+                        c = col_masks[net_id] ^ col_flip
+                        r = row_masks[net_id] ^ row_flip
+                        new = (x_at[c.bit_length()]
+                               - x_at[(c & -c).bit_length()]
+                               + y_at[r.bit_length()]
+                               - y_at[(r & -r).bit_length()])
+                        after.append(new)
+                        delta += new - net_cost[net_id]
                     if delta <= 0 or (temperature > 0 and rng.random()
                                       < math.exp(-delta / temperature)):
                         cost += delta
                         accepted += 1
                         for net_id, new in zip(affected, after):
                             net_cost[net_id] = new
+                            col_masks[net_id] ^= col_flip
+                            row_masks[net_id] ^= row_flip
+                        cell_of[block] = target
                         if use_free:
-                            free_cells.remove(target_cell)
-                            free_cells.append(source_cell)
-                    else:
-                        xs[block], ys[block] = source_cell
-                        if not use_free:
-                            xs[other], ys[other] = target_cell
+                            free_cells.remove(target)
+                            free_cells.append(source)
+                        else:
+                            cell_of[other] = source
                 temperatures += 1
                 total_accepted += accepted
                 temperature *= self.cooling
@@ -232,42 +281,26 @@ class AnnealingPlacer:
             span.set("accepted", total_accepted)
             span.set("temperatures", temperatures)
             span.set("hpwl", cost)
-            return Placement(self.cols, self.rows,
-                             {block: (xs[block], ys[block])
-                              for block in range(num_blocks)})
+            return Placement(cols, rows,
+                             {block: divmod(cell, rows)
+                              for block, cell in enumerate(cell_of)})
 
-    def _initial_temperature(self, net_pins: List[itemgetter],
-                             block_nets: List[FrozenSet[int]],
-                             net_cost: List[int], xs: List[int],
-                             ys: List[int], rng: random.Random) -> float:
+    def _initial_temperature(self, num_blocks: int,
+                             swap_delta: Callable[[int, int], int],
+                             rng: random.Random) -> float:
         """Sample swap deltas; pick T so ~initial_acceptance are accepted."""
-        num_blocks = len(block_nets)
         deltas = []
         for _ in range(min(50, 5 * num_blocks)):
             a, b = rng.randrange(num_blocks), rng.randrange(num_blocks)
             if a == b:
                 continue
-            xs[a], xs[b] = xs[b], xs[a]
-            ys[a], ys[b] = ys[b], ys[a]
-            delta = sum(_hpwl(net_pins[net_id], xs, ys) - net_cost[net_id]
-                        for net_id in block_nets[a] ^ block_nets[b])
-            xs[a], xs[b] = xs[b], xs[a]
-            ys[a], ys[b] = ys[b], ys[a]
+            delta = swap_delta(a, b)
             if delta > 0:
                 deltas.append(delta)
         if not deltas:
             return 1.0
         mean_delta = sum(deltas) / len(deltas)
         return -mean_delta / math.log(self.initial_acceptance)
-
-
-def _hpwl(pins: itemgetter, xs: List[int], ys: List[int]) -> int:
-    """Half-perimeter wirelength of the net whose pins ``pins`` gets.
-
-    Every net has at least two blocks, so ``pins`` returns tuples.
-    """
-    net_xs, net_ys = pins(xs), pins(ys)
-    return (max(net_xs) - min(net_xs)) + (max(net_ys) - min(net_ys))
 
 
 def place_netlist(netlist: LogicalNetlist, cols: int, rows: int,

@@ -460,6 +460,22 @@ class TestFpgaSpans:
         routing = route_netlist(mcnc.load_netlist("alu2", 0.6))
         assert routing.num_two_pin_nets > 0
 
+    def test_csp_span_counts_the_conflict_graph(self):
+        from repro.fpga import build_routing_csp, mcnc
+
+        routing = mcnc.load_routing("alu2", 0.6)
+        trace.enable()
+        csps = [build_routing_csp(routing, width) for width in (5, 8)]
+        records = [r for r in trace.tracer().drain_spans()
+                   if r["name"] == "fpga.csp"]
+        first, second = (r["attrs"] for r in records)
+        assert set(first) == {"two_pin_nets", "edges", "width"}
+        assert (first["width"], second["width"]) == (5, 8)
+        assert first["two_pin_nets"] == second["two_pin_nets"] \
+            == routing.num_two_pin_nets
+        assert first["edges"] == second["edges"] \
+            == csps[0].problem.graph.num_edges > 0
+
     def test_width_search_span_counts_its_probes(self, monkeypatch):
         from repro.core import Strategy
         from repro.fpga import flow, mcnc

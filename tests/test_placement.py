@@ -1,12 +1,16 @@
 """Tests for logical netlists and the annealing placer."""
 
 import hashlib
+import math
+import random
 
 import pytest
 
+from repro import obs
 from repro.fpga import (AnnealingPlacer, LogicalNet, LogicalNetlist,
                         Placement, place_netlist, random_logical_netlist,
                         route_netlist, validate_global_routing)
+from repro.obs import trace
 
 
 def _placement_digest(placement):
@@ -36,7 +40,143 @@ def _pinned_cases():
     # examples/placement_to_tracks.py.
     cases.append(("example", random_logical_netlist(30, 70, seed=11), 6, 6,
                   3, "fcf71a6baf8af272", 262))
+    # One-row and one-column grids: a cell's bit in one mask is its bit
+    # in the other.
+    row = random_logical_netlist(6, 12, seed=7, max_fanout=3)
+    cases.append(("1x8", row, 1, 8, 4, "f8446fbfadbb37e3", 22))
+    cases.append(("8x1", row, 8, 1, 5, "e265a8da58cf7377", 22))
+    # Grids whose column-major and row-major bit orders differ.
+    mid = random_logical_netlist(15, 30, seed=8, max_fanout=3)
+    cases.append(("3x7", mid, 3, 7, 6, "765db7452124d1a5", 86))
+    cases.append(("7x3", mid, 7, 3, 6, "971fe84ce5f82cb1", 91))
+    # 144 cells: masks wider than a machine word.
+    wide = random_logical_netlist(100, 140, seed=9, max_fanout=3)
+    cases.append(("12x12", wide, 12, 12, 0, "25021c16b647c60f", 637))
     return cases
+
+
+def _reference_place(netlist, cols, rows, seed, moves_per_temperature,
+                     cooling, initial_acceptance):
+    """Reference annealer: the placer's schedule and RNG draws, with each
+    net's HPWL recomputed as max - min over its blocks' coordinate lists.
+    Returns the positions and the counters of the ``fpga.place`` span."""
+    rng = random.Random(seed)
+    cells = [(x, y) for x in range(cols) for y in range(rows)]
+    rng.shuffle(cells)
+    num_blocks = netlist.num_blocks
+    xs = [x for x, _ in cells[:num_blocks]]
+    ys = [y for _, y in cells[:num_blocks]]
+    free_cells = cells[num_blocks:]
+    nets_of = [set() for _ in range(num_blocks)]
+    for net_id, net in enumerate(netlist.nets):
+        for block in net.blocks:
+            nets_of[block].add(net_id)
+    block_nets = [frozenset(nets) for nets in nets_of]
+
+    def hpwl(net_id):
+        blocks = netlist.nets[net_id].blocks
+        net_xs = [xs[b] for b in blocks]
+        net_ys = [ys[b] for b in blocks]
+        return max(net_xs) - min(net_xs) + max(net_ys) - min(net_ys)
+
+    cost = sum(hpwl(net_id) for net_id in range(len(netlist.nets)))
+    deltas = []
+    for _ in range(min(50, 5 * num_blocks)):
+        a, b = rng.randrange(num_blocks), rng.randrange(num_blocks)
+        if a == b:
+            continue
+        nets = block_nets[a] ^ block_nets[b]
+        before = sum(hpwl(net_id) for net_id in nets)
+        xs[a], xs[b], ys[a], ys[b] = xs[b], xs[a], ys[b], ys[a]
+        delta = sum(hpwl(net_id) for net_id in nets) - before
+        xs[a], xs[b], ys[a], ys[b] = xs[b], xs[a], ys[b], ys[a]
+        if delta > 0:
+            deltas.append(delta)
+    temperature = (-sum(deltas) / len(deltas) / math.log(initial_acceptance)
+                   if deltas else 1.0)
+    moves = moves_per_temperature * num_blocks
+    temperatures = total_accepted = 0
+    while True:
+        accepted = 0
+        for _ in range(moves):
+            block = rng.randrange(num_blocks)
+            use_free = free_cells and rng.random() < 0.3
+            if use_free:
+                other, target = None, rng.choice(free_cells)
+                nets = block_nets[block]
+            else:
+                other = rng.randrange(num_blocks)
+                if other == block:
+                    continue
+                target = (xs[other], ys[other])
+                nets = block_nets[block] ^ block_nets[other]
+            source = (xs[block], ys[block])
+            before = sum(hpwl(net_id) for net_id in nets)
+            xs[block], ys[block] = target
+            if other is not None:
+                xs[other], ys[other] = source
+            delta = sum(hpwl(net_id) for net_id in nets) - before
+            if delta <= 0 or (temperature > 0 and rng.random()
+                              < math.exp(-delta / temperature)):
+                cost += delta
+                accepted += 1
+                if use_free:
+                    free_cells.remove(target)
+                    free_cells.append(source)
+            else:
+                xs[block], ys[block] = source
+                if other is not None:
+                    xs[other], ys[other] = target
+        temperatures += 1
+        total_accepted += accepted
+        temperature *= cooling
+        if accepted == 0 or temperature <= 0.005:
+            break
+    positions = {block: (xs[block], ys[block]) for block in range(num_blocks)}
+    counters = {"blocks": num_blocks, "nets": len(netlist.nets),
+                "moves": temperatures * moves, "accepted": total_accepted,
+                "temperatures": temperatures, "hpwl": cost}
+    return positions, counters
+
+
+def _random_cases(count, seed):
+    """Seeded (netlist, cols, rows, placer keywords) cases on grids from
+    1x2 to 8x8, a fifth of them full, with random schedules."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        cols, rows = rng.randint(1, 8), rng.randint(1, 8)
+        if cols * rows < 2:
+            continue
+        cells = cols * rows
+        num_blocks = (cells if rng.random() < 0.2
+                      else rng.randint(2, min(cells, 24)))
+        netlist = random_logical_netlist(
+            num_blocks, rng.randint(1, 2 * num_blocks), rng.randrange(10**6),
+            max_fanout=rng.randint(1, 4))
+        keywords = {"seed": rng.randrange(10**6),
+                    "moves_per_temperature": rng.randint(1, 10),
+                    "cooling": rng.uniform(0.5, 0.9),
+                    "initial_acceptance": rng.uniform(0.05, 0.95)}
+        cases.append((netlist, cols, rows, keywords))
+    return cases
+
+
+@pytest.fixture
+def traced():
+    """Tracing on for the test, with clean observability state."""
+    obs.reset()
+    trace.enable()
+    yield
+    obs.reset()
+
+
+def _place_traced(placer, netlist):
+    """The placement and the attributes of its ``fpga.place`` span."""
+    placement = placer.place(netlist)
+    (record,) = [r for r in trace.tracer().drain_spans()
+                 if r["name"] == "fpga.place"]
+    return placement, record["attrs"]
 
 
 class TestLogicalNet:
@@ -107,6 +247,18 @@ class TestAnnealer:
             AnnealingPlacer(0, 2)
         with pytest.raises(ValueError):
             AnnealingPlacer(2, 2, cooling=1.0)
+        # log(initial_acceptance) sets the starting temperature: 1.0
+        # divided by zero, 0.0 and below had no logarithm, and above 1.0
+        # the temperature came out negative.
+        for initial_acceptance in (1.0, 0.0, -0.2, 1.5):
+            with pytest.raises(ValueError):
+                AnnealingPlacer(4, 4, initial_acceptance=initial_acceptance)
+        # 0 and -3 ran one move per step; 1.5 made place() raise
+        # TypeError from range().
+        for moves_per_temperature in (0, -3, 1.5):
+            with pytest.raises(ValueError):
+                AnnealingPlacer(4, 4,
+                                moves_per_temperature=moves_per_temperature)
 
     def test_deterministic_per_seed(self):
         netlist = random_logical_netlist(12, 25, seed=2)
@@ -122,6 +274,29 @@ class TestAnnealer:
             assert (_placement_digest(placement),
                     placement.wirelength(netlist)) == (pinned, wirelength), \
                 name
+
+    def test_pinned_span_hpwl_is_the_wirelength(self, traced):
+        for name, netlist, cols, rows, seed, _, wirelength in (
+                _pinned_cases()):
+            placement, attrs = _place_traced(
+                AnnealingPlacer(cols, rows, seed=seed), netlist)
+            assert attrs["hpwl"] == placement.wirelength(netlist) \
+                == wirelength, name
+
+    def test_matches_the_reference_annealer(self, traced):
+        cases = _random_cases(100, seed=2024)
+        assert any(cols == 1 for _, cols, _, _ in cases)
+        assert any(rows == 1 for _, _, rows, _ in cases)
+        assert any(netlist.num_blocks == cols * rows
+                   for netlist, cols, rows, _ in cases)
+        for index, (netlist, cols, rows, keywords) in enumerate(cases):
+            placement, attrs = _place_traced(
+                AnnealingPlacer(cols, rows, **keywords), netlist)
+            positions, counters = _reference_place(netlist, cols, rows,
+                                                   **keywords)
+            assert (placement.positions, attrs) == (positions, counters), \
+                (index, cols, rows, keywords)
+            assert attrs["hpwl"] == placement.wirelength(netlist)
 
     def test_improves_over_random(self):
         netlist = random_logical_netlist(16, 40, seed=3)
