@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke pool-dev bench bench-quick bench-smoke bench-scale bench-all perfbench-smoke proof-hints-smoke examples clean
+.PHONY: install test test-fast check chaos encodings-matrix fuzz-smoke fuzz-nightly trace-smoke serve-smoke serve-chaos dist-smoke pool-dev bench bench-quick bench-smoke bench-all perfbench-smoke proof-hints-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -114,18 +114,16 @@ serve-chaos:
 
 # Distributed-solving smoke: a 2-shard work-stealing run where one of
 # two strategies crashes every attempt (its jobs end as ERROR after 2
-# attempts, the other strategy's jobs all settle correctly), a
-# clause-sharing portfolio under corrupt_share (filter must hold), and
-# a cubed run with crashing workers (every cube still closed).
-# Deterministic fault seeds; see docs/distributed.md.
+# attempts, the other strategy's jobs all settle correctly).
+# Deterministic fault seed; see docs/distributed.md.
 dist-smoke:
 	PYTHONPATH=src python -m repro.dist.smoke
 
 # The worker-pool tests under the interpreter's development mode, with a
 # ResourceWarning (a file, pipe, socket or process left open) turned into
 # an error: guards the lifetimes of the pool's worker processes and
-# pipes under every owner (the job scheduler, the portfolio race, the
-# cube workers and the solve service) against leaks.
+# pipes under every owner (the job scheduler, the portfolio race and
+# the solve service) against leaks.
 pool-dev:
 	PYTHONPATH=src python -X dev -W error::ResourceWarning -m pytest -q \
 		tests/test_pool.py tests/test_batch_runner.py tests/test_dist.py \
@@ -147,14 +145,6 @@ bench-quick:
 bench-smoke:
 	PYTHONPATH=src python -m repro.bench.throughput --quick \
 		-o bench-smoke.json --check-floor benchmarks/floor.json
-
-# Distributed-solving scale bench: worker-scaling sweep (1/2/4 workers
-# over the hard-UNSAT suite, cube-and-conquer routing) plus the
-# clause-sharing-vs-racing duel; writes BENCH_scale.json at the
-# repository root.  Takes a few minutes; `--quick` (used by CI) checks
-# the shape on tiny instances in seconds.
-bench-scale:
-	PYTHONPATH=src python -m repro.bench.scale
 
 # The end-to-end benchmark (perfbench/, declared in BENCHMARK.json): its
 # own tests, which the tier-1 suite does not collect, then one untraced

@@ -466,64 +466,29 @@ def cmd_portfolio(args) -> int:
 
 def cmd_dist(args) -> int:
     _apply_fault_options(args)
+    from .bench.batch import BatchJob
+    from .dist import run_sharded
     routing = _load_routing_arg(args.circuit, args.scale)
     name = routing.netlist.name
-    limits = _limits(args)
-    if args.mode == "shards":
-        from .bench.batch import BatchJob
-        from .dist import run_sharded
-        strategy = _strategy(args)
-        jobs = [BatchJob(f"{name}@W{width}",
-                         build_routing_csp(routing, width).problem,
-                         strategy)
-                for width in args.width]
-        result = run_sharded(jobs, num_shards=args.shards,
-                             max_workers=args.workers,
-                             job_timeout=args.timeout, limits=limits)
-        print(f"{name}: {len(result.results)} jobs over "
-              f"{args.shards} shards, {result.steals} stolen, "
-              f"{result.wall_time:.3f}s")
-        for record in result.results:
-            line = f"  {record.job.instance}: {record.status}"
-            if record.attempts > 1:
-                line += f" (attempt {record.attempts})"
-            print(line)
-        for shard, stats in sorted(result.shards.items()):
-            print(f"  {shard}: " + ", ".join(
-                f"{key}={value}" for key, value in stats.items()))
-        return 0 if result.complete else 1
-    width = args.width[0]
-    problem = build_routing_csp(routing, width).problem
-    if args.mode == "portfolio":
-        from .dist import run_cooperative
-        result = run_cooperative(problem, _strategy(args),
-                                 members=args.members,
-                                 timeout=args.timeout, limits=limits)
-        if result.decided:
-            routable = result.status is SolveStatus.SAT
-            print(f"{name} @ W={width}: "
-                  f"{'ROUTABLE' if routable else 'UNROUTABLE (proven)'}")
-            print(f"  winner: {result.winner.label} after "
-                  f"{result.wall_time:.3f}s "
-                  f"({result.num_strategies} cooperating members)")
-            stats = result.outcome.solver_stats
-            print(f"  shared: exported={stats.get('shared_exported', 0)} "
-                  f"imported={stats.get('shared_imported', 0)} "
-                  f"discarded={stats.get('shared_discarded', 0)}")
-        else:
-            print(f"{name} @ W={width}: UNDECIDED ({result.status})")
-        return result.status.exit_code
-    from .dist import run_cubed
-    result = run_cubed(problem, _strategy(args), max_workers=args.workers,
-                       limits=limits, timeout=args.timeout)
-    plan = result.plan
-    print(f"{name} @ W={width}: {result.status} in {result.wall_time:.3f}s")
-    print(f"  cubes: {len(plan.cubes)} over vertices {list(plan.vertices)} "
-          f"(depth {plan.depth}, {plan.pruned} pruned), "
-          f"{result.cubes_closed} closed"
-          + (f", winner cube {result.winner}"
-             if result.winner is not None else ""))
-    return result.status.exit_code
+    strategy = _strategy(args)
+    jobs = [BatchJob(f"{name}@W{width}",
+                     build_routing_csp(routing, width).problem, strategy)
+            for width in args.width]
+    result = run_sharded(jobs, num_shards=args.shards,
+                         max_workers=args.workers,
+                         job_timeout=args.timeout, limits=_limits(args))
+    print(f"{name}: {len(result.results)} jobs over "
+          f"{args.shards} shards, {result.steals} stolen, "
+          f"{result.wall_time:.3f}s")
+    for record in result.results:
+        line = f"  {record.job.instance}: {record.status}"
+        if record.attempts > 1:
+            line += f" (attempt {record.attempts})"
+        print(line)
+    for shard, stats in sorted(result.shards.items()):
+        print(f"  {shard}: " + ", ".join(
+            f"{key}={value}" for key, value in stats.items()))
+    return 0 if result.complete else 1
 
 
 def cmd_fuzz(args) -> int:
@@ -795,25 +760,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("dist",
-                       help="distributed solving on one routing "
-                            "benchmark: work-stealing shards, a "
-                            "clause-sharing portfolio, or "
-                            "cube-and-conquer (see docs/distributed.md)")
+                       help="one routing benchmark at several widths on "
+                            "the work-stealing shard scheduler (see "
+                            "docs/distributed.md)")
     p.add_argument("circuit", help="benchmark name or netlist JSON path")
     p.add_argument("--width", type=int, nargs="+", required=True,
-                   help="channel width(s); shards mode solves one job "
-                        "per width, the other modes use the first")
+                   help="channel width(s), one job per width")
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--mode", default="shards",
-                   choices=["shards", "portfolio", "cubes"],
-                   help="parallelism mode (default shards)")
     p.add_argument("--workers", type=int, default=2,
                    help="worker processes (default 2)")
     p.add_argument("--shards", type=int, default=2,
-                   help="shard queues in shards mode (default 2)")
-    p.add_argument("--members", type=int, default=2,
-                   help="cooperating members in portfolio mode "
-                        "(default 2)")
+                   help="shard queues (default 2)")
     _add_strategy_options(p)
     _add_budget_options(p)
     _add_fault_options(p)

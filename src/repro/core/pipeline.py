@@ -107,8 +107,7 @@ def solve_coloring(problem: ColoringProblem, strategy: Strategy,
                    limits: Optional[SolveLimits] = None,
                    cancel: Optional[CancelToken] = None, *,
                    faults=None, keep_model: bool = False,
-                   proof_log: bool = False,
-                   clause_channel=None) -> ColoringOutcome:
+                   proof_log: bool = False) -> ColoringOutcome:
     """Encode ``problem`` per ``strategy``, solve, decode and validate.
 
     When the formula is satisfiable the decoded coloring is checked
@@ -133,19 +132,13 @@ def solve_coloring(problem: ColoringProblem, strategy: Strategy,
     it.  ``keep_model`` retains the raw SAT assignment on the outcome
     and ``proof_log`` the recorded UNSAT proof — both are what the
     audit layer (:mod:`repro.reliability.audit`) re-checks.
-
-    ``clause_channel`` plugs this run into a clause-sharing channel
-    (:mod:`repro.dist.sharing`) — cooperative portfolio / cube workers
-    pass their endpoint here.  None keeps the solve bit-identical to an
-    unshared run.
     """
     with trace.span("coloring.solve", strategy=strategy.label,
                     encoding=strategy.encoding,
                     symmetry=strategy.symmetry) as run_span:
         return _solve_coloring_in_span(
             run_span, problem, strategy, graph_time, limits, cancel,
-            faults=faults, keep_model=keep_model, proof_log=proof_log,
-            clause_channel=clause_channel)
+            faults=faults, keep_model=keep_model, proof_log=proof_log)
 
 
 def _solve_coloring_in_span(run_span, problem: ColoringProblem,
@@ -153,8 +146,7 @@ def _solve_coloring_in_span(run_span, problem: ColoringProblem,
                             limits: Optional[SolveLimits],
                             cancel: Optional[CancelToken], *,
                             faults, keep_model: bool,
-                            proof_log: bool,
-                            clause_channel=None) -> ColoringOutcome:
+                            proof_log: bool) -> ColoringOutcome:
     """:func:`solve_coloring` body, inside its already-open span.
 
     The encode/cnf/symmetry/solve time split reported on the outcome is
@@ -220,8 +212,6 @@ def _solve_coloring_in_span(run_span, problem: ColoringProblem,
     config.fault_plan = plan if plan is not None else False
     if proof_log:
         config.proof_log = True
-    if clause_channel is not None:
-        config.clause_channel = clause_channel
 
     solver = CDCLSolver(encoded.cnf, config)
     try:

@@ -12,8 +12,7 @@ process, pipe and cancel event at its slot's next task.
 The pool's owner is the *policy*, which picks the task for each idle
 slot and reads each report: the job scheduler
 (:func:`repro.bench.batch.run_sharded`), the portfolio race
-(:func:`repro.core.portfolio.run_portfolio`), cube-and-conquer
-(:func:`repro.dist.cubes.run_cubed`) and the solve service
+(:func:`repro.core.portfolio.run_portfolio`) and the solve service
 (:class:`repro.serve.server.SolveService`), which keeps one pool for
 the life of its process and drives it from its event loop through
 :meth:`WorkerPool.watch`.  No worker outlives its pool:
@@ -56,7 +55,7 @@ def fire_worker_faults(faults, strategy, sites=()) -> None:
     worker process, outside the solver, once per attempt: a crash kills
     the process without a report, a hang ignores the cancel token.
     ``sites`` adds the sites a policy's workers also answer to
-    (``dist_shard`` for the job scheduler and the cube workers).
+    (``dist_shard`` for the job scheduler).
     """
     if faults is None and not os.environ.get("REPRO_FAULTS"):
         return
@@ -71,8 +70,8 @@ def fire_worker_faults(faults, strategy, sites=()) -> None:
 
 
 def solve_attempt(strategy, cancel: CancelToken, solve, problem, limits,
-                  faults, audit: bool, channel=None, *,
-                  graph_time: float = 0.0, sites=()):
+                  faults, audit: bool, *, graph_time: float = 0.0,
+                  sites=()):
     """One attempt inside a worker: fire the worker-site faults, solve
     with ``solve`` (the caller's ``solve_coloring`` binding, so a double
     patched into the caller's module reaches its workers), and audit a
@@ -80,13 +79,9 @@ def solve_attempt(strategy, cancel: CancelToken, solve, problem, limits,
     report or None)``.  Its leading ``(strategy, cancel)`` make it a
     pool task as it stands: the portfolio race's."""
     fire_worker_faults(faults, strategy, sites)
-    if channel is not None:
-        # Chaos faults on the channel itself (drop_share /
-        # corrupt_share) activate on the worker's own endpoint.
-        channel.bind_faults(faults, strategy.label)
     outcome = solve(problem, strategy, graph_time=graph_time, limits=limits,
                     cancel=cancel, faults=faults, keep_model=audit,
-                    proof_log=audit, clause_channel=channel)
+                    proof_log=audit)
     report = None
     if audit and outcome.status.decided:
         from ..reliability.audit import audit_outcome
@@ -151,8 +146,6 @@ class Finished:
 @dataclass
 class _Slot:
     index: int
-    #: Arguments only this slot's worker gets (e.g. its clause endpoint).
-    args: tuple
     process: Optional["mp.Process"] = None
     #: The pool's end of the slot's pipe.
     conn: object = None
@@ -167,17 +160,16 @@ class _Slot:
 class WorkerPool:
     """``size`` slots, each serving ``target`` in one worker process.
 
-    A worker runs ``target(task, cancel, *args, *slot_args[slot])`` per
-    task, where ``cancel`` is its slot's :class:`CancelToken`; the
-    arguments reach the worker once, by fork inheritance (pickled once
-    per process under spawn), and the result must pickle.  ``grace`` is
-    how long a cancelled task may take to report before its worker is
-    killed, and worker telemetry is grafted under ``span_id``.  Call
-    :meth:`close` in a ``finally``.
+    A worker runs ``target(task, cancel, *args)`` per task, where
+    ``cancel`` is its slot's :class:`CancelToken`; the arguments reach
+    the worker once, by fork inheritance (pickled once per process
+    under spawn), and the result must pickle.  ``grace`` is how long a
+    cancelled task may take to report before its worker is killed, and
+    worker telemetry is grafted under ``span_id``.  Call :meth:`close`
+    in a ``finally``.
     """
 
     def __init__(self, size: int, target: Callable, args: Sequence = (),
-                 slot_args: Optional[Sequence[Sequence]] = None,
                  grace: float = CANCEL_GRACE_SECONDS,
                  span_id: Optional[str] = None) -> None:
         self._target = target
@@ -186,8 +178,7 @@ class WorkerPool:
         self._span_id = span_id
         self._context = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        self._slots = [_Slot(i, tuple(slot_args[i]) if slot_args else ())
-                       for i in range(size)]
+        self._slots = [_Slot(i) for i in range(size)]
         # Runs at close(), when the pool is collected, or at interpreter
         # exit before multiprocessing joins its (non-daemon) children,
         # which would otherwise wait on workers idling in recv forever.
@@ -337,7 +328,7 @@ class WorkerPool:
         process = self._context.Process(
             target=_serve,
             args=(self._target, worker_end, state.cancel_event,
-                  os.getpid(), self._args + state.args))
+                  os.getpid(), self._args))
         process.start()
         state.process = process
         worker_end.close()

@@ -87,8 +87,7 @@ _CANCEL_GRACE_SECONDS = CANCEL_GRACE_SECONDS
 def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
                   timeout: Optional[float] = None,
                   limits: Optional[SolveLimits] = None,
-                  audit: bool = False, faults=None,
-                  share=None) -> PortfolioResult:
+                  audit: bool = False, faults=None) -> PortfolioResult:
     """Run every strategy in parallel; the first decided answer wins.
 
     ``timeout`` is the race deadline in seconds (shorthand for — and
@@ -119,40 +118,14 @@ def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
     ``REPRO_FAULTS`` environment plan, a ``FaultPlan`` is used as
     given, ``False`` disables injection.  Worker-site faults fire once
     per member attempt.
-
-    ``share`` upgrades the race to a *cooperative* portfolio: members
-    exchange short learned clauses through a bounded channel
-    (:mod:`repro.dist.sharing`), so the eventual winner benefits from
-    every loser's conflict analysis instead of discarding it.  Pass
-    True for the default :class:`~repro.dist.sharing.ShareConfig` or a
-    config instance to tune the caps.  Sharing is only sound between
-    members solving the *same* CNF, so every strategy must agree on
-    (encoding, symmetry); mixed portfolios must race uncooperatively.
-    With ``share=None`` (the default) nothing here changes and member
-    trajectories are bit-identical to the pre-sharing racer.
     """
     if not strategies:
         raise ValueError("a portfolio needs at least one strategy")
-    hub = None
-    if share is not None and share is not False and len(strategies) > 1:
-        shapes = {(s.encoding, s.symmetry) for s in strategies}
-        if len(shapes) > 1:
-            raise ValueError(
-                "clause sharing needs a uniform (encoding, symmetry) "
-                f"across members, got {sorted(shapes)}; run mixed "
-                "portfolios with share=None")
-        from ..dist.sharing import ClauseHub, ShareConfig
-        config = share if isinstance(share, ShareConfig) else None
-        hub = ClauseHub([s.label for s in strategies], config=config)
     with trace.span("portfolio.race", members=len(strategies),
                     strategies=",".join(s.label for s in strategies),
-                    audit=audit, sharing=hub is not None) as race_span:
-        try:
-            result = _race_in_span(race_span, problem, strategies, timeout,
-                                   limits, audit, faults, hub)
-        finally:
-            if hub is not None:
-                hub.close()
+                    audit=audit) as race_span:
+        result = _race_in_span(race_span, problem, strategies, timeout,
+                               limits, audit, faults)
         race_span.set("status", str(result.status))
         if result.winner is not None:
             race_span.set("winner", result.winner.label)
@@ -168,7 +141,7 @@ def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
 def _race_in_span(race_span, problem: ColoringProblem,
                   strategies: Sequence[Strategy],
                   timeout: Optional[float], limits: Optional[SolveLimits],
-                  audit: bool, faults, hub=None) -> PortfolioResult:
+                  audit: bool, faults) -> PortfolioResult:
     """:func:`run_portfolio` body, inside its already-open race span: a
     race policy over a :class:`WorkerPool` with one slot per member.
 
@@ -182,13 +155,11 @@ def _race_in_span(race_span, problem: ColoringProblem,
     member_limits = (limits or SolveLimits()).with_wall_clock(timeout)
     start = time.perf_counter()
     deadline = None if timeout is None else start + timeout
-    # The task is the member's strategy; its clause endpoint reaches its
-    # worker at fork, and so does this module's solve_coloring binding.
+    # The task is the member's strategy; this module's solve_coloring
+    # binding reaches the workers at fork.
     pool = WorkerPool(
         len(strategies), solve_attempt,
         args=(solve_coloring, problem, member_limits, faults, audit),
-        slot_args=[(hub.endpoint(s.label) if hub is not None else None,)
-                   for s in strategies],
         grace=_CANCEL_GRACE_SECONDS, span_id=race_span.span_id)
 
     member_status: Dict[str, SolveStatus] = {}
@@ -243,10 +214,6 @@ def _race_in_span(race_span, problem: ColoringProblem,
             pool.submit(slot, strategy, tag=strategy)
         trace.event("race.started", members=len(strategies))
         while pool.busy:
-            if hub is not None:
-                # Fan exported clauses out to peer inboxes; bounded per
-                # iteration so the poll cadence is unaffected.
-                hub.pump()
             if deadline is not None and winner is None and not timed_out \
                     and time.perf_counter() >= deadline:
                 # Deadline: ask everyone still running to wind down and

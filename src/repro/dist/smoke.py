@@ -1,20 +1,12 @@
 """End-to-end smoke check for distributed solving (CI's ``dist-smoke``).
 
-Run with ``python -m repro.dist.smoke`` (or ``make dist-smoke``).  Three
-asserted scenarios, all with deterministic fault seeds:
-
-1. **Shard crash, zero lost jobs** — a tiny corpus over 2 shards under
-   two strategies, with an injected ``crash@dist_shard`` killing every
-   attempt of one of them; the scheduler must requeue each crashed job
-   to its home shard, settle it as ERROR once its attempts run out,
-   and still settle every job of the other strategy with the correct
-   verdict.
-2. **Cooperative sharing under corruption** — a 2-member clause-sharing
-   portfolio with ``corrupt_share`` mangling clauses in transit; the
-   import filter must reject them and the verdict must stand.
-3. **Cube-and-conquer with a crashing worker** — a parallel cubed run
-   where the workers die; every cube must still be closed (parent
-   re-solve) and the UNSAT verdict must aggregate from all cubes.
+Run with ``python -m repro.dist.smoke`` (or ``make dist-smoke``).  One
+asserted scenario, with a deterministic fault seed: a tiny corpus over
+2 shards under two strategies, with an injected ``crash@dist_shard``
+killing every attempt of one of them.  The scheduler must requeue each
+crashed job to its home shard, settle it as ERROR once its attempts run
+out, and still settle every job of the other strategy with the correct
+verdict.
 """
 
 from __future__ import annotations
@@ -26,7 +18,7 @@ from ..qa.generators import conflict_instances
 from ..reliability.faults import FaultPlan
 from ..reliability.quarantine import QuarantinePolicy
 from ..sat.status import SolveStatus
-from . import BatchJob, run_cooperative, run_cubed, run_sharded
+from . import BatchJob, run_sharded
 
 STRATEGY = Strategy(encoding="muldirect", symmetry="s1")
 #: The same encoding under a symmetry heuristic the crash fault's
@@ -35,10 +27,10 @@ UNFAULTED = Strategy(encoding="muldirect", symmetry="b1")
 
 #: Small but non-trivial planted-clique UNSAT instances (sub-second
 #: each; the point is the machinery, not the solving).
-def _corpus(count: int = 4):
+def _corpus():
     return [
         (inst.name, inst.problem)
-        for inst in conflict_instances(7, count, num_vertices=24,
+        for inst in conflict_instances(7, 4, num_vertices=24,
                                        edge_probability=0.4, clique_size=5)
     ]
 
@@ -81,24 +73,7 @@ def main() -> int:
     _check("crashes were requeued", requeued >= len(corpus),
            f"({requeued} requeues)")
 
-    print("dist-smoke: clause sharing under corrupt_share")
-    name, problem = _corpus(1)[0]
-    coop = run_cooperative(
-        problem, STRATEGY, members=2, timeout=60,
-        faults=FaultPlan.parse("seed=5; corrupt_share"))
-    _check("cooperative verdict stands despite corruption",
-           coop.status is SolveStatus.UNSAT, f"on {name}")
-
-    print("dist-smoke: cube-and-conquer with crashing workers")
-    cubed = run_cubed(problem, STRATEGY, max_workers=2, timeout=120,
-                      faults=FaultPlan.parse("seed=5; crash@dist_shard"))
-    _check("every cube closed after worker crashes",
-           cubed.cubes_closed == len(cubed.plan.cubes),
-           f"({cubed.cubes_closed}/{len(cubed.plan.cubes)})")
-    _check("UNSAT aggregated from all cubes",
-           cubed.status is SolveStatus.UNSAT)
-
-    print("dist-smoke: all scenarios passed")
+    print("dist-smoke: all checks passed")
     return 0
 
 

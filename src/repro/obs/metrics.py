@@ -14,7 +14,7 @@ snapshot describes a whole run.
   per-run aggregates, not quantile estimation.
 
 **Cross-process aggregation.**  Worker processes (portfolio members,
-batch jobs, cubes) record into their own registry, ship
+batch jobs, serve jobs) record into their own registry, ship
 ``registry().snapshot()`` back with each report, and the pool's
 owner folds it in with :meth:`MetricsRegistry.merge` — counters
 add, histograms combine their summaries, gauges take the incoming

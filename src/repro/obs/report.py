@@ -80,7 +80,7 @@ def _critical_ids(roots: List[Dict],
 
 _INTERESTING_ATTRS = ("strategy", "encoding", "symmetry", "status",
                       "label", "instance", "members", "winner", "shards",
-                      "steals", "workers", "cubes", "sharing", "error")
+                      "steals", "error")
 
 
 def _attr_summary(span: Dict) -> str:

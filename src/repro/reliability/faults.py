@@ -74,28 +74,16 @@ slow_client
             the client sleeps ``seconds`` (default 50 ms) before each
             send — exercises server read robustness and per-request
             deadlines.
-drop_share  silently lose one clause exported to a sharing channel
-            (:mod:`repro.dist.sharing`) in transit — sharing is an
-            optimisation, so correctness must be unaffected; only the
-            export/import counters may disagree.
-corrupt_share
-            mangle one exported clause in transit by zeroing a
-            deterministically chosen literal (0 is never a valid DIMACS
-            literal, so a correct import filter *must* reject the
-            clause — a corrupt share reaching a solver's clause
-            database would be unsound).
 ========== ============================================================
 
 Sites: ``solver`` (the CDCL engine),
 ``encode`` (CNF generation in the pipeline), ``worker`` (a worker
-process itself: a portfolio member, a job-scheduler worker or a cube
-worker), ``serve_worker`` (the solve service's pool worker),
-``journal`` (the serve request journal's appends), ``conn`` (the serve
-connection layer, both ends), ``dist_shard`` (a job-scheduler worker
-of ``run_batch`` / ``run_sharded`` or a cube worker, not a portfolio
-member — the usual targets are ``crash`` and ``hang``),
-``clause_channel`` (the clause-sharing transport between portfolio /
-cube members), or ``*`` (everywhere).
+process itself: a portfolio member or a job-scheduler worker),
+``serve_worker`` (the solve service's pool worker), ``journal`` (the
+serve request journal's appends), ``conn`` (the serve connection
+layer, both ends), ``dist_shard`` (a job-scheduler worker of
+``run_batch`` / ``run_sharded``, not a portfolio member — the usual
+targets are ``crash`` and ``hang``), or ``*`` (everywhere).
 
 ``REPRO_FAULTS`` grammar (items separated by ``;``)::
 
@@ -122,11 +110,11 @@ from ..errors import ParseError
 FAULT_KINDS = ("crash", "hang", "slowdown", "wrong_model",
                "truncated_proof", "corrupt_hint", "corrupt_input",
                "drop_clause", "worker_hang", "journal_torn_write",
-               "conn_drop", "slow_client", "drop_share", "corrupt_share")
+               "conn_drop", "slow_client")
 
 #: Recognised injection sites.
 FAULT_SITES = ("*", "solver", "encode", "worker", "serve_worker",
-               "journal", "conn", "dist_shard", "clause_channel")
+               "journal", "conn", "dist_shard")
 
 #: Environment variable consulted by the pipeline and the worker
 #: processes; its value is a :meth:`FaultPlan.parse` string.
@@ -450,33 +438,6 @@ class FaultInjector:
             return 0.0
         return (spec.seconds if spec.seconds is not None
                 else _DEFAULT_SLOW_CLIENT_SECONDS)
-
-    def maybe_drop_share(self) -> bool:
-        """True when a ``drop_share`` fault eats the clause being
-        exported to a sharing channel — the exporter cannot tell (the
-        loss is in transit), so it still counts the export."""
-        return self.fire("drop_share") is not None
-
-    def corrupt_share(self, lits: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-        """A corrupted copy of a clause crossing a sharing channel, or
-        None when no ``corrupt_share`` fault fires.
-
-        Corruption zeroes one deterministically chosen literal: 0 is
-        never a valid DIMACS literal, so *any* correct import filter
-        must reject the clause outright.  (A subtler corruption — say a
-        sign flip — could silently produce a clause that is wrong but
-        well-formed; the channel carries redundant learned clauses, so
-        soundness demands rejecting malformed payloads, and this fault
-        proves the filter does.)
-        """
-        index = self._fire("corrupt_share")
-        if index < 0:
-            return None
-        if not lits:
-            return (0,)
-        mangled = list(lits)
-        mangled[self._rng(index).randrange(len(mangled))] = 0
-        return tuple(mangled)
 
     def wrong_model_var(self, num_vars: int) -> Optional[int]:
         """Variable to bit-flip in a SAT assignment, or None."""

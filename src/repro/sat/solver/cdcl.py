@@ -92,10 +92,7 @@ class CDCLSolver:
     """Solve one CNF formula, optionally under assumptions.
 
     ``solve()`` may be called repeatedly with different assumption sets;
-    learned clauses persist across calls (incremental solving), which is
-    what lets the cube-and-conquer worker
-    (:class:`repro.core.incremental.AssumptionJobSolver`) carry what one
-    cube's refutation learned into the next.
+    learned clauses persist across calls (incremental solving).
 
     Parameters
     ----------
@@ -195,7 +192,7 @@ class CDCLSolver:
         -1 when the step has no hint.  IDs follow the LRAT numbering:
         input clause ``i`` is ``i`` and proof step ``j`` is ``m + j``
         for ``m`` input clauses; ``_clause_id`` maps a clause ref to its
-        ID, -1 for clauses without one (shared imports)."""
+        ID, -1 for a clause learned without proof logging."""
         self.hint_ids = array("l")
         self.hint_starts = array("l")
         self._clause_id = array("l")
@@ -230,7 +227,7 @@ class CDCLSolver:
             self.proof.append(())
             self.hint_starts.append(-1)
 
-    def _attach(self, codes: List[int], learnt: bool, cid: int = -1) -> int:
+    def _attach(self, codes: List[int], learnt: bool, cid: int) -> int:
         ref = len(self._coff)
         self._coff.append(len(self._arena))
         self._clen.append(len(codes))
@@ -794,12 +791,6 @@ class CDCLSolver:
         if injector is not None:
             injector.maybe_hang()
             injector.maybe_crash()
-        if self.config.clause_channel is not None:
-            # Sharing counters exist whenever a channel is configured,
-            # even on calls that end before the main loop.
-            for key in ("shared_exported", "shared_imported",
-                        "shared_discarded"):
-                self.stats.setdefault(key, 0)
         self._props_at_start = self.stats["propagations"]
         self._cancel_until(0)  # fresh call on a reused solver
         self.stats.pop("assumption_failed", None)
@@ -829,12 +820,6 @@ class CDCLSolver:
         bounded = (conflict_budget is not None
                    or propagation_budget is not None
                    or deadline is not None or cancel is not None)
-        # Clause sharing: with a channel configured, short learned
-        # clauses are exported after conflict analysis and peer clauses
-        # imported at restart boundaries.  `share is None` on the normal
-        # path — every hook below is guarded on it, so an unshared run
-        # keeps a bit-identical trajectory.
-        share = config.clause_channel
         restart_index = 1
         if config.restart_policy == "luby":
             restart_limit = luby(restart_index) * config.restart_base
@@ -899,8 +884,6 @@ class CDCLSolver:
                     self._bump_clause(ref)
                     self._enqueue(learnt[0], ref)
                 self.stats["learned_clauses"] += 1
-                if share is not None:
-                    self._share_export(share, learnt)
                 self._var_inc /= config.var_decay
                 self._clause_inc /= config.clause_decay
             else:
@@ -925,8 +908,6 @@ class CDCLSolver:
                         restart_limit *= config.restart_factor
                     max_learnts *= config.max_learnts_growth
                     self._cancel_until(0)
-                    if share is not None and not self._import_shared(share):
-                        return self._finish(SolveStatus.UNSAT, start)
                     continue
                 # The MiniSat size trigger, plus the Glucose cadence:
                 # reduce every base + step·k conflicts regardless of DB
@@ -1005,81 +986,6 @@ class CDCLSolver:
         del self.hint_ids[end - 1]
         for j in later:
             starts[j] -= 1
-
-    def _share_export(self, share, learnt) -> None:
-        """Offer the just-learned clause to the sharing channel.
-
-        Called with the conflict-time literal codes, *before* any decay
-        bookkeeping, while ``self._level`` still holds the pre-backtrack
-        levels (same window the tier policy reads its LBD from).  Only
-        short, low-LBD clauses cross the channel — those carry the most
-        pruning power per byte and keep peers' databases small.
-        """
-        if len(learnt) > share.export_max_length:
-            return
-        if len(learnt) == 1:
-            lbd = 1
-        else:
-            level = self._level
-            lbd = len({level[q >> 1] for q in learnt})
-            if lbd > share.export_max_lbd:
-                return
-        lits = tuple(q >> 1 if not q & 1 else -(q >> 1) for q in learnt)
-        if share.export(lits, lbd):
-            self.stats["shared_exported"] += 1
-
-    def _import_shared(self, share) -> bool:
-        """Adopt peer-learned clauses from the sharing channel.
-
-        Called at restart boundaries, where the solver sits at the root
-        level, so imported clauses can be simplified against root-level
-        assignments: satisfied clauses are skipped, root-false literals
-        dropped, units enqueued directly, and an all-false clause
-        refutes the formula (returns False → UNSAT).  Shared clauses are
-        consequences of the common formula (1UIP analysis never resolves
-        on assumption pseudo-decisions), so imports are sound even
-        between solvers running under different assumption cubes.
-        """
-        values = self._values
-        imported = discarded = 0
-        ok = True
-        for lits, lbd in share.take():
-            codes = []
-            satisfied = False
-            usable = True
-            for lit in lits:
-                var = lit if lit > 0 else -lit
-                if not 1 <= var <= self.num_vars:
-                    usable = False
-                    break
-                code = 2 * var if lit > 0 else 2 * var + 1
-                value = values[code]
-                if value == _TRUE:
-                    satisfied = True
-                    break
-                if value == _FALSE:
-                    continue  # root-falsified literal: drop it
-                codes.append(code)
-            if not usable or satisfied:
-                discarded += 1
-                continue
-            imported += 1
-            if not codes:
-                # Every literal is root-false: the shared clause closes
-                # the formula.  (Reachable when two peers export
-                # contradictory units.)
-                self._refute()
-                ok = False
-                break
-            if len(codes) == 1:
-                self._enqueue(codes[0], -1)
-            else:
-                ref = self._attach(codes, learnt=True)
-                self._lbd[ref] = min(lbd, len(codes))
-                self._bump_clause(ref)
-        self.stats["shared_imported"] += imported
-        self.stats["shared_discarded"] += discarded
-        return ok
 
     def _budget_stop(self, cancel, deadline, conflict_budget,
                      propagation_budget, conflicts_before):

@@ -78,15 +78,6 @@ class SolverConfig:
         by the audit layer so its re-solves cannot be faulted).  With
         no plan active the solver takes the exact same code path as
         before this field existed.
-    clause_channel:
-        Clause-sharing channel (see :mod:`repro.dist.sharing`): ``None``
-        (default) disables sharing and keeps the solver's trajectory
-        bit-identical to an unshared run; otherwise an object with the
-        channel protocol (``export_max_length`` / ``export_max_lbd``
-        attributes plus ``export(lits, lbd)`` and ``take()``).  Short
-        learned clauses are exported after conflict analysis and peer
-        clauses imported at restart boundaries (the solver is at root
-        level there, so imports need no backtracking bookkeeping).
     proof_log:
         When True, the solver records every learned clause (a DRUP-style
         clausal proof).  On UNSAT the recorded sequence, terminated by the
@@ -125,11 +116,6 @@ class SolverConfig:
     #: than an Optional[FaultPlan] annotation keeps this module free of
     #: reliability imports (the engine resolves it lazily).
     fault_plan: object = None
-    #: None = no clause sharing (the default, trajectory-neutral);
-    #: otherwise a channel endpoint from :mod:`repro.dist.sharing`.
-    #: ``object`` for the same reason as ``fault_plan``: the solver
-    #: package must not import the dist layer.
-    clause_channel: object = None
 
     def __post_init__(self) -> None:
         if self.restart_policy not in ("luby", "geometric"):

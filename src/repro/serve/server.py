@@ -41,8 +41,7 @@ watches each busy slot's pipe and process sentinel and wakes at each
 job's deadline, so no thread and no poll interval sits on the request
 path.  The pool runs each job with fresh observability state and
 ingests its telemetry (spans + metrics snapshot) with the report — the
-same scheme as the portfolio race, cube-and-conquer and the job
-scheduler.
+same scheme as the portfolio race and the job scheduler.
 
 Resilience (see ``docs/serving.md``): the pool cancels a job at its
 wall-clock budget and SIGKILLs its worker past the pool's grace period,

@@ -109,6 +109,11 @@ class TestWidthAndRoute:
             main(["width", netlist_path, "--incremental"])
         assert exited.value.code == 2
 
+    def test_dist_mode_is_a_usage_error(self, netlist_path):
+        with pytest.raises(SystemExit) as exited:
+            main(["dist", netlist_path, "--width", "7", "--mode", "cubes"])
+        assert exited.value.code == 2
+
 
 class TestTwoStageFlow:
     def test_extract_encode_solve(self, tmp_path, capsys):
