@@ -63,8 +63,7 @@ from .fpga import (DetailedRoutingResult, FPGAArchitecture, GlobalRouting,
                    minimum_channel_width)
 from .sat import (CNF, CancelToken, SolveLimits, SolveReport, SolveResult,
                   SolveStatus, solve)
-from .reliability import (AuditReport, AuditVerdict, FaultPlan,
-                          audit_result)
+from .reliability import AuditReport, AuditVerdict, FaultPlan
 from .sat.solver.cdcl import BudgetExceeded
 
 __version__ = "2.0.0"
@@ -85,7 +84,7 @@ __all__ = [
     "SolveStatus", "SolveReport", "SolveLimits", "CancelToken",
     "BudgetExceeded",
     "BatchJob", "BatchResult", "run_batch",
-    "AuditReport", "AuditVerdict", "FaultPlan", "audit_result",
+    "AuditReport", "AuditVerdict", "FaultPlan",
     "ParseError",
     "__version__",
 ]

@@ -13,7 +13,7 @@ request shape must cross the wire.  This module defines that shape:
 * :class:`SolveRequest` — frozen, canonical, hashable description of one
   solve: the instance (a :class:`~repro.coloring.problem.Graph`), K, one
   or more :class:`~repro.core.strategy.Strategy` members, optional
-  :class:`~repro.sat.status.SolveLimits`, and the trace/audit opts.
+  :class:`~repro.sat.status.SolveLimits`, and who asked.
   ``request.cache_key()`` is the SHA-256 of the canonical instance bytes
   plus (K, strategies, limits) — the content address the serve cache
   stores results under (equal instances hash equally regardless of edge
@@ -24,9 +24,11 @@ request shape must cross the wire.  This module defines that shape:
   the winning strategy label, the audit verdict, and cache provenance.
 * :func:`solve` / :func:`solve_batch` — the single front door.  One
   strategy dispatches to the pipeline, several race as a portfolio, and
-  a sequence of requests fans out over the batch runner.  The network
-  server (:mod:`repro.serve`) speaks exactly these shapes via
-  ``to_wire``/``from_wire``.
+  a sequence of requests fans out over the batch runner.  Every decided
+  answer is audited before it is returned, whichever door it leaves
+  by; one that fails its audit comes back as ERROR.  The network
+  server (:mod:`repro.serve`) and the CLI's solving commands speak
+  exactly these shapes.
 
 The pre-1.6 entrypoints remain importable (they are the engines this
 module routes through).  The *boolean* compatibility shims of the 1.1
@@ -37,7 +39,7 @@ migration table.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coloring.dimacs import canonical_bytes, parse_col_string
@@ -88,6 +90,17 @@ def limits_from_wire(wire: Optional[Dict[str, object]]) -> Optional[SolveLimits]
         wall_clock_limit=wire.get("wall_clock_limit"))
 
 
+def _refuse_unaudited(audit: Optional[bool]) -> None:
+    """``audit=`` is still accepted, and not stored, so callers written
+    before the audit became unconditional keep working; only
+    ``audit=False``, which asks for an unchecked answer, is refused."""
+    if audit is not None and not audit:
+        raise ValueError(
+            "audit=False is gone: every decided answer is audited; see "
+            "the 'SolveRequest(audit=, keep_model=, proof_log=)' row of "
+            "the migration table in docs/api.md")
+
+
 def _limits_token(limits: Optional[SolveLimits]) -> str:
     """Canonical text form of a budget, for cache-key hashing.
 
@@ -107,30 +120,25 @@ class SolveRequest:
     Frozen so a request can key dicts and travel between threads
     unchanged.  ``strategies`` with one member dispatches to the
     pipeline; more race as a portfolio (first decided answer wins).
+    Every decided answer is audited (:mod:`repro.reliability.audit`)
+    before it is returned; an answer that fails degrades to ERROR.
 
-    ``audit``, ``keep_model`` and ``proof_log`` are execution options —
-    they do **not** enter the cache key (the cached artifact always
-    stores the decoded coloring and the audit verdict, so a cached
-    answer serves any combination).  ``client`` identifies the submitter
-    for admission control and per-client budgets; ``tag`` is a free-form
-    correlation id echoed back on the response.  Neither enters the
-    cache key.
+    ``client`` identifies the submitter for admission control and
+    per-client budgets; ``tag`` is a free-form correlation id echoed
+    back on the response.  Neither enters the cache key.  ``audit=True``
+    is accepted and not stored; ``audit=False`` raises ``ValueError``.
     """
 
     graph: Graph
     colors: int
     strategies: Tuple[Strategy, ...] = (BEST_SINGLE_STRATEGY,)
     limits: Optional[SolveLimits] = None
-    #: Independently re-verify a decided answer before returning it
-    #: (:mod:`repro.reliability.audit`); an answer that fails degrades
-    #: to ERROR.  The serve layer forces this on every cache fill.
-    audit: bool = False
-    keep_model: bool = False
-    proof_log: bool = False
     client: str = ""
     tag: str = ""
+    audit: InitVar[Optional[bool]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, audit: Optional[bool]) -> None:
+        _refuse_unaudited(audit)
         if not isinstance(self.graph, Graph):
             raise TypeError("SolveRequest.graph must be a Graph")
         if self.colors < 1:
@@ -166,9 +174,8 @@ class SolveRequest:
         """SHA-256 hex over (canonical instance bytes, K, strategies,
         limits) — the content address of this request's *answer*.
 
-        Execution opts (``audit``/``keep_model``/``proof_log``) and
-        submitter identity (``client``/``tag``) are deliberately
-        excluded: they change what the caller sees, not what the answer
+        Submitter identity (``client``/``tag``) is deliberately
+        excluded: it changes who sees the answer, not what the answer
         *is*.
         """
         hasher = hashlib.sha256(self.canonical_bytes())
@@ -208,9 +215,6 @@ class SolveRequest:
             "colors": self.colors,
             "strategies": [strategy_to_wire(s) for s in self.strategies],
             "limits": limits_to_wire(self.limits),
-            "audit": self.audit,
-            "keep_model": self.keep_model,
-            "proof_log": self.proof_log,
             "client": self.client,
             "tag": self.tag,
         }
@@ -218,7 +222,12 @@ class SolveRequest:
     @classmethod
     def from_wire(cls, wire: Dict[str, object]) -> "SolveRequest":
         """Rebuild a request from its wire dict (validates the graph,
-        the strategies and the limits eagerly)."""
+        the strategies and the limits eagerly).
+
+        Dicts written before the audit became unconditional (journal
+        entries) may carry ``audit``, ``keep_model`` and ``proof_log``
+        keys, even false ones; they are ignored and the answer is
+        audited like any other."""
         if wire.get("format") != WIRE_FORMAT:
             raise ValueError(f"unsupported request format "
                              f"{wire.get('format')!r}")
@@ -229,9 +238,6 @@ class SolveRequest:
             strategies=tuple(strategy_from_wire(s)
                              for s in wire.get("strategies") or ()),
             limits=limits_from_wire(wire.get("limits")),
-            audit=bool(wire.get("audit", False)),
-            keep_model=bool(wire.get("keep_model", False)),
-            proof_log=bool(wire.get("proof_log", False)),
             client=str(wire.get("client", "")),
             tag=str(wire.get("tag", "")),
         )
@@ -244,9 +250,10 @@ class SolveResponse:
     ``report`` is the shared :class:`SolveReport`; ``coloring`` is the
     decoded witness (SAT answers only); ``winner`` names the strategy
     that produced the answer (portfolio races and batch aggregation);
-    ``audit`` is the audit verdict ("PASS"/"FAIL"/"SKIPPED", or ""
-    when no audit ran); ``cached`` marks answers served from the
-    content-addressed cache, with ``digest`` the cache key either way.
+    ``audit`` is the audit verdict ("PASS"/"FAIL"/"SKIPPED", or "" when
+    the solve decided nothing, so there was no claim to audit);
+    ``cached`` marks answers served from the content-addressed cache,
+    with ``digest`` the cache key either way.
     """
 
     status: SolveStatus
@@ -313,29 +320,25 @@ class SolveResponse:
                    timings=dict(wire.get("timings") or {}))
 
 
-def _audit_verdict(report) -> str:
-    return str(report.verdict) if report is not None else ""
-
-
 def _response_from_outcome(request: SolveRequest, outcome,
                            audit_report=None) -> SolveResponse:
-    """Shared packing of a pipeline :class:`ColoringOutcome`."""
+    """Shared packing of a pipeline :class:`ColoringOutcome` and its
+    audit report (None for an undecided outcome)."""
     status = outcome.status
     detail = str(outcome.solver_stats.get("stop_reason", ""))
     if audit_report is not None and audit_report.failed:
         status = SolveStatus.ERROR
-        detail = "audit failed: " + "; ".join(
-            f"{check.name} ({check.detail})"
-            for check in audit_report.failures)
-    report = SolveReport.from_stats(status, outcome.solver_stats,
-                                    detail=detail)
+        detail = audit_report.reason
+    report = SolveReport.from_stats(
+        status, {**outcome.solver_stats, "num_vars": outcome.num_vars,
+                 "num_clauses": outcome.num_clauses}, detail=detail)
     report.wall_time = outcome.total_time
     return SolveResponse(
         status=status, report=report,
         coloring=outcome.coloring if status is SolveStatus.SAT else None,
         winner=outcome.strategy.label,
         digest=request.cache_key(),
-        audit=_audit_verdict(audit_report),
+        audit=str(audit_report.verdict) if audit_report is not None else "",
         tag=request.tag,
         timings={"graph_time": outcome.graph_time,
                  "encode_time": outcome.encode_time,
@@ -348,36 +351,28 @@ def solve(request: SolveRequest, *, faults=None) -> SolveResponse:
     """The single front door: dispatch one request to the right engine.
 
     One strategy → :func:`repro.core.pipeline.solve_coloring`; several →
-    :func:`repro.core.portfolio.run_portfolio` (first decided answer
-    wins).  With ``request.audit`` the decided answer is independently
+    :func:`repro.core.portfolio.run_portfolio` (the first decided answer
+    that passes its audit wins).  The decided answer is independently
     re-verified before being returned; a failing audit degrades the
     response to ERROR — it never surfaces a wrong answer.  Never raises
     on solver trouble: every failure mode is a status.
     """
-    from .core.pipeline import solve_coloring
     problem = request.problem()
     if len(request.strategies) == 1:
-        strategy = request.strategies[0]
-        outcome = solve_coloring(
-            problem, strategy, limits=request.limits, faults=faults,
-            keep_model=request.keep_model or request.audit,
-            proof_log=request.proof_log or request.audit)
-        audit_report = None
-        if request.audit and outcome.status.decided:
-            from .reliability.audit import audit_outcome
-            audit_report = audit_outcome(problem, outcome)
+        from .core.pipeline import solve_coloring
+        from .reliability.audit import solve_and_audit
+        outcome, audit_report = solve_and_audit(
+            problem, request.strategies[0], solve_coloring,
+            limits=request.limits, faults=faults)
         return _response_from_outcome(request, outcome, audit_report)
 
     from .core.portfolio import run_portfolio
     result = run_portfolio(problem, list(request.strategies),
-                           limits=request.limits, audit=request.audit,
-                           faults=faults)
+                           limits=request.limits, faults=faults)
     if result.outcome is not None:
         winner_label = result.winner.label
-        audit_report = result.audits.get(winner_label)
         response = _response_from_outcome(request, result.outcome,
-                                          audit_report)
-        response.winner = winner_label
+                                          result.audits[winner_label])
         response.report.wall_time = result.wall_time
         return response
     report = result.report
@@ -389,7 +384,7 @@ def solve_batch(requests: Sequence[SolveRequest],
                 max_workers: Optional[int] = None,
                 job_timeout: Optional[float] = None,
                 limits: Optional[SolveLimits] = None,
-                audit: bool = False,
+                audit: Optional[bool] = None,
                 num_shards: int = 1,
                 **batch_kwargs) -> List[SolveResponse]:
     """Fan a request sequence over the distributed shard scheduler.
@@ -400,6 +395,9 @@ def solve_batch(requests: Sequence[SolveRequest],
     ``limits`` are merged with the pool-level ``limits`` per job — the
     scheduler's ``job_timeout``/retry/quarantine machinery applies
     unchanged.  Always returns one response per request, in order.
+    Each worker audits the decided answers it finds, as :func:`solve`
+    does; ``audit`` is accepted the way :class:`SolveRequest` accepts
+    it.
 
     ``num_shards=1`` (the default) runs one worker pool, exactly as
     :func:`repro.bench.batch.run_batch` does; larger values split the
@@ -407,6 +405,7 @@ def solve_batch(requests: Sequence[SolveRequest],
     :func:`repro.dist.scheduler.run_sharded`, which pays off when the
     corpus is large and instances repeat.
     """
+    _refuse_unaudited(audit)
     from .bench.batch import BatchJob
     from .dist.scheduler import run_sharded
     jobs: List[BatchJob] = []
@@ -434,7 +433,7 @@ def solve_batch(requests: Sequence[SolveRequest],
         effective = None
     result = run_sharded(jobs, num_shards=num_shards,
                          max_workers=max_workers, job_timeout=job_timeout,
-                         limits=effective, audit=audit, **batch_kwargs)
+                         limits=effective, **batch_kwargs)
 
     responses: List[SolveResponse] = []
     for index, request in enumerate(requests):

@@ -18,8 +18,8 @@ sits.  :func:`run_batch` is the same scheduler with one shard;
 :mod:`repro.dist.scheduler` re-exports it for the distributed layer.
 
 The shards' worker slots are one :class:`~repro.core.pool.WorkerPool`:
-each keeps one worker process for the whole call, and with
-``audit=True`` each worker audits its own decided answers.
+each keeps one worker process for the whole call, and each worker
+audits its own decided answers.
 
 Guarantees:
 
@@ -89,8 +89,9 @@ class BatchJobResult:
     attempts: int = 1
     #: Failure detail when ``status`` is ERROR.
     error: Optional[str] = None
-    #: Audit report of the final attempt's answer (``audit=True`` runs
-    #: only; an :class:`repro.reliability.audit.AuditReport`).
+    #: Audit report of the final attempt's answer (an
+    #: :class:`repro.reliability.audit.AuditReport`; None when the
+    #: attempt decided nothing).
     audit: Optional[object] = None
 
     @property
@@ -154,12 +155,12 @@ def shard_of(instance: str, num_shards: int) -> int:
 
 
 def _run_job(index: int, cancel: CancelToken, jobs: Sequence[BatchJob],
-             limits: Optional[SolveLimits], faults, audit: bool):
-    """A slot's task: one attempt at ``jobs[index]``, audited when
-    ``audit`` is set; returns ``(outcome, audit report or None)``."""
+             limits: Optional[SolveLimits], faults):
+    """A slot's task: one audited attempt at ``jobs[index]``; returns
+    ``(outcome, audit report or None)``."""
     job = jobs[index]
     return solve_attempt(job.strategy, cancel, solve_coloring, job.problem,
-                         limits, faults, audit, graph_time=job.graph_time,
+                         limits, faults, graph_time=job.graph_time,
                          sites=("dist_shard",))
 
 
@@ -270,8 +271,7 @@ def run_sharded(jobs: Sequence[BatchJob],
                 max_attempts: int = 2,
                 timeout: Optional[float] = None,
                 cancel: Optional[CancelToken] = None,
-                audit: bool = False, faults=None,
-                quarantine=None,
+                faults=None, quarantine=None,
                 dedup: bool = True) -> ShardedResult:
     """Run every job over ``num_shards`` work-stealing shard queues;
     always returns a full table.
@@ -289,15 +289,15 @@ def run_sharded(jobs: Sequence[BatchJob],
     strategy.  No exception escapes a job:
     every job ends as a :class:`BatchJobResult` or in ``pending``.
 
+    Every decided answer is re-verified in the worker that found it,
+    right after the solve (:func:`repro.reliability.audit.audit_outcome`);
+    an answer that fails audit counts as ERROR and is retried, never
+    silently kept.  The audit is part of the attempt: ``job_timeout``
+    and :attr:`BatchJobResult.wall_time` include it, and an audit still
+    running at the hard deadline ends the attempt as TIMEOUT.
+
     Reliability controls:
 
-    * ``audit=True`` re-verifies every decided answer in the worker
-      that found it, right after the solve
-      (:func:`repro.reliability.audit.audit_outcome`); an answer that
-      fails audit counts as ERROR and is retried, never silently kept.
-      The audit is part of the attempt: ``job_timeout`` and
-      :attr:`BatchJobResult.wall_time` include it, and an audit still
-      running at the hard deadline ends the attempt as TIMEOUT.
     * ``faults`` injects faults into the workers (None = the
       ``REPRO_FAULTS`` environment plan only; a ``FaultPlan`` is used
       as given; ``False`` disables injection).  Worker-site faults
@@ -337,12 +337,11 @@ def run_sharded(jobs: Sequence[BatchJob],
         jobs, fanout = _dedup_jobs(jobs, limits, job_timeout)
         duplicates = sum(len(d) for d in fanout.values())
     with trace.span("dist.schedule", jobs=len(jobs), shards=num_shards,
-                    workers_per_shard=workers_per_shard, audit=audit,
+                    workers_per_shard=workers_per_shard,
                     deduped=duplicates) as span:
         result = _schedule_in_span(
             span, jobs, num_shards, workers_per_shard, job_timeout,
-            limits, max_attempts, timeout, cancel, audit, faults,
-            quarantine)
+            limits, max_attempts, timeout, cancel, faults, quarantine)
         if fanout:
             _fan_out_duplicates(result, fanout)
         span.set("settled", len(result.results))
@@ -365,7 +364,7 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
                       job_timeout: Optional[float],
                       limits: Optional[SolveLimits], max_attempts: int,
                       timeout: Optional[float],
-                      cancel: Optional[CancelToken], audit: bool, faults,
+                      cancel: Optional[CancelToken], faults,
                       quarantine) -> ShardedResult:
     """:func:`run_sharded`'s scheduler loop, inside its already-open span:
     a work-stealing policy over a :class:`WorkerPool` whose shard ``s``
@@ -390,7 +389,7 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
         home = shard_of(job.instance, num_shards)
         queues[home].append(_Entry(index, job, home))
     pool = WorkerPool(num_shards * workers_per_shard, _run_job,
-                      args=(jobs, job_limits, faults, audit),
+                      args=(jobs, job_limits, faults),
                       grace=_CANCEL_GRACE_SECONDS, span_id=span.span_id)
     results: List[BatchJobResult] = []
     stats = [{"queued": len(queue), "launched": 0, "stolen": 0,
@@ -512,10 +511,7 @@ def _schedule_in_span(span, jobs: Sequence[BatchJob], num_shards: int,
             return
         outcome, audit_report = done.result
         if audit_report is not None and audit_report.failed:
-            _fail(done, "audit failed: " + "; ".join(
-                f"{check.name} ({check.detail})"
-                for check in audit_report.failures),
-                outcome, audit_report)
+            _fail(done, audit_report.reason, outcome, audit_report)
         elif outcome.status is SolveStatus.ERROR:
             _fail(done, str(outcome.solver_stats.get("stop_reason", ""))
                   or "job failed", outcome)

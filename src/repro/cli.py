@@ -10,8 +10,8 @@ Exposes the paper's two-stage tool flow as composable commands::
     python -m repro extract alu2 --width 6 --out g.col   # stage 1: .col
     python -m repro encode g.col --colors 6 \\
         --encoding ITE-linear-2+muldirect --symmetry s1 --out g.cnf  # stage 2
+    python -m repro color g.col --colors 6           # solve the .col
     python -m repro solve g.cnf                      # plain CDCL on DIMACS
-    python -m repro audit g.col --colors 6           # solve + re-check answer
     python -m repro route alu2 --width 7 --trace run.jsonl  # traced run
     python -m repro trace run.jsonl                  # render the span tree
     python -m repro metrics run.jsonl                # render metric snapshots
@@ -20,13 +20,17 @@ Exposes the paper's two-stage tool flow as composable commands::
     python -m repro submit localhost:7227 g.col --colors 6  # remote job
 
 Every command is deterministic given its inputs, so pipelines are
-reproducible end to end.  Exit codes are uniform across every solving
-command (route, solve, color, audit, portfolio, submit, fuzz): the
-DIMACS convention — 10 for SAT/routable (for ``fuzz``: at least one
-finding), 20 for proven UNSAT/unroutable, 0 when a ``--timeout`` or
-``--conflict-budget`` stopped the run undecided (for ``fuzz``: campaign
-clean) — and 2 for usage or execution errors, so shell scripts can
-branch on the verdict.
+reproducible end to end.  ``color``, ``route`` and ``portfolio`` answer
+through :func:`repro.api.solve`, which audits every decided answer (the
+model against the re-encoded CNF, RUP replay of the proof of an UNSAT
+answer), and each prints the audit verdict; ``route`` also checks the
+tracks it decodes.  Exit codes are uniform across every solving command
+(route, solve, color, portfolio, submit, fuzz): the DIMACS convention —
+10 for SAT/routable (for ``fuzz``: at least one finding), 20 for proven
+UNSAT/unroutable, 0 when a ``--timeout`` or ``--conflict-budget``
+stopped the run undecided (for ``fuzz``: campaign clean) — and 2 for
+usage or execution errors, including an answer that failed its audit,
+so shell scripts can branch on the verdict.
 """
 
 from __future__ import annotations
@@ -35,14 +39,14 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import __version__
+from . import __version__, api
 from .coloring import ColoringProblem, parse_col_file, write_col_file
-from .core import (PORTFOLIO_2, PORTFOLIO_3, Strategy, get_encoding,
-                   run_portfolio, solve_coloring)
+from .core import PORTFOLIO_2, PORTFOLIO_3, Strategy, get_encoding
 from .core.symmetry import apply_symmetry
 from .fpga import (ALL_BENCHMARKS, benchmark_spec, build_routing_csp,
-                   detailed_route, load_netlist, load_routing,
-                   minimum_channel_width, route_netlist)
+                   load_netlist, load_routing, minimum_channel_width,
+                   route_netlist)
+from .fpga.flow import decode_tracks
 from .fpga.io import assignment_to_json, netlist_to_json, read_netlist
 from .sat import SolveLimits, SolveStatus, parse_dimacs_file, solve
 from .sat.solver.cdcl import BudgetExceeded
@@ -73,8 +77,7 @@ def _limits(args) -> Optional[SolveLimits]:
                        wall_clock_limit=args.timeout)
 
 
-def _print_stop_reason(stats) -> None:
-    reason = stats.get("stop_reason")
+def _print_stop_reason(reason: str, stats) -> None:
     if reason:
         print(f"  stopped: {reason}")
     injected = stats.get("injected_faults")
@@ -222,23 +225,39 @@ def _print_solver_stats(stats) -> None:
               f"{int(stats['arena_compactions']):>12,}")
 
 
-def _print_outcome_report(outcome, *, show_stats: bool = False) -> None:
-    """Shared per-run report: problem size, the paper's Table-2 time
-    split (graph + encode + solve), and optional solver counters.
+def _solve(problem: ColoringProblem, strategies, args) -> "api.SolveResponse":
+    """Answer ``problem`` through the package's one front door, which
+    audits every decided answer."""
+    return api.solve(api.SolveRequest(
+        graph=problem.graph, colors=problem.num_colors,
+        strategies=tuple(strategies), limits=_limits(args)))
 
-    One helper for every solving command — route, color, audit and the
-    portfolio's winner all print the same lines, so the time split is
-    never a privilege of one code path.
-    """
-    print(f"  {outcome.num_vars} vars, {outcome.num_clauses} clauses, "
-          f"{int(outcome.solver_stats.get('conflicts', 0))} conflicts")
-    print(f"  time: graph {outcome.graph_time:.3f}s + "
-          f"encode {outcome.encode_time:.3f}s + "
-          f"solve {outcome.solve_time:.3f}s = {outcome.total_time:.3f}s")
-    if show_stats:
-        print(f"  encode split: cnf {outcome.cnf_time:.3f}s + "
-              f"symmetry {outcome.symmetry_time:.3f}s")
-        _print_solver_stats(outcome.solver_stats)
+
+def _print_response(response: "api.SolveResponse", *,
+                    graph_time: float = 0.0,
+                    show_stats: bool = False) -> None:
+    """Shared per-run report of every solving command: why an undecided
+    run stopped, the problem size, the paper's Table-2 time split
+    (graph + encode + solve), optional solver counters, and the audit
+    verdict of a decided answer — so no line is a privilege of one
+    command."""
+    stats, timings = response.report.stats, response.timings
+    if not response.decided:
+        _print_stop_reason(response.report.detail, stats)
+    if timings:
+        encode, solve_time = timings["encode_time"], timings["solve_time"]
+        print(f"  {int(stats.get('num_vars', 0))} vars, "
+              f"{int(stats.get('num_clauses', 0))} clauses, "
+              f"{response.report.conflicts} conflicts")
+        print(f"  time: graph {graph_time:.3f}s + encode {encode:.3f}s + "
+              f"solve {solve_time:.3f}s = "
+              f"{graph_time + encode + solve_time:.3f}s")
+        if show_stats:
+            print(f"  encode split: cnf {timings['cnf_time']:.3f}s + "
+                  f"symmetry {timings['symmetry_time']:.3f}s")
+            _print_solver_stats(stats)
+    if response.audit:
+        print(f"  audit {response.audit}")
 
 
 def _load_routing_arg(circuit: str, scale: float):
@@ -305,38 +324,32 @@ def cmd_width(args) -> int:
 def cmd_route(args) -> int:
     _apply_fault_options(args)
     routing = _load_routing_arg(args.circuit, args.scale)
-    result = detailed_route(routing, args.width, _strategy(args),
-                            limits=_limits(args))
-    outcome = result.outcome
-    if result.status.decided:
-        verdict = "ROUTABLE" if result.routable else "UNROUTABLE (proven)"
+    csp = build_routing_csp(routing, args.width)
+    response = _solve(csp.problem, [_strategy(args)], args)
+    assignment = None
+    if response.status is SolveStatus.SAT:
+        assignment, illegal = decode_tracks(csp, response.coloring)
+        if assignment is None:
+            # An illegal routing is a wrong answer, like a failed audit.
+            response.status = response.report.status = SolveStatus.ERROR
+            response.report.detail = illegal
+    if response.decided:
+        verdict = ("ROUTABLE" if assignment is not None
+                   else "UNROUTABLE (proven)")
     else:
-        verdict = f"UNDECIDED ({result.status})"
+        verdict = f"UNDECIDED ({response.status})"
     print(f"{routing.netlist.name} @ W={args.width}: {verdict}")
-    if not result.status.decided:
-        _print_stop_reason(outcome.solver_stats)
     print(f"  encoding {args.encoding}, symmetry {args.symmetry}, "
           f"solver {args.solver}")
-    _print_outcome_report(outcome, show_stats=args.stats)
-    if result.routable and args.tracks_out:
+    _print_response(response, graph_time=csp.build_time,
+                    show_stats=args.stats)
+    if assignment is not None and args.tracks_out:
         with open(args.tracks_out, "w", encoding="utf-8") as handle:
-            handle.write(assignment_to_json(result.assignment))
+            handle.write(assignment_to_json(assignment))
         print(f"  wrote track assignment to {args.tracks_out}")
-    if result.status is SolveStatus.UNSAT and args.certify:
-        from .core.symmetry import apply_symmetry
-        from .sat import check_rup_proof, solve_with_proof
-        csp = build_routing_csp(routing, args.width)
-        encoded = get_encoding(args.encoding).encode(csp.problem)
-        apply_symmetry(encoded, args.symmetry)
-        proof_result, proof = solve_with_proof(
-            encoded.cnf, _strategy(args).solver_config())
-        assert proof_result.status is SolveStatus.UNSAT
-        steps = check_rup_proof(encoded.cnf, proof)
-        print(f"  certificate: {steps} proof steps, independently "
-              f"verified (RUP)")
     # DIMACS convention: 10 = SAT/routable, 20 = UNSAT/unroutable,
-    # 0 = undecided (budget or deadline).
-    return result.status.exit_code
+    # 0 = undecided (budget or deadline), 2 = error.
+    return response.exit_code
 
 
 def cmd_extract(args) -> int:
@@ -371,46 +384,22 @@ def cmd_color(args) -> int:
     _apply_fault_options(args)
     graph = parse_col_file(args.col_file)
     problem = ColoringProblem(graph, args.colors)
-    outcome = solve_coloring(problem, _strategy(args))
-    if outcome.is_sat:
+    response = _solve(problem, [_strategy(args)], args)
+    if response.status is SolveStatus.SAT:
         print(f"SATISFIABLE: {args.colors}-coloring found")
         if args.show:
             for vertex in range(problem.num_vertices):
-                print(f"  vertex {vertex + 1}: color {outcome.coloring[vertex]}")
-        _print_outcome_report(outcome, show_stats=args.stats)
-    elif outcome.status is SolveStatus.UNSAT:
+                print(f"  vertex {vertex + 1}: "
+                      f"color {response.coloring[vertex]}")
+    elif response.status is SolveStatus.UNSAT:
         print(f"UNSATISFIABLE: no {args.colors}-coloring exists")
-        _print_outcome_report(outcome, show_stats=args.stats)
     else:
-        print(f"UNDECIDED ({outcome.status})")
-        _print_stop_reason(outcome.solver_stats)
+        print(f"UNDECIDED ({response.status})")
+    _print_response(response, show_stats=args.stats)
     # Uniform DIMACS convention (same as route/solve/portfolio):
-    # 10 = SAT, 20 = UNSAT, 0 = undecided, 2 = error.
-    return outcome.status.exit_code
-
-
-def cmd_audit(args) -> int:
-    _apply_fault_options(args)
-    graph = parse_col_file(args.col_file)
-    problem = ColoringProblem(graph, args.colors)
-    outcome = solve_coloring(problem, _strategy(args), limits=_limits(args),
-                             keep_model=True, proof_log=True)
-    from .reliability.audit import audit_outcome
-    report = audit_outcome(problem, outcome)
-    if outcome.status is SolveStatus.SAT:
-        verdict = f"SATISFIABLE ({args.colors}-coloring found)"
-    elif outcome.status is SolveStatus.UNSAT:
-        verdict = f"UNSATISFIABLE (no {args.colors}-coloring exists)"
-    else:
-        verdict = f"UNDECIDED ({outcome.status})"
-    print(f"{args.col_file} with K={args.colors}: {verdict}")
-    _print_stop_reason(outcome.solver_stats)
-    _print_outcome_report(outcome, show_stats=args.stats)
-    print(report.summary())
-    # A failed audit dominates the solver's own verdict.
-    if report.failed:
-        return 2
-    return outcome.status.exit_code
+    # 10 = SAT, 20 = UNSAT, 0 = undecided, 2 = error (a failed audit
+    # included).
+    return response.exit_code
 
 
 def cmd_solve(args) -> int:
@@ -429,7 +418,7 @@ def cmd_solve(args) -> int:
         print("s UNSATISFIABLE")
     else:
         print("s UNKNOWN")
-        _print_stop_reason(result.stats)
+        _print_stop_reason(result.stats.get("stop_reason", ""), result.stats)
     if args.stats:
         _print_solver_stats(result.stats)
     # DIMACS convention: 10 = SAT, 20 = UNSAT, 0 = unknown.
@@ -440,28 +429,21 @@ def cmd_portfolio(args) -> int:
     _apply_fault_options(args)
     routing = _load_routing_arg(args.circuit, args.scale)
     csp = build_routing_csp(routing, args.width)
-    strategies = list(PORTFOLIO_2 if args.members == 2 else PORTFOLIO_3)
-    result = run_portfolio(csp.problem, strategies, timeout=args.timeout,
-                           limits=_limits(args), audit=args.audit)
+    strategies = PORTFOLIO_2 if args.members == 2 else PORTFOLIO_3
+    response = _solve(csp.problem, strategies, args)
     name = routing.netlist.name
-    if result.decided:
-        routable = result.status is SolveStatus.SAT
+    if response.decided:
+        routable = response.status is SolveStatus.SAT
         print(f"{name} @ W={args.width}: "
               f"{'ROUTABLE' if routable else 'UNROUTABLE (proven)'}")
-        print(f"  winner: {result.winner.label} "
-              f"after {result.wall_time:.3f}s "
-              f"({result.num_strategies} strategies raced)")
-        _print_outcome_report(result.outcome, show_stats=args.stats)
-        if args.audit and result.winner.label in result.audits:
-            print(f"  {result.audits[result.winner.label].summary()}")
+        print(f"  winner: {response.winner} "
+              f"after {response.report.wall_time:.3f}s "
+              f"({len(strategies)} strategies raced)")
     else:
-        print(f"{name} @ W={args.width}: UNDECIDED ({result.status})")
-        for label, status in sorted(result.member_status.items()):
-            line = f"  {label}: {status}"
-            if label in result.failures:
-                line += f" ({result.failures[label]})"
-            print(line)
-    return result.status.exit_code
+        print(f"{name} @ W={args.width}: UNDECIDED ({response.status})")
+    _print_response(response, graph_time=csp.build_time,
+                    show_stats=args.stats)
+    return response.exit_code
 
 
 def cmd_dist(args) -> int:
@@ -563,7 +545,6 @@ def _parse_server_address(text: str) -> tuple:
 
 
 def cmd_submit(args) -> int:
-    from . import api
     from .serve.client import ServeClient, ServeError, ServeRejected
     from .serve.resilience import ResilientClient, RetryPolicy
     host, port = _parse_server_address(args.server)
@@ -676,8 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--tracks-out", help="write the track assignment JSON here")
-    p.add_argument("--certify", action="store_true",
-                   help="on UNSAT, emit and verify a DRUP certificate")
     p.add_argument("--stats", action="store_true",
                    help="print solver performance counters")
     _add_strategy_options(p)
@@ -696,9 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="portfolio size: the paper's 2- or 3-member set")
     p.add_argument("--stats", action="store_true",
                    help="print the winner's solver counters")
-    p.add_argument("--audit", action="store_true",
-                   help="independently re-check candidate winners; an "
-                        "answer that fails its audit cannot win")
     _add_budget_options(p)
     _add_fault_options(p)
     _add_obs_options(p)
@@ -719,7 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strategy_options(p)
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("color", help="solve a DIMACS .col coloring problem")
+    p = sub.add_parser("color",
+                       help="solve a DIMACS .col coloring problem and "
+                            "audit the answer (model check or RUP proof "
+                            "replay)")
     p.add_argument("col_file")
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--show", action="store_true",
@@ -727,23 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true",
                    help="print solver performance counters")
     _add_strategy_options(p)
-    _add_fault_options(p)
-    _add_obs_options(p)
-    p.set_defaults(func=cmd_color)
-
-    p = sub.add_parser("audit",
-                       help="solve a .col instance, then independently "
-                            "re-check the answer (model check or RUP "
-                            "proof replay)")
-    p.add_argument("col_file")
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--stats", action="store_true",
-                   help="print solver performance counters")
-    _add_strategy_options(p)
     _add_budget_options(p)
     _add_fault_options(p)
     _add_obs_options(p)
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("solve", help="run the CDCL solver on a DIMACS CNF")
     p.add_argument("cnf_file")

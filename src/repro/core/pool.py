@@ -70,23 +70,17 @@ def fire_worker_faults(faults, strategy, sites=()) -> None:
 
 
 def solve_attempt(strategy, cancel: CancelToken, solve, problem, limits,
-                  faults, audit: bool, *, graph_time: float = 0.0,
-                  sites=()):
-    """One attempt inside a worker: fire the worker-site faults, solve
-    with ``solve`` (the caller's ``solve_coloring`` binding, so a double
-    patched into the caller's module reaches its workers), and audit a
-    decided answer when ``audit`` is set.  Returns ``(outcome, audit
-    report or None)``.  Its leading ``(strategy, cancel)`` make it a
-    pool task as it stands: the portfolio race's."""
+                  faults, *, graph_time: float = 0.0, sites=()):
+    """One attempt inside a worker: fire the worker-site faults, then
+    solve with ``solve`` (the caller's ``solve_coloring`` binding, so a
+    double patched into the caller's module reaches its workers) and
+    audit a decided answer.  Returns ``(outcome, audit report or
+    None)``.  Its leading ``(strategy, cancel)`` make it a pool task as
+    it stands: the portfolio race's."""
     fire_worker_faults(faults, strategy, sites)
-    outcome = solve(problem, strategy, graph_time=graph_time, limits=limits,
-                    cancel=cancel, faults=faults, keep_model=audit,
-                    proof_log=audit)
-    report = None
-    if audit and outcome.status.decided:
-        from ..reliability.audit import audit_outcome
-        report = audit_outcome(problem, outcome)
-    return outcome, report
+    from ..reliability.audit import solve_and_audit
+    return solve_and_audit(problem, strategy, solve, graph_time=graph_time,
+                           limits=limits, cancel=cancel, faults=faults)
 
 
 def _exit_with_parent(parent: int) -> None:

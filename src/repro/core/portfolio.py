@@ -5,7 +5,8 @@ core; the first to answer wins and the rest are terminated.  Two flavours:
 
 * :func:`run_portfolio` — real ``multiprocessing`` execution: a race
   policy over the package's one :class:`~repro.core.pool.WorkerPool`,
-  one slot (one process) per strategy, first *decided* answer wins.
+  one slot (one process) per strategy, first *decided* answer that
+  passes its audit wins.
   Losers are stopped cooperatively: each slot's :class:`CancelToken` is
   observed by its solver at conflict boundaries, so a beaten member
   winds down and reports instead of being killed mid-propagation (the
@@ -56,9 +57,9 @@ class PortfolioResult:
     member_status: Dict[str, SolveStatus] = field(default_factory=dict)
     #: Failure details for members with status ERROR, by label.
     failures: Dict[str, str] = field(default_factory=dict)
-    #: Audit reports per decided member, by label (``audit=True`` runs
-    #: only).  A member whose answer failed its audit is demoted to
-    #: ERROR and cannot win the race.
+    #: Audit reports per decided member, by label.  A member whose
+    #: answer failed its audit is demoted to ERROR and cannot win the
+    #: race.
     audits: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -71,8 +72,11 @@ class PortfolioResult:
         winner's solver stats when decided)."""
         stats = self.outcome.solver_stats if self.outcome is not None else {}
         detail = (f"winner {self.winner.label}" if self.winner is not None
-                  else "; ".join(f"{label}: {status}" for label, status
-                                 in self.member_status.items()))
+                  else "; ".join(
+                      f"{label}: {status}" + (f" ({self.failures[label]})"
+                                              if label in self.failures
+                                              else "")
+                      for label, status in self.member_status.items()))
         report = SolveReport.from_stats(self.status, stats, detail=detail)
         report.wall_time = self.wall_time
         return report
@@ -87,12 +91,12 @@ _CANCEL_GRACE_SECONDS = CANCEL_GRACE_SECONDS
 def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
                   timeout: Optional[float] = None,
                   limits: Optional[SolveLimits] = None,
-                  audit: bool = False, faults=None) -> PortfolioResult:
+                  faults=None) -> PortfolioResult:
     """Run every strategy in parallel; the first decided answer wins.
 
-    ``timeout`` is the race deadline in seconds (shorthand for — and
-    merged into — ``limits.wall_clock_limit``); ``limits`` bounds every
-    member individually.  On a winner, the losers' cancel tokens are
+    ``limits`` bounds every member individually, and its wall clock is
+    also the race deadline; ``timeout`` (seconds) is shorthand for —
+    and merged into — ``limits.wall_clock_limit``.  On a winner, the losers' cancel tokens are
     set and they stop at their next conflict boundary; a worker that
     ignores its token past a grace period is killed.
 
@@ -106,8 +110,8 @@ def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
     per-member details in ``failures``) — no exception is raised either
     way.
 
-    With ``audit=True`` each member's worker re-verifies its own
-    decided answer right after the solve
+    Each member's worker re-verifies its own decided answer right after
+    the solve
     (:func:`repro.reliability.audit.audit_outcome` — the model against
     a re-encoding, the coloring against the problem, UNSAT via proof
     replay), so the first decided answer that *passes* its audit wins;
@@ -122,10 +126,10 @@ def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
     if not strategies:
         raise ValueError("a portfolio needs at least one strategy")
     with trace.span("portfolio.race", members=len(strategies),
-                    strategies=",".join(s.label for s in strategies),
-                    audit=audit) as race_span:
+                    strategies=",".join(s.label for s in strategies)
+                    ) as race_span:
         result = _race_in_span(race_span, problem, strategies, timeout,
-                               limits, audit, faults)
+                               limits, faults)
         race_span.set("status", str(result.status))
         if result.winner is not None:
             race_span.set("winner", result.winner.label)
@@ -141,7 +145,7 @@ def run_portfolio(problem: ColoringProblem, strategies: Sequence[Strategy],
 def _race_in_span(race_span, problem: ColoringProblem,
                   strategies: Sequence[Strategy],
                   timeout: Optional[float], limits: Optional[SolveLimits],
-                  audit: bool, faults) -> PortfolioResult:
+                  faults) -> PortfolioResult:
     """:func:`run_portfolio` body, inside its already-open race span: a
     race policy over a :class:`WorkerPool` with one slot per member.
 
@@ -153,13 +157,16 @@ def _race_in_span(race_span, problem: ColoringProblem,
     trace`` renders the whole race as one tree.
     """
     member_limits = (limits or SolveLimits()).with_wall_clock(timeout)
+    # The race deadline is every member's wall clock: a member stuck
+    # outside its solver cannot stop itself at it.
+    budget = member_limits.wall_clock_limit
     start = time.perf_counter()
-    deadline = None if timeout is None else start + timeout
+    deadline = None if budget is None else start + budget
     # The task is the member's strategy; this module's solve_coloring
     # binding reaches the workers at fork.
     pool = WorkerPool(
         len(strategies), solve_attempt,
-        args=(solve_coloring, problem, member_limits, faults, audit),
+        args=(solve_coloring, problem, member_limits, faults),
         grace=_CANCEL_GRACE_SECONDS, span_id=race_span.span_id)
 
     member_status: Dict[str, SolveStatus] = {}
@@ -193,8 +200,7 @@ def _race_in_span(race_span, problem: ColoringProblem,
         elif report is not None and report.failed:
             # A wrong answer must not win: demote the member and let the
             # rest of the race continue.
-            failures[label] = "audit failed: " + "; ".join(
-                f"{check.name} ({check.detail})" for check in report.failures)
+            failures[label] = report.reason
             trace.event("member.demoted", label=label, reason=failures[label])
         elif result.status.decided and winner is None:
             winner, outcome = done.tag, result
@@ -220,7 +226,7 @@ def _race_in_span(race_span, problem: ColoringProblem,
                 # report (cooperatively — their TIMEOUT results carry
                 # partial stats), with a kill as backstop.
                 timed_out = True
-                trace.event("race.deadline", timeout=timeout)
+                trace.event("race.deadline", timeout=budget)
                 pool.cancel()
             for done in pool.wait():
                 _record(done)

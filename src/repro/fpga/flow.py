@@ -12,7 +12,7 @@ with the three-way timing split reported in Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Mapping, Optional, Tuple
 
 from ..core.pipeline import ColoringOutcome, least_colorable, solve_coloring
 from ..core.strategy import Strategy
@@ -54,6 +54,20 @@ class DetailedRoutingResult:
         return self.outcome.total_time
 
 
+def decode_tracks(csp: RoutingCSP, coloring: Mapping[int, int]
+                  ) -> Tuple[Optional[TrackAssignment], str]:
+    """A coloring of ``csp`` as tracks, checked by the independent
+    verifier: ``(assignment, "")`` when the routing is legal, else
+    ``(None, reason)`` naming the first violation.  The one decode step
+    of :func:`detailed_route` and ``repro route``."""
+    assignment = assignment_from_coloring(csp, coloring)
+    violations = verify_track_assignment(assignment)
+    if violations:
+        return None, ("decoded track assignment is illegal: "
+                      + violations[0])
+    return assignment, ""
+
+
 def detailed_route(routing: GlobalRouting, width: int,
                    strategy: Strategy,
                    limits: Optional[SolveLimits] = None,
@@ -74,15 +88,12 @@ def detailed_route(routing: GlobalRouting, width: int,
                              limits=limits, cancel=cancel)
     assignment = None
     if outcome.is_sat:
-        assignment = assignment_from_coloring(csp, outcome.coloring)
-        violations = verify_track_assignment(assignment)
-        if violations:
-            assignment = None
+        assignment, illegal = decode_tracks(csp, outcome.coloring)
+        if assignment is None:
             outcome = replace(
                 outcome, status=SolveStatus.ERROR, coloring=None,
-                solver_stats={**outcome.solver_stats, "stop_reason":
-                              "decoded track assignment is illegal: "
-                              + violations[0]})
+                solver_stats={**outcome.solver_stats,
+                              "stop_reason": illegal})
     return DetailedRoutingResult(csp=csp, strategy=strategy,
                                  routable=outcome.is_sat,
                                  assignment=assignment, outcome=outcome)

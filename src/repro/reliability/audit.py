@@ -1,17 +1,16 @@
 """End-to-end auditing of solver answers.
 
 Every layer of the stack returns an *answer* — a raw
-:class:`~repro.sat.model.SolveResult`, a decoded
-:class:`~repro.core.pipeline.ColoringOutcome`, a
-:class:`~repro.fpga.flow.DetailedRoutingResult` — and every answer can
-be wrong: a faulted solver (see :mod:`repro.reliability.faults`), a
-buggy encoding, a corrupted worker.  The auditors here re-derive each
-claim from first principles:
+:class:`~repro.sat.model.SolveResult` or a decoded
+:class:`~repro.core.pipeline.ColoringOutcome` — and every answer can be
+wrong: a faulted solver (see :mod:`repro.reliability.faults`), a buggy
+encoding, a corrupted worker.  The auditors here re-derive each claim
+from first principles:
 
-* **SAT** answers: the model must satisfy every clause of the CNF, the
-  decoded coloring must be proper, and a decoded routing must respect
-  track exclusivity (via the independent verifier in
-  :mod:`repro.fpga.tracks`).
+* **SAT** answers: the model must satisfy every clause of the CNF and
+  the decoded coloring must be proper.  (A decoded routing's track
+  exclusivity is checked where it is decoded, by
+  :func:`repro.fpga.flow.decode_tracks`.)
 * **UNSAT** answers: replay the recorded proof (``proof_log``) through
   the independent RUP checker in :mod:`repro.sat.proof`.  An answer
   without a proof is *rechecked*: a budgeted re-solve with proof
@@ -20,9 +19,11 @@ claim from first principles:
 
 Each audit produces an :class:`AuditReport`: a list of named
 :class:`AuditCheck` results and an overall verdict (FAIL if any check
-failed, else SKIPPED if nothing was checkable, else PASS).  The
-portfolio and batch runners consume these reports to reject wrong
-winners and quarantine misbehaving strategies
+failed, else SKIPPED if nothing was checkable, else PASS).
+:func:`solve_and_audit` is how every front door answers — ``repro.api``,
+the portfolio race and the job scheduler's workers — so no decided
+answer leaves the package unchecked; the race and the scheduler use the
+reports to reject wrong winners and quarantine misbehaving strategies
 (:mod:`repro.reliability.quarantine`).
 
 Auditors never raise on a *bad answer* — a wrong model yields a FAIL
@@ -115,6 +116,12 @@ class AuditReport:
         return [check for check in self.checks
                 if check.verdict is AuditVerdict.FAIL]
 
+    @property
+    def reason(self) -> str:
+        """Why a failed answer is an ERROR, as its detail line."""
+        return "audit failed: " + "; ".join(
+            f"{check.name} ({check.detail})" for check in self.failures)
+
     def add(self, name: str, ok: Optional[bool], detail: str = "") -> None:
         """Record one check (``ok=None`` records a SKIPPED check)."""
         verdict = (AuditVerdict.SKIPPED if ok is None
@@ -144,29 +151,23 @@ class AuditReport:
         }
 
 
-def _observe_checks(checks: Sequence[AuditCheck]) -> None:
-    """Mirror audit checks into the observability layer: one
-    ``audit.check`` span event and one per-verdict counter each.  Must
-    run while the audit's span is still open so the events attach to it;
-    a no-op when tracing and metrics are both disabled."""
+def _observe_report(report: AuditReport, audit_span) -> None:
+    """Close out one audit's observability: the verdict attribute on
+    its span, one ``audit.check`` span event and one per-verdict counter
+    per check, and the per-verdict report counter.  Must run while the
+    span is still open so the events attach to it; only the attribute
+    is set when tracing and metrics are both disabled."""
+    audit_span.set("verdict", str(report.verdict))
     if trace.enabled():
-        for check in checks:
+        for check in report.checks:
             trace.event("audit.check", check=check.name,
                         verdict=str(check.verdict),
                         **({"detail": check.detail} if check.detail else {}))
     if obs_metrics.enabled():
         registry = obs_metrics.registry()
-        for check in checks:
+        for check in report.checks:
             registry.inc(f"audit.checks.{check.verdict}".lower())
-
-
-def _observe_report(report: AuditReport, audit_span) -> None:
-    """Close out one audit's observability: verdict attribute on the
-    span, check events, and the per-verdict report counter."""
-    audit_span.set("verdict", str(report.verdict))
-    _observe_checks(report.checks)
-    if obs_metrics.enabled():
-        obs_metrics.registry().inc(f"audit.{report.verdict}".lower())
+        registry.inc(f"audit.{report.verdict}".lower())
 
 
 def _check_model(report: AuditReport, cnf: CNF,
@@ -324,53 +325,18 @@ def audit_outcome(problem, outcome, *,
     return report
 
 
-def audit_routing(result, *,
-                  cross_check_conflicts: int = DEFAULT_CROSS_CHECK_CONFLICTS
-                  ) -> AuditReport:
-    """Audit a :class:`DetailedRoutingResult`: the underlying coloring
-    outcome plus routing-level track exclusivity on the decoded
-    assignment (via the independent verifier)."""
-    report = audit_outcome(result.csp.problem, result.outcome,
-                           cross_check_conflicts=cross_check_conflicts)
-    start = time.perf_counter()
-    checked = len(report.checks)
-    with trace.span("audit.routing", subject=report.subject) as audit_span:
-        if result.status is SolveStatus.SAT:
-            if result.assignment is None:
-                report.add("track-exclusivity", False,
-                           "routable answer carries no track assignment")
-            else:
-                from ..fpga.tracks import verify_track_assignment
-                violations = verify_track_assignment(result.assignment)
-                report.add("track-exclusivity", not violations,
-                           "; ".join(violations[:3]))
-        report.wall_time += time.perf_counter() - start
-        audit_span.set("verdict", str(report.verdict))
-        # Only the routing-level checks: the inner audit_outcome span
-        # already observed the rest.
-        _observe_checks(report.checks[checked:])
-    return report
+def solve_and_audit(problem, strategy, solve, **options):
+    """Solve ``problem`` with ``strategy`` keeping the model and the
+    proof, then audit a decided answer: the one way every front door
+    produces an answer.
 
-
-def audit_result(result, *, problem=None, cnf: Optional[CNF] = None,
-                 proof: Optional[Sequence[Sequence[int]]] = None,
-                 **options) -> AuditReport:
-    """Audit any answer the stack produces, dispatching on its type.
-
-    * :class:`SolveResult` — requires ``cnf`` (and optionally ``proof``).
-    * :class:`ColoringOutcome` — requires ``problem``.
-    * :class:`DetailedRoutingResult` — self-contained.
+    ``solve`` is the caller's :func:`~repro.core.pipeline.solve_coloring`
+    binding (so a double patched into the caller's module is used) and
+    ``options`` go to it.  Returns ``(outcome, audit report)``, with
+    None for the report of an undecided outcome, which claims nothing.
     """
-    if isinstance(result, SolveResult):
-        if cnf is None:
-            raise ValueError("auditing a SolveResult requires cnf=")
-        return audit_solve(cnf, result, proof, **options)
-    from ..core.pipeline import ColoringOutcome
-    if isinstance(result, ColoringOutcome):
-        if problem is None:
-            raise ValueError("auditing a ColoringOutcome requires problem=")
-        return audit_outcome(problem, result, **options)
-    from ..fpga.flow import DetailedRoutingResult
-    if isinstance(result, DetailedRoutingResult):
-        return audit_routing(result, **options)
-    raise TypeError(f"don't know how to audit {type(result).__name__}")
+    outcome = solve(problem, strategy, keep_model=True, proof_log=True,
+                    **options)
+    if not outcome.status.decided:
+        return outcome, None
+    return outcome, audit_outcome(problem, outcome)

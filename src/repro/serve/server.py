@@ -21,8 +21,9 @@ The request path::
         │ admitted, budget = server ceiling ∧ request limits
     journal admit (fsync'd write-ahead record — survives SIGKILL)
         │
-    worker pool: api.solve with audit FORCED on; SIGKILL past the
-    budget + grace, and a fresh worker for the slot, if the job wedges
+    worker pool: api.solve, which audits every decided answer; SIGKILL
+    past the budget + grace, and a fresh worker for the slot, if the
+    job wedges
         │ decided + audit passed
     cache fill (memory LRU + atomic disk write) + journal done ──▶ answer
 
@@ -363,7 +364,7 @@ class SolveService:
     async def _replay(self, digest: str, request: "api.SolveRequest",
                       wire: Dict) -> None:
         """Re-run one journaled request exactly like a live admit
-        (budget ceiling, forced audit, deadline kill, cache fill)."""
+        (budget ceiling, deadline kill, audit-guarded cache fill)."""
         if digest in self._jobs:  # a live client raced us to it
             await asyncio.wait([self._jobs[digest]])
             if self.cache.get(digest) is not None:
@@ -565,8 +566,8 @@ class SolveService:
         payload["tag"] = request.tag
         self._count(f"serve.jobs.{status}")
         if status.decided and payload.get("audit") != "FAIL":
-            # Audit-guarded fill: every job runs audited, so a decided
-            # answer here has verdict PASS (a FAIL was demoted to ERROR).
+            # Audit-guarded fill: api.solve audits every decided answer,
+            # so one here has verdict PASS (a FAIL was demoted to ERROR).
             self._fill_cache(digest, request, payload)
         return {"ok": True, "response": payload}
 
@@ -589,14 +590,13 @@ class SolveService:
     async def _run_job(self, wire: Dict, token: str,
                        limits: Optional[SolveLimits]) -> Dict:
         """Run one request on the pool and return its response wire.
-        The server's ``job_timeout`` tightens ``limits``, the audit is
-        forced on (cache fills are verified answers), and the resulting
-        wall-clock budget is the job's pool deadline.  Raises when the
-        worker dies or is killed."""
+        The server's ``job_timeout`` tightens ``limits``, and the
+        resulting wall-clock budget is the job's pool deadline.  Raises
+        when the worker dies or is killed."""
         if self.job_timeout is not None:
             limits = (limits or SolveLimits()).with_wall_clock(
                 self.job_timeout)
-        job_wire = dict(wire, limits=api.limits_to_wire(limits), audit=True)
+        job_wire = dict(wire, limits=api.limits_to_wire(limits))
         job = _Job(token, (job_wire, token),
                    None if limits is None else limits.wall_clock_limit,
                    self._loop.create_future())

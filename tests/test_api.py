@@ -5,6 +5,8 @@ invariance, relabeling sensitivity, limits sensitivity), the wire
 codecs, and the dispatch routing (pipeline / portfolio / batch).
 """
 
+import dataclasses
+import inspect
 import json
 
 import pytest
@@ -16,6 +18,17 @@ from repro.coloring import ColoringProblem
 from repro.coloring.problem import Graph
 from repro.core.strategy import BEST_SINGLE_STRATEGY, PORTFOLIO_2, Strategy
 from repro.sat.status import SolveLimits, SolveStatus
+
+#: The alu2 request of the audit tests: unroutable at W=5, routable at 7.
+ALU2_STRATEGY = Strategy("pop", "s1")
+
+
+@pytest.fixture(scope="module")
+def alu2_problems():
+    from repro.fpga import build_routing_csp, load_routing
+    routing = load_routing("alu2", scale=0.6)
+    return {width: build_routing_csp(routing, width).problem
+            for width in (5, 7)}
 
 
 def triangle(order=((0, 1), (1, 2), (0, 2))):
@@ -91,7 +104,6 @@ class TestCacheKey:
         graph = triangle()
         base = SolveRequest(graph=graph, colors=3)
         dressed = SolveRequest(graph=graph, colors=3, audit=True,
-                               keep_model=True, proof_log=True,
                                client="alice", tag="run-7")
         assert base.cache_key() == dressed.cache_key()
 
@@ -128,13 +140,14 @@ class TestWire:
         request = SolveRequest(
             graph=path4_a(), colors=2, strategies=PORTFOLIO_2,
             limits=SolveLimits(conflict_budget=9, wall_clock_limit=1.5),
-            audit=True, keep_model=True, client="bob", tag="x")
+            client="bob", tag="x")
         wire = json.loads(json.dumps(request.to_wire()))
+        # Every answer is audited: the wire carries no execution opts.
+        assert not {"audit", "keep_model", "proof_log"} & set(wire)
         back = SolveRequest.from_wire(wire)
         assert back.cache_key() == request.cache_key()
         assert back.strategies == request.strategies
         assert back.limits == request.limits
-        assert back.audit and back.keep_model
         assert back.client == "bob" and back.tag == "x"
 
     def test_request_wire_rejects_unknown_format(self):
@@ -243,3 +256,46 @@ class TestDispatch:
         ]
         with pytest.raises(ValueError, match="uniform"):
             api.solve_batch(requests)
+
+
+class TestEveryAnswerAudited:
+    """There is no audit switch: every decided answer is audited,
+    whichever door it leaves by."""
+
+    @pytest.mark.parametrize("width,status", [(5, SolveStatus.UNSAT),
+                                              (7, SolveStatus.SAT)])
+    def test_same_answer_through_either_door(self, alu2_problems, width,
+                                             status):
+        request = SolveRequest.single(alu2_problems[width], ALU2_STRATEGY)
+        single = api.solve(request)
+        [batched] = api.solve_batch([request], max_workers=1)
+        assert (single.status, single.audit) == (status, "PASS")
+        assert (batched.status, batched.audit) == (status, "PASS")
+
+    def test_wire_that_turned_the_audit_off_is_loaded_and_audited(
+            self, alu2_problems):
+        # Journal entries written before the audit became unconditional
+        # say so; they must still load, and are audited anyway.
+        wire = SolveRequest.single(alu2_problems[5],
+                                   ALU2_STRATEGY).to_wire()
+        wire.update(audit=False, keep_model=False, proof_log=False)
+        response = api.solve(SolveRequest.from_wire(wire))
+        assert response.status is SolveStatus.UNSAT
+        assert response.audit == "PASS"
+
+    def test_audit_false_is_refused(self):
+        with pytest.raises(ValueError, match="migration table"):
+            SolveRequest(graph=triangle(), colors=3, audit=False)
+        with pytest.raises(ValueError, match="migration table"):
+            api.solve_batch([SolveRequest(graph=triangle(), colors=3)],
+                            audit=False)
+
+    def test_no_switch_is_left(self):
+        from repro.bench.batch import run_batch, run_sharded
+        from repro.core.pool import solve_attempt
+        from repro.core.portfolio import run_portfolio
+        fields = {f.name for f in dataclasses.fields(SolveRequest)}
+        assert not {"audit", "keep_model", "proof_log"} & fields
+        for engine in (run_sharded, run_batch, run_portfolio,
+                       solve_attempt):
+            assert "audit" not in inspect.signature(engine).parameters

@@ -200,7 +200,7 @@ class TestCrashHandling:
         monkeypatch.setattr(audit_module, "audit_outcome", _exploding_audit)
         jobs = [BatchJob(f"cycle{n}", ColoringProblem(cycle_graph(n), 3),
                          Strategy("muldirect", "s1")) for n in (5, 7, 9)]
-        result = run_batch(jobs, max_workers=2, audit=True, max_attempts=2)
+        result = run_batch(jobs, max_workers=2, max_attempts=2)
         assert not result.pending and len(result.results) == len(jobs)
         for job_result in result.results:
             assert job_result.status is SolveStatus.ERROR

@@ -15,17 +15,20 @@ import time
 
 import pytest
 
+from repro import api
 from repro.bench import BatchJob, run_batch
 from repro.bench import batch as batch_module
-from repro.coloring import ColoringProblem, complete_graph, cycle_graph
-from repro.core import Strategy, run_portfolio, solve_coloring
+from repro.cli import main as cli_main
+from repro.coloring import (ColoringProblem, complete_graph, cycle_graph,
+                            parse_col_file)
+from repro.core import PORTFOLIO_2, Strategy, run_portfolio, solve_coloring
 from repro.core import portfolio as portfolio_module
 from repro.errors import ParseError
 from repro.reliability import (CRASH_EXIT_CODE, AuditVerdict, FaultInjector,
                                FaultPlan, FaultSpec, InjectedFault,
                                QuarantinePolicy, QuarantineTracker,
                                audit_outcome, audit_solve)
-from repro.sat import CNF, SolveStatus, solve
+from repro.sat import CNF, SolveLimits, SolveStatus, solve
 from repro.sat.solver.config import SolverConfig
 
 
@@ -271,7 +274,7 @@ class TestPortfolioChaos:
     def test_fault_kinds_terminate_in_deadline(self, spec, expected):
         start = time.perf_counter()
         result = run_portfolio(SAT_PROBLEM, [DIRECT], timeout=DEADLINE,
-                               faults=_plan(f"seed={CHAOS_SEED}; {spec}"), audit=True)
+                               faults=_plan(f"seed={CHAOS_SEED}; {spec}"))
         elapsed = time.perf_counter() - start
         assert elapsed < 2 * DEADLINE, f"{spec} overran: {elapsed:.1f}s"
         assert isinstance(result.status, SolveStatus)
@@ -281,8 +284,7 @@ class TestPortfolioChaos:
 
     def test_truncated_proof_cannot_win(self):
         result = run_portfolio(UNSAT_PROBLEM, [DIRECT], timeout=DEADLINE,
-                               faults=_plan(f"seed={CHAOS_SEED}; truncated_proof"),
-                               audit=True)
+                               faults=_plan(f"seed={CHAOS_SEED}; truncated_proof"))
         assert result.status is SolveStatus.ERROR
         assert "audit failed" in result.failures[DIRECT.label]
         assert result.audits[DIRECT.label].failed
@@ -309,10 +311,24 @@ class TestPortfolioChaos:
         # most the grace period before being terminated.
         assert elapsed < 5.0
 
+    def test_request_wall_clock_is_the_race_deadline(self):
+        """A race through api.solve gets no ``timeout=``: the request's
+        wall clock must still end it when every member hangs outside
+        its solver (deaf to its cancel token)."""
+        request = api.SolveRequest(
+            graph=SAT_PROBLEM.graph, colors=SAT_PROBLEM.num_colors,
+            strategies=(DIRECT, Strategy("muldirect", "s1")),
+            limits=SolveLimits(wall_clock_limit=DEADLINE))
+        start = time.perf_counter()
+        response = api.solve(
+            request, faults=_plan(f"seed={CHAOS_SEED}; hang@worker"))
+        assert time.perf_counter() - start < 2 * DEADLINE
+        assert response.status is SolveStatus.TIMEOUT
+
     def test_wrong_model_winner_demoted_race_continues(self):
         healthy = Strategy("muldirect", "s1", seed=1)
         result = run_portfolio(
-            SAT_PROBLEM, [DIRECT, healthy], timeout=10.0, audit=True,
+            SAT_PROBLEM, [DIRECT, healthy], timeout=10.0,
             faults=_plan(f"seed={CHAOS_SEED + 5}; wrong_model:match=direct"))
         assert result.status is SolveStatus.SAT
         assert result.winner.label == healthy.label
@@ -338,7 +354,7 @@ class TestBatchChaos:
         job = BatchJob("chaos", problem, DIRECT)
         start = time.perf_counter()
         result = self._run(job, job_timeout=DEADLINE, timeout=2 * DEADLINE,
-                           faults=_plan(f"seed={CHAOS_SEED}; {spec}"), audit=True,
+                           faults=_plan(f"seed={CHAOS_SEED}; {spec}"),
                            max_attempts=1)
         elapsed = time.perf_counter() - start
         assert elapsed < 2 * (2 * DEADLINE), f"{spec} overran: {elapsed:.1f}s"
@@ -362,7 +378,7 @@ class TestBatchChaos:
     def test_audit_failure_is_retried_then_error(self):
         job = BatchJob("liar", SAT_PROBLEM, DIRECT)
         result = self._run(job, faults=_plan(f"seed={CHAOS_SEED + 5}; wrong_model"),
-                           audit=True, max_attempts=2)
+                           max_attempts=2)
         record = result.results[0]
         assert record.status is SolveStatus.ERROR
         assert record.attempts == 2
@@ -387,6 +403,65 @@ class TestBatchChaos:
         result = self._run(job, faults=False)
         assert result.results[0].status is SolveStatus.SAT
         assert result.results[0].attempts == 1
+
+
+class TestEveryFrontDoor:
+    """An answer that fails its audit is ERROR (exit 2) at every front
+    door: a forged refutation (``truncated_proof``) of alu2 at W=5, and
+    the wrong model of CI's chaos run on alu2's W=7 graph."""
+
+    TRUNCATED = "seed=1; truncated_proof"
+
+    @pytest.fixture(autouse=True)
+    def _clean_fault_env(self):
+        # The CLI publishes --faults via REPRO_FAULTS (so worker
+        # processes inherit it); scrub it on both sides of every test.
+        os.environ.pop("REPRO_FAULTS", None)
+        yield
+        os.environ.pop("REPRO_FAULTS", None)
+
+    @pytest.fixture(scope="class")
+    def alu2_col(self, tmp_path_factory):
+        """The .col of alu2 (scale 0.6) at a width, as `repro extract`
+        writes it."""
+        folder = tmp_path_factory.mktemp("front-doors")
+
+        def extract(width):
+            path = str(folder / f"alu2-w{width}.col")
+            assert cli_main(["extract", "alu2", "--scale", "0.6",
+                             "--width", str(width), "--out", path]) == 0
+            return path
+        return extract
+
+    @pytest.mark.parametrize("door", [
+        "api.solve", "api.solve_batch", "race",
+        "repro color", "repro route", "repro portfolio"])
+    def test_forged_refutation_is_error(self, door, alu2_col):
+        if door.startswith("repro "):
+            command = door.split()[1]
+            target = ([alu2_col(5), "--colors", "5"] if command == "color"
+                      else ["alu2", "--scale", "0.6", "--width", "5"])
+            if command == "portfolio":
+                target += ["--members", "2"]
+            assert cli_main([command, *target,
+                             "--faults", self.TRUNCATED]) == 2
+            return
+        graph = parse_col_file(alu2_col(5))
+        strategies = PORTFOLIO_2 if door == "race" else (DIRECT,)
+        request = api.SolveRequest(graph=graph, colors=5,
+                                   strategies=strategies)
+        if door == "api.solve_batch":
+            [response] = api.solve_batch([request], max_workers=1,
+                                         faults=_plan(self.TRUNCATED))
+        else:
+            response = api.solve(request, faults=_plan(self.TRUNCATED))
+        assert response.status is SolveStatus.ERROR
+        assert "audit failed" in response.report.detail
+
+    def test_wrong_model_fails_repro_color(self, alu2_col, capsys):
+        assert cli_main(["color", alu2_col(7), "--colors", "7",
+                         "--faults", "seed=3; wrong_model"]) == 2
+        assert "audit FAIL" in capsys.readouterr().out
 
 
 class TestQuarantineTracker:

@@ -83,11 +83,21 @@ class TestWidthAndRoute:
         assert code == 10
 
     def test_route_certify_unroutable(self, netlist_path, capsys):
-        code = main(["route", netlist_path, "--width", "2", "--certify",
+        # Every UNSAT route is certified by RUP replay of its proof;
+        # there is no --certify flag any more.
+        code = main(["route", netlist_path, "--width", "2",
                      "--encoding", "ITE-log"])
         assert code == 20
         out = capsys.readouterr().out
-        assert "certificate" in out and "verified" in out
+        assert "UNROUTABLE (proven)" in out and "audit PASS" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["route", "--certify"], ["portfolio", "--audit"]])
+    def test_removed_audit_flags_are_usage_errors(self, netlist_path,
+                                                  argv):
+        with pytest.raises(SystemExit) as exited:
+            main([argv[0], netlist_path, "--width", "2", argv[1]])
+        assert exited.value.code == 2
 
     def test_route_conflict_budget_exits_unknown(self, netlist_path, capsys):
         # W=4 without symmetry breaking needs ~70 conflicts to refute;
@@ -194,7 +204,9 @@ class TestErrors:
 
 
 class TestAudit:
-    """The `repro audit` command and the --faults/--chaos-seed hooks."""
+    """The audit `repro color` runs on every decided answer (it took
+    over the deleted `repro audit` command) and the --faults /
+    --chaos-seed hooks."""
 
     @pytest.fixture()
     def cycle5(self, tmp_path):
@@ -212,22 +224,34 @@ class TestAudit:
         yield
         os.environ.pop("REPRO_FAULTS", None)
 
-    def test_audit_sat_passes(self, cycle5, capsys):
-        assert main(["audit", cycle5, "--colors", "3",
-                     "--encoding", "direct"]) == 10
+    @staticmethod
+    def _audit_checks(trace_file):
+        """(check, verdict) of every audit check a traced run made."""
+        from repro.obs.report import parse_trace_file
+        return [(event["attrs"]["check"], event["attrs"]["verdict"])
+                for record in parse_trace_file(trace_file)
+                if record.get("name") == "audit"
+                for event in record.get("events", [])]
+
+    def test_audit_sat_passes(self, cycle5, tmp_path, capsys):
+        trace_file = str(tmp_path / "sat.jsonl")
+        assert main(["color", cycle5, "--colors", "3",
+                     "--encoding", "direct", "--trace", trace_file]) == 10
         out = capsys.readouterr().out
         assert "SATISFIABLE" in out and "audit PASS" in out
-        assert "model-satisfies-cnf: PASS" in out
+        assert ("model-satisfies-cnf", "PASS") \
+            in self._audit_checks(trace_file)
 
-    def test_audit_unsat_replays_proof(self, cycle5, capsys):
-        assert main(["audit", cycle5, "--colors", "2",
-                     "--encoding", "direct"]) == 20
+    def test_audit_unsat_replays_proof(self, cycle5, tmp_path, capsys):
+        trace_file = str(tmp_path / "unsat.jsonl")
+        assert main(["color", cycle5, "--colors", "2",
+                     "--encoding", "direct", "--trace", trace_file]) == 20
         out = capsys.readouterr().out
         assert "UNSATISFIABLE" in out and "audit PASS" in out
-        assert "proof-replay: PASS" in out
+        assert self._audit_checks(trace_file) == [("proof-replay", "PASS")]
 
     def test_audit_flags_injected_wrong_model(self, cycle5, capsys):
-        code = main(["audit", cycle5, "--colors", "3",
+        code = main(["color", cycle5, "--colors", "3",
                      "--encoding", "direct",
                      "--faults", "seed=1; wrong_model"])
         # Caught either by the pipeline's own decode check (ERROR) or by
@@ -237,13 +261,13 @@ class TestAudit:
         assert ("audit FAIL" in out) or ("stopped:" in out)
 
     def test_chaos_seed_without_plan_warns(self, cycle5, capsys):
-        assert main(["audit", cycle5, "--colors", "3",
+        assert main(["color", cycle5, "--colors", "3",
                      "--encoding", "direct", "--chaos-seed", "9"]) == 10
         assert "nothing to seed" in capsys.readouterr().err
 
     def test_chaos_seed_reseeds_env_plan(self, cycle5, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash@solver")
-        code = main(["audit", cycle5, "--colors", "3",
+        code = main(["color", cycle5, "--colors", "3",
                      "--encoding", "direct", "--chaos-seed", "5"])
         assert code == 2
         assert "stopped: solver crashed" in capsys.readouterr().out
@@ -254,6 +278,15 @@ class TestAudit:
         col = str(tmp_path / "bad.col")
         with open(col, "w") as handle:
             handle.write("p edge 2 1\ne 1 oops\n")
-        assert main(["audit", col, "--colors", "2"]) == 2
+        assert main(["color", col, "--colors", "2"]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_color_takes_over_the_budget_flags(self, cycle5, capsys):
+        assert main(["color", cycle5, "--colors", "3", "--timeout", "30",
+                     "--conflict-budget", "1000"]) == 10
+
+    def test_audit_command_is_a_usage_error(self, cycle5):
+        with pytest.raises(SystemExit) as exited:
+            main(["audit", cycle5, "--colors", "3"])
+        assert exited.value.code == 2
